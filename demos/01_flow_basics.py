@@ -7,7 +7,7 @@
 
 from nestflow.backends import ScriptedBackend
 from nestflow.core import RunContext, create_flow, package_input, run
-from nestflow.trace import MemoryTraceSink
+from nestflow.trace import TraceSink
 
 # Flow configs are plain data. A fixed_reply flow ignores its input and
 # emits one configured key, which makes it handy for wiring demos.
@@ -59,7 +59,7 @@ poet = create_flow({
 })
 
 backend = ScriptedBackend(responses=["Messages carry everything that matters."])
-sink = MemoryTraceSink()
+sink = TraceSink()
 ctx = RunContext(backends={"default": backend}, trace=sink)
 out = run(poet, package_input({"topic": "isolation"}), ctx)
 print("completion:", out.payload["completion"])

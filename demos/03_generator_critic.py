@@ -11,7 +11,7 @@
 
 from nestflow.backends import ScriptedBackend
 from nestflow.core import ROUNDS_USED_KEY, RunContext, create_flow, package_input, run
-from nestflow.trace import MemoryTraceSink
+from nestflow.trace import TraceSink
 
 loop_config = {
     "name": "refine",
@@ -45,7 +45,7 @@ backend = ScriptedBackend(responses=[
     "The final draft. Final answer.",
 ])
 
-sink = MemoryTraceSink()
+sink = TraceSink()
 ctx = RunContext(backends={"default": backend}, trace=sink)
 out = run(create_flow(loop_config), package_input({"topic": "brevity"}), ctx)
 

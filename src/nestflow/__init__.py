@@ -101,13 +101,10 @@ from .sandbox import (
 from .trace import (
     EVENT_KINDS,
     TRACE_FORMAT_VERSION,
-    MemoryTraceSink,
-    NullTraceSink,
     TraceEvent,
     TraceSink,
     normalize_trace,
     read_trace,
-    record,
     replay_backend,
 )
 

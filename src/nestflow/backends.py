@@ -17,7 +17,7 @@ from pathlib import Path
 
 import requests as _requests
 
-from ._util import canonical_bytes, canonical_json, sha256_hex, utc_now_iso
+from ._util import canonical_json, fingerprint, utc_now_iso
 from .errors import (
     AuthError,
     ReplayDivergenceError,
@@ -95,11 +95,8 @@ class BackendRequest:
             "max_tokens": self.max_tokens,
         }
 
-    def canonical(self) -> bytes:
-        return canonical_bytes(self.to_dict())
-
     def fingerprint(self) -> str:
-        return sha256_hex(self.canonical())
+        return fingerprint(self.to_dict())
 
     def full_text(self) -> str:
         return "\n".join(t.content for t in self.turns)
@@ -255,16 +252,25 @@ class ResponseCache:
         return self.directory / f"{key}.resp"
 
     def get(self, key: str) -> str | None:
+        """The stored response, or None on a miss.
+
+        A torn entry (its header does not parse) counts as a miss, so the
+        fresh response overwrites it.
+        """
         path = self._path(key)
-        if not path.exists():
-            with self._lock:
-                self.misses += 1
-            return None
-        text = path.read_text(encoding="utf-8")
-        header, _, body = text.partition("\n")
-        json.loads(header)
+        body = None
+        if path.exists():
+            try:
+                header, _, body = path.read_text(encoding="utf-8").partition("\n")
+                json.loads(header)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                logger.warning("cache entry %s is torn, treating it as a miss: %s", path.name, exc)
+                body = None
         with self._lock:
-            self.hits += 1
+            if body is None:
+                self.misses += 1
+            else:
+                self.hits += 1
         return body
 
     def put(self, key: str, response: str) -> None:

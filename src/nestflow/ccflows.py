@@ -152,50 +152,65 @@ def _sandbox_critic(settings: VariantSettings) -> dict:
     }
 
 
+def _fixed_critic(name: str, reply: str) -> dict:
+    return {"name": name, "kind": "fixed_reply", "params": {"reply": reply, "output_key": "reply"}}
+
+
+def _llm_critic(settings: VariantSettings, name: str, input_keys: list[str],
+                system: str, query: str, human: str) -> dict:
+    return {
+        "name": name,
+        "kind": "llm",
+        "input_keys": input_keys,
+        "output_keys": ["completion"],
+        "params": _llm_params(settings, system, query, human, stateless=True),
+    }
+
+
+def _reflection_params(part: str, settings: VariantSettings) -> dict:
+    # The baseline is the reflection loop capped at one round, where the
+    # critic never runs and so needs no feedback mapping.
+    if part in ("Code", "Plan"):
+        return {"max_rounds": 1}
+    return {"max_rounds": settings.max_rounds, "feedback_mapping": {"reply": "query"}}
+
+
+def _loop(name: str, input_keys: list[str], output_keys: list[str], params: dict,
+          generator: dict, critic: dict) -> FlowConfig:
+    return FlowConfig.from_dict({
+        "name": name,
+        "kind": "generator_critic",
+        "input_keys": input_keys,
+        "output_keys": output_keys,
+        "params": {**params, "children": [generator, critic]},
+    })
+
+
 def _code_part_config(variant: FlowVariant, settings: VariantSettings) -> FlowConfig:
     part = variant.code_part
     with_plan = variant.plan_part is not None
     base_inputs = list(PROBLEM_KEYS) + (["plan"] if with_plan else [])
     params: dict = {"max_rounds": settings.max_rounds}
 
-    if part == "Code":
+    if part in ("Code", "Code_Reflection"):
         generator = _code_generator(settings, T.CODE_HUMAN, with_plan)
-        critic = {"name": "code_critic", "kind": "fixed_reply",
-                  "params": {"reply": T.REFLECTION_FIXED_REPLY, "output_key": "reply"}}
-        params["max_rounds"] = 1
-    elif part == "Code_Reflection":
-        generator = _code_generator(settings, T.CODE_HUMAN, with_plan)
-        critic = {"name": "code_critic", "kind": "fixed_reply",
-                  "params": {"reply": T.REFLECTION_FIXED_REPLY, "output_key": "reply"}}
-        params["feedback_mapping"] = {"reply": "query"}
+        critic = _fixed_critic("code_critic", T.REFLECTION_FIXED_REPLY)
+        params = _reflection_params(part, settings)
     elif part == "Code_Collaboration":
         generator = _code_generator(settings, T.COLLAB_HUMAN, with_plan)
-        critic = {
-            "name": "code_critic",
-            "kind": "llm",
-            "input_keys": list(PROBLEM_KEYS) + ["code"],
-            "output_keys": ["completion"],
-            "params": _llm_params(settings, T.CRITIC_SYSTEM, T.CRITIC_QUERY, T.CRITIC_HUMAN,
-                                  stateless=True),
-        }
+        critic = _llm_critic(settings, "code_critic", list(PROBLEM_KEYS) + ["code"],
+                             T.CRITIC_SYSTEM, T.CRITIC_QUERY, T.CRITIC_HUMAN)
         params["feedback_mapping"] = {"completion": "code_feedback"}
     elif part == "Code_Debug":
         generator = _code_generator(settings, T.DEBUG_HUMAN, with_plan)
         critic = {**_sandbox_critic(settings), "name": "code_critic"}
         params["feedback_mapping"] = {"testing_results_summary": "testing_results_summary"}
-        params["critic_stop_on"] = {"key": "verdict", "mode": "equals", "needle": "AllPassed"}
-        base_inputs.append("public_tests")
     elif part == "Code_Debug_Collab":
         generator = _code_generator(settings, T.COLLAB_HUMAN, with_plan)
-        analyst = {
-            "name": "debug_critic",
-            "kind": "llm",
-            "input_keys": list(PROBLEM_KEYS) + ["code", "testing_results_summary"],
-            "output_keys": ["completion"],
-            "params": _llm_params(settings, T.DEBUG_COLLAB_CRITIC_SYSTEM,
-                                  T.DEBUG_COLLAB_CRITIC_QUERY, T.DEBUG_COLLAB_CRITIC_HUMAN,
-                                  stateless=True),
-        }
+        analyst = _llm_critic(settings, "debug_critic",
+                              list(PROBLEM_KEYS) + ["code", "testing_results_summary"],
+                              T.DEBUG_COLLAB_CRITIC_SYSTEM, T.DEBUG_COLLAB_CRITIC_QUERY,
+                              T.DEBUG_COLLAB_CRITIC_HUMAN)
         critic = {
             "name": "code_critic",
             "kind": "sequential",
@@ -204,19 +219,12 @@ def _code_part_config(variant: FlowVariant, settings: VariantSettings) -> FlowCo
             "params": {"children": [_sandbox_critic(settings), analyst]},
         }
         params["feedback_mapping"] = {"completion": "code_feedback"}
-        params["critic_stop_on"] = {"key": "verdict", "mode": "equals", "needle": "AllPassed"}
-        base_inputs.append("public_tests")
     else:  # pragma: no cover - parse_variant guards this
         raise _unknown_part(part, CODE_PARTS, "code")
-
-    params["children"] = [generator, critic]
-    return FlowConfig.from_dict({
-        "name": part,
-        "kind": "generator_critic",
-        "input_keys": base_inputs,
-        "output_keys": ["completion", "code"],
-        "params": params,
-    })
+    if part.startswith("Code_Debug"):
+        params["critic_stop_on"] = {"key": "verdict", "mode": "equals", "needle": "AllPassed"}
+        base_inputs.append("public_tests")
+    return _loop(part, base_inputs, ["completion", "code"], params, generator, critic)
 
 
 def _plan_generator(settings: VariantSettings, human: str) -> dict:
@@ -241,38 +249,19 @@ def _plan_part_config(variant: FlowVariant, settings: VariantSettings) -> FlowCo
             "output_keys": ["plan"],
             "params": {"interactive": settings.interactive_plan},
         })
-    params: dict = {"max_rounds": settings.max_rounds}
-    if part == "Plan":
+    if part in ("Plan", "Plan_Reflection"):
         generator = _plan_generator(settings, T.PLAN_HUMAN)
-        critic = {"name": "plan_critic", "kind": "fixed_reply",
-                  "params": {"reply": T.PLAN_REFLECTION_FIXED_REPLY, "output_key": "reply"}}
-        params["max_rounds"] = 1
-    elif part == "Plan_Reflection":
-        generator = _plan_generator(settings, T.PLAN_HUMAN)
-        critic = {"name": "plan_critic", "kind": "fixed_reply",
-                  "params": {"reply": T.PLAN_REFLECTION_FIXED_REPLY, "output_key": "reply"}}
-        params["feedback_mapping"] = {"reply": "query"}
+        critic = _fixed_critic("plan_critic", T.PLAN_REFLECTION_FIXED_REPLY)
+        params = _reflection_params(part, settings)
     elif part == "Plan_Collaboration":
         generator = _plan_generator(settings, T.PLAN_COLLAB_HUMAN)
-        critic = {
-            "name": "plan_critic",
-            "kind": "llm",
-            "input_keys": list(PROBLEM_KEYS) + ["plan"],
-            "output_keys": ["completion"],
-            "params": _llm_params(settings, T.PLAN_CRITIC_SYSTEM, T.PLAN_CRITIC_QUERY,
-                                  T.PLAN_CRITIC_HUMAN, stateless=True),
-        }
-        params["feedback_mapping"] = {"completion": "plan_feedback"}
+        critic = _llm_critic(settings, "plan_critic", list(PROBLEM_KEYS) + ["plan"],
+                             T.PLAN_CRITIC_SYSTEM, T.PLAN_CRITIC_QUERY, T.PLAN_CRITIC_HUMAN)
+        params = {"max_rounds": settings.max_rounds,
+                  "feedback_mapping": {"completion": "plan_feedback"}}
     else:  # pragma: no cover - parse_variant guards this
         raise _unknown_part(part, PLAN_PARTS, "plan")
-    params["children"] = [generator, critic]
-    return FlowConfig.from_dict({
-        "name": part,
-        "kind": "generator_critic",
-        "input_keys": list(PROBLEM_KEYS),
-        "output_keys": ["plan"],
-        "params": params,
-    })
+    return _loop(part, list(PROBLEM_KEYS), ["plan"], params, generator, critic)
 
 
 def build_variant(variant: FlowVariant | str,

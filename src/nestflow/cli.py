@@ -15,24 +15,24 @@ import click
 import yaml
 
 from .backends import RemoteBackend, ResponseCache, ScriptedBackend
-from .ccflows import DEFAULT_VARIANTS, VariantSettings, build_variant, parse_variant, problem_payload
-from .core import RunContext, create_flow, package_input, run, ROUNDS_USED_KEY
+from .ccflows import DEFAULT_VARIANTS, VariantSettings, parse_variant
+from .core import RunContext
 from .dataset import DEFAULT_CUTOFF, load_problem_file, load_problems
-from .errors import AuthError, ConfigError, DatasetError, NestflowError, SandboxEnvironmentError
+from .errors import ENVIRONMENT_ERRORS, ConfigError, DatasetError, NestflowError
 from .evalharness import (
     EvalSettings,
     evaluate_grid,
     read_run_meta,
     run_pair,
+    run_variant,
     write_report,
 )
-from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME, ExecutionLimits, Verdict, run_tests
-from .trace import MemoryTraceSink, normalize_trace, read_trace, replay_backend
+from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
+from .trace import TraceSink, normalize_trace, read_trace, replay_backend
 
 logger = logging.getLogger(__name__)
 
 USAGE_ERRORS = (ConfigError, DatasetError)
-ENVIRONMENT_ERRORS = (SandboxEnvironmentError, AuthError)
 
 
 def _fail(exc: Exception) -> None:
@@ -115,55 +115,23 @@ def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile
         parse_variant(variant)
         problem = load_problem_file(problem_path)
         backend, cache, model = load_backend_profile(profiles_path, backend_profile)
-        vsettings = _variant_settings(model, wall_time, memory_mb, max_rounds, interactive_plan)
-        settings = EvalSettings(out_dir=Path(out_dir) if out_dir else Path("."),
-                                backend=backend, variant_settings=vsettings, cache=cache)
-        if out_dir:
-            record = run_pair(problem, variant, settings)
-            solved, rounds, error = record.solved, record.rounds_used, record.error
-            code = None if error else _final_code(problem, variant, settings)
-        else:
-            config = build_variant(variant, vsettings)
-            flow = create_flow(config)
-            ctx = RunContext(backends={vsettings.backend: backend}, cache=cache)
-            message = package_input(problem_payload(problem), created_by="cli")
-            try:
-                output = run(flow, message, ctx)
-                code = output.payload.get("code")
-                rounds = output.payload.get(ROUNDS_USED_KEY, 0)
-                error = None
-            except NestflowError as exc:
-                if isinstance(exc.__cause__, ENVIRONMENT_ERRORS):
-                    _fail(exc.__cause__)
-                code, rounds, error = None, 0, str(exc)
-            solved = False
-            if code is not None:
-                limits = ExecutionLimits(wall_time=wall_time, memory_bytes=memory_mb * 1024 * 1024)
-                solved = run_tests(code, list(problem.hidden_tests),
-                                   limits=limits).verdict == Verdict.ALL_PASSED
-    except USAGE_ERRORS as exc:
-        _fail(exc)
-    except ENVIRONMENT_ERRORS as exc:
+        settings = EvalSettings(
+            out_dir=Path(out_dir) if out_dir else None, backend=backend, cache=cache,
+            variant_settings=_variant_settings(model, wall_time, memory_mb, max_rounds,
+                                               interactive_plan))
+        record, code = run_pair(problem, variant, settings)
+    except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
         _fail(exc)
     click.echo(f"problem: {problem.id}")
     click.echo(f"variant: {variant}")
-    click.echo(f"rounds_used: {rounds}")
-    if error:
-        click.echo(f"error: {error}")
+    click.echo(f"rounds_used: {record.rounds_used}")
+    if record.error:
+        click.echo(f"error: {record.error}")
     if code:
         click.echo("program:")
         click.echo(code)
-    click.echo(f"solved: {str(solved).lower()}")
-    sys.exit(0 if solved else 1)
-
-
-def _final_code(problem, variant: str, settings: EvalSettings) -> str | None:
-    # Re-read the final program from the trace the run just wrote.
-    events = read_trace(settings.out_dir / problem.id / variant / "trace.log")
-    outs = [e for e in events if e.kind == "message_out"]
-    if outs:
-        return outs[-1].body["message"]["payload"].get("code")
-    return None
+    click.echo(f"solved: {str(record.solved).lower()}")
+    sys.exit(0 if record.solved else 1)
 
 
 @main.command("eval")
@@ -189,8 +157,6 @@ def cmd_eval(dataset_path: str, variants: str, profiles_path: str, backend_profi
     """Evaluate variants over a dataset and write records plus reports."""
     try:
         variant_list = [v.strip() for v in variants.split(",") if v.strip()]
-        for name in variant_list:
-            parse_variant(name)
         problems = load_problems(dataset_path)
         backend, cache, model = load_backend_profile(profiles_path, backend_profile)
         cutoff_date = dt.date.fromisoformat(cutoff)
@@ -200,9 +166,7 @@ def cmd_eval(dataset_path: str, variants: str, profiles_path: str, backend_profi
             cutoff=cutoff_date, workers=workers, seed=seed, resume=resume)
         result = evaluate_grid(problems, variant_list, settings)
         paths = write_report(out_dir)
-    except USAGE_ERRORS as exc:
-        _fail(exc)
-    except ENVIRONMENT_ERRORS as exc:
+    except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
         _fail(exc)
     except ValueError as exc:
         _fail(ConfigError(str(exc)))
@@ -238,13 +202,12 @@ def cmd_replay(run_dir: str, problem_id: str, variant: str) -> None:
             raise ConfigError(f"no trace at {trace_path}")
         original = read_trace(trace_path)
         message_in = next(e for e in original if e.kind == "message_in")
-        payload = message_in.body["message"]["payload"]
         vsettings = VariantSettings(**meta["variant_settings"])
-        flow = create_flow(build_variant(variant, vsettings))
-        sink = MemoryTraceSink()
-        ctx = RunContext(trace=sink, backends={vsettings.backend: replay_backend(trace_path)})
-        run(flow, package_input(payload, created_by=message_in.body["message"]["created_by"]), ctx)
-    except USAGE_ERRORS as exc:
+        sink = TraceSink()
+        ctx = RunContext(trace=sink, backends={vsettings.backend: replay_backend(original)})
+        run_variant(variant, vsettings, message_in.body["message"]["payload"], ctx,
+                    created_by=message_in.body["message"]["created_by"])
+    except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
         _fail(exc)
     except NestflowError as exc:
         click.echo(f"replay diverged: {exc}", err=True)

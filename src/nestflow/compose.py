@@ -117,26 +117,30 @@ class SequentialFlow(FlowInstance):
         super().__init__(config, children)
         self.mappings = _step_mappings(config, len(children))
 
-    def _step(self, message: Message, ctx: RunContext):
-        running = dict(message.payload)
-        parents: tuple[str, ...] = (message.id,)
-        last_id = None
+    def _round(self, running: dict, parents: tuple[str, ...], ctx: RunContext, **context):
+        """Run every child once; returns the running payload and, as the new
+        parents, the id of the last child's output.
+
+        ``context`` (the round number, for circular flows) goes first into
+        the annotations of a child's error, ahead of the step.
+        """
         for index, (child, mapping) in enumerate(zip(self.children, self.mappings)):
             child_in = ctx.new_message({**running, **mapping.apply(running)},
                                        created_by=self.instance_id, parents=parents)
             try:
                 child_out = run(child, child_in, ctx)
             except FlowError as exc:
-                raise exc.annotate(step=index, step_name=child.config.name)
+                raise exc.annotate(**context, step=index, step_name=child.config.name)
             running = {**child_in.payload, **child_out.payload}
             parents = (child_out.id,)
-            last_id = child_out.id
-        extra = (last_id,) if last_id else ()
-        return running, extra
+        return running, parents
+
+    def _step(self, message: Message, ctx: RunContext):
+        return self._round(dict(message.payload), (message.id,), ctx)
 
 
 @register_flow_kind
-class CircularFlow(FlowInstance):
+class CircularFlow(SequentialFlow):
     """Repeat the child sequence up to max_rounds, with an optional exit check.
 
     The exit predicate is evaluated on the running payload after each
@@ -147,35 +151,18 @@ class CircularFlow(FlowInstance):
     kind = "circular"
 
     def __init__(self, config: FlowConfig):
-        children = [create_flow(c) for c in _child_configs(config)]
-        super().__init__(config, children)
-        self.mappings = _step_mappings(config, len(children))
+        super().__init__(config)
         self.max_rounds = _max_rounds(config)
         exit_doc = config.params.get("exit")
         self.exit_predicate = TerminationPredicate.from_dict(exit_doc) if exit_doc else None
 
     def _step(self, message: Message, ctx: RunContext):
-        running = dict(message.payload)
-        parents: tuple[str, ...] = (message.id,)
-        last_id = None
-        rounds = 0
+        running, parents = dict(message.payload), (message.id,)
         for round_no in range(1, self.max_rounds + 1):
-            for index, (child, mapping) in enumerate(zip(self.children, self.mappings)):
-                child_in = ctx.new_message({**running, **mapping.apply(running)},
-                                           created_by=self.instance_id, parents=parents)
-                try:
-                    child_out = run(child, child_in, ctx)
-                except FlowError as exc:
-                    raise exc.annotate(round=round_no, step=index, step_name=child.config.name)
-                running = {**child_in.payload, **child_out.payload}
-                parents = (child_out.id,)
-                last_id = child_out.id
-            rounds = round_no
+            running, parents = self._round(running, parents, ctx, round=round_no)
             if self.exit_predicate and self.exit_predicate.matches(running):
                 break
-        updates = {**running, ROUNDS_USED_KEY: rounds}
-        extra = (last_id,) if last_id else ()
-        return updates, extra
+        return {**running, ROUNDS_USED_KEY: round_no}, parents
 
 
 @register_flow_kind

@@ -25,7 +25,7 @@ import yaml
 from ._util import canonical_bytes, utc_now_iso, validate_payload
 from .backends import BackendRequest, cached_complete
 from .errors import ConfigError, FlowError, MissingInputKeysError, NestflowError
-from .trace import NullTraceSink
+from .trace import TraceSink
 
 RESERVED_PREFIX = "_"
 ROUNDS_USED_KEY = "_rounds_used"
@@ -69,17 +69,16 @@ class Message:
         }
 
 
+def _message(message_id: str, payload: dict, created_by: str,
+             parents: tuple[str, ...]) -> Message:
+    return Message(id=message_id, created_at=utc_now_iso(), created_by=created_by,
+                   payload=validate_payload(payload), parents=tuple(parents))
+
+
 def package_input(payload: dict, created_by: str = "caller",
                   parents: tuple[str, ...] = ()) -> Message:
     """Wrap a plain payload map as a root input message."""
-    clean = validate_payload(payload)
-    return Message(
-        id=f"g{next(_message_counter):06d}",
-        created_at=utc_now_iso(),
-        created_by=created_by,
-        payload=clean,
-        parents=tuple(parents),
-    )
+    return _message(f"g{next(_message_counter):06d}", payload, created_by, parents)
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ class RunContext:
     """Per-run services: tracing, message ids, backends, response cache."""
 
     def __init__(self, trace=None, backends=None, cache=None):
-        self.trace = trace if trace is not None else NullTraceSink()
+        self.trace = trace if trace is not None else TraceSink()
         if backends is not None and hasattr(backends, "complete"):
             backends = {"default": backends}
         self.backends = dict(backends or {})
@@ -183,14 +182,7 @@ class RunContext:
 
     def new_message(self, payload: dict, created_by: str,
                     parents: tuple[str, ...] = ()) -> Message:
-        clean = validate_payload(payload)
-        return Message(
-            id=f"m{next(self._msg_counter):06d}",
-            created_at=utc_now_iso(),
-            created_by=created_by,
-            payload=clean,
-            parents=tuple(parents),
-        )
+        return _message(f"m{next(self._msg_counter):06d}", payload, created_by, parents)
 
     def complete(self, instance_id: str, backend_name: str, request: BackendRequest) -> str:
         backend = self.backends.get(backend_name)

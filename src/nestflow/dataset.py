@@ -182,7 +182,11 @@ def split_by_cutoff(problems: list[Problem], cutoff: dt.date = DEFAULT_CUTOFF) -
 
 
 def bucket_key(problem: Problem, cutoff: dt.date = DEFAULT_CUTOFF) -> str:
-    """Report column for a problem: source, cutoff side, and band for leetcode."""
+    """Report column for a problem: source, cutoff side, and band for leetcode.
+
+    Reads only ``source``, ``difficulty`` and ``release_date``, so any
+    object carrying those three works in place of a Problem.
+    """
     side = "pre" if problem.release_date < cutoff else "post"
     if problem.source == "codeforces":
         return f"codeforces-{side}"

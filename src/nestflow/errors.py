@@ -88,3 +88,8 @@ class SandboxEnvironmentError(NestflowError):
 
 class DatasetError(NestflowError):
     """A problem document is malformed or violates dataset invariants."""
+
+
+# Failures of the machine rather than of a run: they abort with exit code 3
+# instead of being recorded as an unsolved outcome.
+ENVIRONMENT_ERRORS = (AuthError, SandboxEnvironmentError)

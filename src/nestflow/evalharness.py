@@ -16,16 +16,17 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from ._util import add_months, month_floor
 from .ccflows import DEFAULT_VARIANTS, VariantSettings, build_variant, parse_variant, problem_payload
-from .core import ROUNDS_USED_KEY, RunContext, create_flow, package_input, run
+from .core import ROUNDS_USED_KEY, Message, RunContext, create_flow, package_input, run
 from .dataset import BUCKET_ORDER, DEFAULT_CUTOFF, Problem, bucket_key
-from .errors import NestflowError
+from .errors import ENVIRONMENT_ERRORS, FlowError
 from .sandbox import ExecutionLimits, Verdict, run_tests
 from .trace import TraceSink
 
@@ -66,34 +67,13 @@ class RunRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "problem_id": self.problem_id,
-            "variant": self.variant,
-            "solved": self.solved,
-            "rounds_used": self.rounds_used,
-            "release_date": self.release_date,
-            "trace_ref": self.trace_ref,
-            "wall_time": self.wall_time,
-        }
-        if self.verdict is not None:
-            doc["verdict"] = self.verdict
-        if self.error is not None:
-            doc["error"] = self.error
-        return doc
+        # verdict and error are left out when unset; no other field can be None.
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
-        return cls(
-            problem_id=doc["problem_id"],
-            variant=doc["variant"],
-            solved=doc["solved"],
-            rounds_used=doc["rounds_used"],
-            release_date=doc["release_date"],
-            trace_ref=doc["trace_ref"],
-            wall_time=doc["wall_time"],
-            verdict=doc.get("verdict"),
-            error=doc.get("error"),
-        )
+        return cls(**{f.name: doc[f.name] if f.default is MISSING else doc.get(f.name)
+                      for f in fields(cls)})
 
 
 def append_record(path: str | Path, record: RunRecord) -> None:
@@ -232,8 +212,12 @@ _BUCKET_LABELS = {
 }
 
 
-def _table_cells(stats: dict[str, dict[str, SolveRate | None]], variants: list[str],
-                 buckets: list[str], baseline_variant: str) -> list[list[str]]:
+def _table_cells(stats: dict[str, dict[str, SolveRate | None]], variants: list[str] | None,
+                 baseline_variant: str) -> tuple[list[str], list[list[str]]]:
+    """The non-empty bucket columns, and one row of cells per variant."""
+    variants = list(variants if variants is not None else stats)
+    buckets = [b for b in BUCKET_ORDER
+               if any(stats.get(v, {}).get(b) is not None for v in variants)]
     rows = []
     baseline_stats = stats.get(baseline_variant, {})
     for variant in variants:
@@ -249,17 +233,14 @@ def _table_cells(stats: dict[str, dict[str, SolveRate | None]], variants: list[s
                 else:
                     cells.append(format_cell(rate, baseline))
         rows.append(cells)
-    return rows
+    return buckets, rows
 
 
 def render_results_table(stats: dict[str, dict[str, SolveRate | None]],
                          variants: list[str] | None = None,
                          baseline_variant: str = "Code") -> str:
     """Plain-text results table: baseline row absolute, other rows as deltas."""
-    variants = list(variants if variants is not None else stats)
-    buckets = [b for b in BUCKET_ORDER
-               if any(stats.get(v, {}).get(b) is not None for v in variants)]
-    rows = _table_cells(stats, variants, buckets, baseline_variant)
+    buckets, rows = _table_cells(stats, variants, baseline_variant)
     group_row = ["Flow"] + [_BUCKET_LABELS[b][0] for b in buckets]
     label_row = [""] + [_BUCKET_LABELS[b][1] for b in buckets]
     # Blank out repeated group names so each source reads as one span.
@@ -279,14 +260,11 @@ def render_results_table(stats: dict[str, dict[str, SolveRate | None]],
 def results_table_csv(stats: dict[str, dict[str, SolveRate | None]],
                       variants: list[str] | None = None,
                       baseline_variant: str = "Code") -> str:
-    variants = list(variants if variants is not None else stats)
-    buckets = [b for b in BUCKET_ORDER
-               if any(stats.get(v, {}).get(b) is not None for v in variants)]
+    buckets, rows = _table_cells(stats, variants, baseline_variant)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["variant"] + buckets)
-    for row in _table_cells(stats, variants, buckets, baseline_variant):
-        writer.writerow(row)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -294,7 +272,7 @@ def results_table_csv(stats: dict[str, dict[str, SolveRate | None]],
 class EvalSettings:
     """Everything evaluate_grid needs besides the problems and variants."""
 
-    out_dir: Path
+    out_dir: Path | None
     backend: object
     variant_settings: VariantSettings = VariantSettings()
     cutoff: dt.date = DEFAULT_CUTOFF
@@ -312,48 +290,57 @@ class GridResult:
     new_runs: int
 
 
-def _judge(problem: Problem, code: str, settings: EvalSettings) -> tuple[bool, str]:
-    limits = ExecutionLimits(wall_time=settings.variant_settings.wall_time,
-                             memory_bytes=settings.variant_settings.memory_bytes)
-    report = run_tests(code, list(problem.hidden_tests), limits=limits,
-                       language_tag=settings.variant_settings.language_tag)
-    return report.verdict == Verdict.ALL_PASSED, report.verdict.value
+def run_variant(variant_name: str, variant_settings: VariantSettings, payload: dict,
+                ctx: RunContext, created_by: str = "harness") -> Message:
+    """Build a variant's flow and run it on one input payload.
+
+    An environment error that surfaces as a FlowError's cause is raised
+    bare, so that callers abort instead of reporting an unsolved run.
+    """
+    flow = create_flow(build_variant(variant_name, variant_settings))
+    try:
+        return run(flow, package_input(payload, created_by=created_by), ctx)
+    except FlowError as exc:
+        if isinstance(exc.__cause__, ENVIRONMENT_ERRORS):
+            raise exc.__cause__
+        raise
 
 
-def run_pair(problem: Problem, variant_name: str, settings: EvalSettings) -> RunRecord:
-    """Run one (problem, variant) pair and judge it on the hidden tests."""
+def run_pair(problem: Problem, variant_name: str,
+             settings: EvalSettings) -> tuple[RunRecord, str | None]:
+    """Run one (problem, variant) pair and judge it on the hidden tests.
+
+    Returns the record and the final program. The trace goes to
+    ``<out_dir>/<trace_ref>``, or stays in memory when ``out_dir`` is None.
+    """
     started = time.perf_counter()
     trace_ref = f"{problem.id}/{variant_name}/trace.log"
-    trace_path = settings.out_dir / trace_ref
-    config = build_variant(variant_name, settings.variant_settings)
-    flow = create_flow(config)
+    vsettings = settings.variant_settings
     error = None
     code = None
     rounds = 0
-    with TraceSink(trace_path) as sink:
-        ctx = RunContext(trace=sink, backends={settings.variant_settings.backend: settings.backend},
+    with TraceSink(settings.out_dir / trace_ref if settings.out_dir is not None else None) as sink:
+        ctx = RunContext(trace=sink, backends={vsettings.backend: settings.backend},
                          cache=settings.cache)
-        message = package_input(problem_payload(problem), created_by="harness")
         try:
-            output = run(flow, message, ctx)
-        except NestflowError as exc:
+            output = run_variant(variant_name, vsettings, problem_payload(problem), ctx)
+        except FlowError as exc:
             error = str(exc)
             logger.warning("run failed for %s/%s: %s", problem.id, variant_name, exc)
         else:
             code = output.payload.get("code")
             rounds = output.payload.get(ROUNDS_USED_KEY, 0)
     verdict = None
-    if error is None:
-        if code is None:
-            solved, error = False, "no program extracted"
-        else:
-            solved, verdict = _judge(problem, code, settings)
-    else:
-        solved = False
-    return RunRecord(
+    if error is None and code is None:
+        error = "no program extracted"
+    elif error is None:
+        limits = ExecutionLimits(wall_time=vsettings.wall_time, memory_bytes=vsettings.memory_bytes)
+        verdict = run_tests(code, list(problem.hidden_tests), limits=limits,
+                            language_tag=vsettings.language_tag).verdict.value
+    record = RunRecord(
         problem_id=problem.id,
         variant=variant_name,
-        solved=solved,
+        solved=verdict == Verdict.ALL_PASSED.value,
         rounds_used=rounds,
         release_date=problem.release_date.isoformat(),
         trace_ref=trace_ref,
@@ -361,6 +348,7 @@ def run_pair(problem: Problem, variant_name: str, settings: EvalSettings) -> Run
         verdict=verdict,
         error=error,
     )
+    return record, code
 
 
 def _write_run_meta(path: Path, problems: list[Problem], variants: list[str],
@@ -394,7 +382,7 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
 
     Pairs run on a thread pool; results append to records.jsonl as they
     finish. A failing pair becomes a solved=false record with an error
-    note rather than aborting the grid. Record order on disk is
+    note, while an environment error aborts the grid. Record order on disk is
     completion order; aggregation always re-sorts.
     """
     for variant in variants:
@@ -414,7 +402,7 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
 
     def one(task: tuple[str, str]) -> None:
         pid, variant = task
-        record = run_pair(by_id[pid], variant, settings)
+        record, _ = run_pair(by_id[pid], variant, settings)
         with write_lock:
             append_record(records_path, record)
             results[(pid, variant)] = record
@@ -440,11 +428,9 @@ def stats_from_records(records: list[RunRecord], problem_meta: dict[str, dict],
     grouped: dict[str, dict[str, list[bool]]] = {}
     for record in sorted(records, key=lambda r: (r.problem_id, r.variant)):
         meta = problem_meta[record.problem_id]
-        side = "pre" if dt.date.fromisoformat(record.release_date) < cutoff else "post"
-        if meta["source"] == "codeforces":
-            bucket = f"codeforces-{side}"
-        else:
-            bucket = f"leetcode-{side}-{meta['difficulty']}"
+        bucket = bucket_key(SimpleNamespace(
+            source=meta["source"], difficulty=meta["difficulty"],
+            release_date=dt.date.fromisoformat(record.release_date)), cutoff)
         grouped.setdefault(record.variant, {}).setdefault(bucket, []).append(record.solved)
     stats: dict[str, dict[str, SolveRate]] = {}
     for variant, buckets in grouped.items():

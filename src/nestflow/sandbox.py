@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import os
 import subprocess
 import sys
 import tempfile
@@ -211,6 +212,11 @@ def run_tests(program: str, tests: list[TestCase],
             if result.returncode != 0:
                 verdict = Verdict.RUNTIME_ERROR
                 error = result.stderr.decode(errors="replace").strip()
+                # Tracebacks name the script by its absolute path; strip the
+                # scratch directory (longest spelling first) so they read
+                # "solution.py" like compiler diagnostics do.
+                for prefix in sorted({scratch, os.path.realpath(scratch)}, key=len, reverse=True):
+                    error = error.replace(prefix + os.sep, "")
                 failures = [Failure(position, test.input, test.expected_output, error)]
                 break
             produced = result.stdout.decode(errors="replace")

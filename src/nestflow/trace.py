@@ -56,13 +56,21 @@ class TraceEvent:
 
 
 class TraceSink:
-    """File-backed event sink. Assigns seq numbers and flushes on flow_end."""
+    """Event sink. Assigns seq numbers and validates event kinds.
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("w", encoding="utf-8")
-        self._fh.write(canonical_json({"trace_format": TRACE_FORMAT_VERSION}) + "\n")
+    ``TraceSink(path)`` writes the version header and then one line per
+    event to ``path``, flushing on every flow_end. ``TraceSink()`` keeps
+    the events in ``events`` instead.
+    """
+
+    def __init__(self, path: str | Path | None = None):
+        self.path = Path(path) if path is not None else None
+        self.events: list[TraceEvent] = []
+        self._fh = None
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("w", encoding="utf-8")
+            self._fh.write(canonical_json({"trace_format": TRACE_FORMAT_VERSION}) + "\n")
         self._seq = 0
         self._lock = threading.Lock()
 
@@ -72,79 +80,23 @@ class TraceSink:
         with self._lock:
             self._seq += 1
             event = TraceEvent(self._seq, utc_now_iso(), instance_id, kind, body or {})
-            self._write(event)
+            if self._fh is None:
+                self.events.append(event)
+            else:
+                self._fh.write(event.to_line() + "\n")
+                if kind == "flow_end":
+                    self._fh.flush()
         return event
 
-    def record(self, event: TraceEvent) -> None:
-        if event.kind not in EVENT_KINDS:
-            raise NestflowError(f"unknown trace event kind {event.kind!r}")
-        with self._lock:
-            if event.seq <= self._seq:
-                raise NestflowError(f"event seq {event.seq} is not monotone (last was {self._seq})")
-            self._seq = event.seq
-            self._write(event)
-
-    def _write(self, event: TraceEvent) -> None:
-        self._fh.write(event.to_line() + "\n")
-        if event.kind == "flow_end":
-            self._fh.flush()
-
     def close(self) -> None:
-        self._fh.flush()
-        self._fh.close()
+        if self._fh is not None:
+            self._fh.close()
 
     def __enter__(self) -> "TraceSink":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class MemoryTraceSink:
-    """In-process sink used by tests and library callers."""
-
-    def __init__(self):
-        self.events: list[TraceEvent] = []
-        self._seq = 0
-        self._lock = threading.Lock()
-
-    def emit(self, kind: str, instance_id: str, body: dict | None = None) -> TraceEvent:
-        if kind not in EVENT_KINDS:
-            raise NestflowError(f"unknown trace event kind {kind!r}")
-        with self._lock:
-            self._seq += 1
-            event = TraceEvent(self._seq, utc_now_iso(), instance_id, kind, body or {})
-            self.events.append(event)
-        return event
-
-    def record(self, event: TraceEvent) -> None:
-        with self._lock:
-            if event.seq <= self._seq:
-                raise NestflowError(f"event seq {event.seq} is not monotone (last was {self._seq})")
-            self._seq = event.seq
-            self.events.append(event)
-
-    def close(self) -> None:
-        pass
-
-
-class NullTraceSink:
-    """Discards events. Used when a run is not being traced."""
-
-    def emit(self, kind: str, instance_id: str, body: dict | None = None) -> None:
-        if kind not in EVENT_KINDS:
-            raise NestflowError(f"unknown trace event kind {kind!r}")
-
-    def record(self, event: TraceEvent) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-def record(sink, event: TraceEvent) -> None:
-    """Append one event to a sink."""
-    sink.record(event)
 
 
 def read_trace(path: str | Path) -> list[TraceEvent]:
@@ -209,8 +161,8 @@ def normalize_trace(events: list[TraceEvent]) -> list[dict]:
     return normalized
 
 
-def replay_backend(trace_path: str | Path):
-    """Build a backend that answers requests from a recorded trace.
+def replay_backend(events: list[TraceEvent]):
+    """Build a backend that answers requests from recorded trace events.
 
     Responses are keyed by the canonical request fingerprint, so replay
     does not depend on call order; an unseen request raises a divergence
@@ -219,8 +171,8 @@ def replay_backend(trace_path: str | Path):
     from .backends import ScriptedBackend
 
     keyed: dict[str, str] = {}
-    for event in read_trace(trace_path):
+    for event in events:
         if event.kind == "backend_response":
             keyed[event.body["fingerprint"]] = event.body["response"]
-    logger.debug("replay backend loaded %d responses from %s", len(keyed), trace_path)
+    logger.debug("replay backend loaded %d responses", len(keyed))
     return ScriptedBackend(keyed=keyed)

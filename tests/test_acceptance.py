@@ -41,12 +41,13 @@ from nestflow.evalharness import (
     read_temporal_csv,
     render_results_table,
     results_table_csv,
+    run_variant,
     sliding_window,
     write_temporal_csv,
 )
 from nestflow.sandbox import ExecutionLimits, Verdict, run_tests
 from nestflow.sandbox import TestCase as IOCase
-from nestflow.trace import MemoryTraceSink, normalize_trace, read_trace, replay_backend
+from nestflow.trace import TraceSink, normalize_trace, read_trace, replay_backend
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SNAPSHOTS = FIXTURES / "sandbox_corpus" / "snapshots"
@@ -197,7 +198,7 @@ class TestCallCountLaw:
                   "params": {"max_rounds": max_rounds,
                              "feedback_mapping": {"reply": "feedback"},
                              "children": [generator, critic]}}
-        sink = MemoryTraceSink()
+        sink = TraceSink()
         ctx = RunContext(trace=sink,
                          backends={"default": ScriptedBackend(responses=responses)})
         out = run(create_flow(config), package_input({"topic": "case"}), ctx)
@@ -354,15 +355,17 @@ class TestDeterminismAndIsolation:
     def test_replay_reaches_normalized_fixpoint(self, serial_grid, problems_by_id,
                                                 fixture_settings):
         out_dir, _, _ = serial_grid
-        trace_path = out_dir / "cf-pairsum-202" / "Plan_Collaboration-Code" / "trace.log"
-        original = read_trace(trace_path)
-        flow = create_flow(build_variant("Plan_Collaboration-Code", fixture_settings))
-        sink = MemoryTraceSink()
-        ctx = RunContext(trace=sink,
-                         backends={"default": replay_backend(trace_path)})
-        payload = problem_payload(problems_by_id["cf-pairsum-202"])
-        run(flow, package_input(payload, created_by="harness"), ctx)
-        assert normalize_trace(sink.events) == normalize_trace(original)
+        # Debug loops feed sandbox reports into prompts, so they replay only
+        # if those reports are free of per-run scratch paths.
+        pairs = [("cf-pairsum-202", "Plan_Collaboration-Code")] + [
+            (pid, variant) for pid in sorted(problems_by_id)
+            for variant in DEFAULT_VARIANTS if variant.startswith("Code_Debug")]
+        for pid, variant in pairs:
+            original = read_trace(out_dir / pid / variant / "trace.log")
+            sink = TraceSink()
+            ctx = RunContext(trace=sink, backends={"default": replay_backend(original)})
+            run_variant(variant, fixture_settings, problem_payload(problems_by_id[pid]), ctx)
+            assert normalize_trace(sink.events) == normalize_trace(original), (pid, variant)
 
     def test_parallel_grid_equals_serial_grid(self, serial_grid, cli_grid):
         def key_fields(record):

@@ -203,6 +203,17 @@ class TestResponseCache:
         assert cache.get("absent") is None
         assert cache.misses == 1
 
+    @pytest.mark.parametrize("torn", [b"{torn", b"\xff\xfe{}\nbody"], ids=["bad-json", "bad-utf8"])
+    def test_torn_entry_is_a_miss_and_gets_overwritten(self, tmp_path, torn):
+        cache = ResponseCache(tmp_path / "cache")
+        request = request_with("hello")
+        cache.put(request.fingerprint(), "old")
+        (tmp_path / "cache" / f"{request.fingerprint()}.resp").write_bytes(torn)
+        response, cached = cached_complete(ScriptedBackend(responses=["fresh"]), request, cache)
+        assert (response, cached) == ("fresh", False)
+        assert cache.misses == 1 and cache.hits == 0
+        assert cache.get(request.fingerprint()) == "fresh"
+
     def test_stats_and_clear(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         cache.put("a", "x")

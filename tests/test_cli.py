@@ -32,6 +32,13 @@ def write_profiles(tmp_path, profiles):
     return path
 
 
+def missing_key_profiles(tmp_path, monkeypatch):
+    monkeypatch.delenv("MISSING_KEY", raising=False)
+    return write_profiles(tmp_path, {
+        "api": {"kind": "remote", "endpoint": "https://localhost/v1",
+                "api_key_env": "MISSING_KEY"}})
+
+
 class TestLoadBackendProfile:
     def test_scripted_rules_profile(self):
         backend, cache, model = load_backend_profile(PROFILES, "scripted")
@@ -113,17 +120,15 @@ class TestCmdRun:
 
     def test_missing_credential_is_environment_error(self, runner, tmp_path,
                                                      monkeypatch):
-        monkeypatch.delenv("MISSING_KEY", raising=False)
-        profiles = write_profiles(tmp_path, {
-            "api": {"kind": "remote", "endpoint": "https://localhost/v1",
-                    "api_key_env": "MISSING_KEY"}})
-        result = runner.invoke(main, ["run", "--problem",
-                                      str(PROBLEMS / "cf-echo-101.yaml"),
-                                      "--variant", "Code",
-                                      "--profiles", str(profiles),
-                                      "--backend-profile", "api"])
-        assert result.exit_code == 3
-        assert "error:" in result.stderr
+        profiles = missing_key_profiles(tmp_path, monkeypatch)
+        for extra in ([], ["--out", str(tmp_path / "run")]):
+            result = runner.invoke(main, ["run", "--problem",
+                                          str(PROBLEMS / "cf-echo-101.yaml"),
+                                          "--variant", "Code",
+                                          "--profiles", str(profiles),
+                                          "--backend-profile", "api", *extra])
+            assert result.exit_code == 3, extra
+            assert "error:" in result.stderr
 
     def test_interactive_plan_reads_stdin(self, runner, tmp_path):
         profiles = write_profiles(tmp_path, {
@@ -186,6 +191,16 @@ class TestCmdEval:
             "--cutoff", "whenever"])
         assert result.exit_code == 2
         assert "error:" in result.stderr
+
+    def test_missing_credential_is_environment_error(self, runner, tmp_path, monkeypatch):
+        profiles = missing_key_profiles(tmp_path, monkeypatch)
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"),
+            "--variants", "Code,Code_Reflection", "--profiles", str(profiles),
+            "--backend-profile", "api", "--out", str(tmp_path / "run")])
+        assert result.exit_code == 3
+        assert "error:" in result.stderr
+        assert not (tmp_path / "run" / "records.jsonl").exists()
 
     def test_unknown_variant_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, [

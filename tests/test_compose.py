@@ -13,7 +13,7 @@ from nestflow.core import (
     run,
 )
 from nestflow.errors import ConfigError, FlowError
-from nestflow.trace import MemoryTraceSink
+from nestflow.trace import TraceSink
 
 
 @register_flow_kind
@@ -153,8 +153,7 @@ class TestSequential:
         })
         with pytest.raises(FlowError) as exc_info:
             run(flow, package_input({}))
-        assert exc_info.value.details["step"] == 1
-        assert exc_info.value.details["step_name"] == "bad"
+        assert exc_info.value.details == {"step": 1, "step_name": "bad"}
 
 
 class TestCircular:
@@ -185,7 +184,8 @@ class TestCircular:
         })
         with pytest.raises(FlowError) as exc_info:
             run(flow, package_input({}))
-        assert exc_info.value.details["round"] == 1
+        assert list(exc_info.value.details.items()) == [
+            ("round", 1), ("step", 0), ("step_name", "bad")]
 
     def test_invalid_max_rounds(self):
         with pytest.raises(ConfigError, match="max_rounds"):
@@ -206,7 +206,7 @@ def generator_critic(responses, *, max_rounds=5, critic=None, **params):
             **params,
         },
     }
-    sink = MemoryTraceSink()
+    sink = TraceSink()
     flow = create_flow(config)
     ctx = RunContext(trace=sink, backends=backend)
     out = run(flow, package_input({"topic": "sorting"}), ctx)

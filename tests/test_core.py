@@ -18,7 +18,7 @@ from nestflow.core import (
     snapshot_states,
 )
 from nestflow.errors import ConfigError, DatasetError, FlowError, MissingInputKeysError
-from nestflow.trace import MemoryTraceSink
+from nestflow.trace import TraceSink
 
 payloads = st.dictionaries(
     st.text(min_size=1, max_size=6).filter(lambda k: not k.startswith("_")),
@@ -176,7 +176,7 @@ class TestRun:
         assert out.parents[0] == message.id
 
     def test_atomic_trace_event_order(self):
-        sink = MemoryTraceSink()
+        sink = TraceSink()
         flow = create_flow(fixed_reply_config())
         run(flow, package_input({}), RunContext(trace=sink))
         assert [e.kind for e in sink.events] == [
@@ -184,7 +184,7 @@ class TestRun:
         assert all(e.instance_id == flow.instance_id for e in sink.events)
 
     def test_flow_end_emitted_on_failure(self):
-        sink = MemoryTraceSink()
+        sink = TraceSink()
         flow = FailingFlow(FlowConfig(name="boom", kind="failing_test_flow"))
         with pytest.raises(FlowError):
             run(flow, package_input({}), RunContext(trace=sink))

@@ -5,7 +5,7 @@ from nestflow.core import RunContext, create_flow, package_input, run
 from nestflow.errors import ConfigError, FlowError, MalformedCompletionError
 from nestflow.llm import extract_code, extract_plan
 from nestflow.ccflows import detect_final_answer
-from nestflow.trace import MemoryTraceSink
+from nestflow.trace import TraceSink
 
 
 class TestExtractCode:
@@ -70,7 +70,7 @@ def llm_flow(**params):
 
 def context(responses):
     backend = ScriptedBackend(responses=list(responses))
-    sink = MemoryTraceSink()
+    sink = TraceSink()
     return RunContext(trace=sink, backends=backend), backend, sink
 
 

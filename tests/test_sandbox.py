@@ -77,6 +77,14 @@ class TestRunTests:
         assert [f.index for f in report.failures] == [2]
         assert "boom" in report.failures[0].actual
 
+    def test_traceback_is_stable_across_runs(self):
+        program = "n = int(input())\nprint(1 // n)\n"
+        first, second = (run_tests(program, [IOCase("0\n", "0\n")], limits=FAST)
+                         for _ in range(2))
+        assert first.verdict == Verdict.RUNTIME_ERROR
+        assert 'File "solution.py", line 2' in first.summary
+        assert first.summary.encode() == second.summary.encode()
+
     def test_timeout_stops_at_first_slow_test(self):
         program = (
             "import time\n"

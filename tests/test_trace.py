@@ -7,13 +7,10 @@ from nestflow.core import RunContext, create_flow, package_input, run
 from nestflow.errors import NestflowError, ReplayDivergenceError
 from nestflow.trace import (
     EVENT_KINDS,
-    MemoryTraceSink,
-    NullTraceSink,
     TraceEvent,
     TraceSink,
     normalize_trace,
     read_trace,
-    record,
     replay_backend,
 )
 
@@ -62,36 +59,24 @@ class TestTraceSink:
             with pytest.raises(NestflowError, match="unknown trace event kind"):
                 sink.emit("flow_started", "a#1")
 
-    def test_record_requires_monotone_seq(self, tmp_path):
-        with TraceSink(tmp_path / "t.log") as sink:
-            sink.emit("flow_start", "a#1")
-            with pytest.raises(NestflowError, match="not monotone"):
-                record(sink, TraceEvent(1, "now", "a#1", "flow_end"))
-            record(sink, TraceEvent(7, "now", "a#1", "flow_end"))
-            assert sink.emit("warning", "a#1").seq == 8
 
-    def test_record_checks_kind(self, tmp_path):
-        with TraceSink(tmp_path / "t.log") as sink:
-            with pytest.raises(NestflowError, match="unknown trace event kind"):
-                record(sink, TraceEvent(1, "now", "a#1", "bogus"))
-
-
-class TestMemoryAndNullSinks:
+class TestMemorySink:
     def test_memory_sink_collects(self):
-        sink = MemoryTraceSink()
+        sink = TraceSink()
         sink.emit("flow_start", "a#1")
         sink.emit("flow_end", "a#1")
         assert [e.seq for e in sink.events] == [1, 2]
-        with pytest.raises(NestflowError, match="not monotone"):
-            sink.record(TraceEvent(2, "now", "a#1", "warning"))
-
-    def test_null_sink_still_validates_kind(self):
-        sink = NullTraceSink()
-        assert sink.emit("flow_start", "a#1") is None
+        assert sink.path is None
         with pytest.raises(NestflowError, match="unknown trace event kind"):
             sink.emit("bogus", "a#1")
-        sink.record(TraceEvent(1, "now", "a#1", "flow_start"))
         sink.close()
+
+    def test_run_context_keeps_events_by_default(self):
+        ctx = RunContext(backends={"default": ScriptedBackend(responses=["ok"])})
+        run(create_flow(llm_config()), package_input({"task": "t"}), ctx)
+        assert ctx.trace.path is None
+        assert ctx.trace.events[0].kind == "flow_start"
+        assert ctx.trace.events[-1].kind == "flow_end"
 
 
 class TestReadTrace:
@@ -123,7 +108,7 @@ class TestReadTrace:
 
 class TestNormalizeTrace:
     def run_once(self):
-        sink = MemoryTraceSink()
+        sink = TraceSink()
         flow = create_flow(llm_config())
         run(flow, package_input({"task": "sort a list"}),
             scripted_ctx(sink, ["done"]))
@@ -158,7 +143,7 @@ class TestNormalizeTrace:
 
 class TestLlmRunTraceShape:
     def test_core_event_order(self):
-        sink = MemoryTraceSink()
+        sink = TraceSink()
         flow = create_flow(llm_config())
         run(flow, package_input({"task": "anything"}), scripted_ctx(sink, ["ok"]))
         kinds = [e.kind for e in sink.events]
@@ -173,7 +158,7 @@ class TestLlmRunTraceShape:
         assert set(kinds) <= EVENT_KINDS
 
     def test_backend_events_carry_fingerprint_and_response(self):
-        sink = MemoryTraceSink()
+        sink = TraceSink()
         flow = create_flow(llm_config())
         run(flow, package_input({"task": "anything"}), scripted_ctx(sink, ["ok"]))
         calls = [e for e in sink.events if e.kind == "backend_call"]
@@ -190,7 +175,7 @@ class TestReplayBackend:
             flow = create_flow(llm_config())
             first = run(flow, package_input({"task": "sort"}),
                         scripted_ctx(sink, ["use mergesort"]))
-        replay = replay_backend(path)
+        replay = replay_backend(read_trace(path))
         second = run(create_flow(llm_config()), package_input({"task": "sort"}),
                      RunContext(backends={"default": replay}))
         assert second.payload["completion"] == first.payload["completion"]
@@ -200,7 +185,7 @@ class TestReplayBackend:
         with TraceSink(path) as sink:
             run(create_flow(llm_config()), package_input({"task": "sort"}),
                 scripted_ctx(sink, ["use mergesort"]))
-        replay = replay_backend(path)
+        replay = replay_backend(read_trace(path))
         stranger = BackendRequest(model="default",
                                   turns=[ChatTurn("user", "unrecorded")])
         with pytest.raises(ReplayDivergenceError):
