@@ -49,10 +49,8 @@ from .dataset import (
     DEFAULT_CUTOFF,
     Problem,
     bucket_key,
-    bucket_leetcode,
     load_problem_file,
     load_problems,
-    split_by_cutoff,
 )
 from .errors import (
     AuthError,
@@ -81,6 +79,7 @@ from .evalharness import (
     read_records,
     read_temporal_csv,
     render_results_table,
+    replay_pair,
     results_table_csv,
     sliding_window,
     solve_rate,
@@ -105,7 +104,6 @@ from .trace import (
     TraceSink,
     normalize_trace,
     read_trace,
-    replay_backend,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 All backends expose one method, ``complete(request) -> str``. Requests are
 value objects with a canonical byte serialization; their SHA-256
-fingerprint keys both the on-disk cache and trace replay.
+fingerprint keys the response cache, which replay fills from a trace.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import requests as _requests
@@ -20,7 +20,6 @@ import requests as _requests
 from ._util import canonical_json, fingerprint, utc_now_iso
 from .errors import (
     AuthError,
-    ReplayDivergenceError,
     RetryBudgetExhaustedError,
     ScriptExhaustedError,
     TemplateError,
@@ -118,23 +117,19 @@ class ResponseRule:
 
 
 class ScriptedBackend:
-    """Deterministic backend for tests, fixtures and replay.
+    """Deterministic backend for tests and fixtures.
 
     Exactly one mode is active:
       * queue  - responses consumed in order;
-      * keyed  - responses looked up by request fingerprint (replay);
       * rules  - first matching ResponseRule wins.
     Every request handled is appended to ``requests``.
     """
 
     def __init__(self, responses: list[str] | None = None,
-                 keyed: dict[str, str] | None = None,
                  rules: list[ResponseRule] | None = None):
-        modes = sum(x is not None for x in (responses, keyed, rules))
-        if modes != 1:
-            raise ValueError("exactly one of responses/keyed/rules must be given")
+        if (responses is None) == (rules is None):
+            raise ValueError("exactly one of responses/rules must be given")
         self._queue = list(responses) if responses is not None else None
-        self._keyed = dict(keyed) if keyed is not None else None
         self._rules = list(rules) if rules is not None else None
         self.requests: list[BackendRequest] = []
         self._lock = threading.Lock()
@@ -147,13 +142,6 @@ class ScriptedBackend:
                     raise ScriptExhaustedError(
                         f"scripted backend queue is empty (request {len(self.requests)})")
                 return self._queue.pop(0)
-            if self._keyed is not None:
-                key = request.fingerprint()
-                if key not in self._keyed:
-                    raise ReplayDivergenceError(
-                        f"request {key} not present in recorded responses; "
-                        f"last turn: {request.turns[-1].content[:120]!r}")
-                return self._keyed[key]
             for rule in self._rules:
                 if rule.matches(request):
                     return rule.response
@@ -296,13 +284,16 @@ class ResponseCache:
 
 
 def cached_complete(backend, request: BackendRequest, cache: ResponseCache | None = None,
-                    on_warning=None) -> tuple[str, bool]:
+                    on_warning=None, key: str | None = None) -> tuple[str, bool]:
     """Answer a request through the cache; returns (response, was_cached).
 
-    An unreadable or unwritable cache degrades to a direct backend call
-    with a warning, never an error.
+    ``cache`` is anything with ``get(key)`` (None on a miss) and
+    ``put(key, response)``; ``key`` is the request's fingerprint, computed
+    here unless the caller already has it. An unreadable or unwritable
+    cache degrades to a direct backend call with a warning, never an error.
     """
-    key = request.fingerprint()
+    if key is None:
+        key = request.fingerprint()
     degraded = False
     if cache is not None:
         try:

@@ -16,19 +16,16 @@ import yaml
 
 from .backends import RemoteBackend, ResponseCache, ScriptedBackend
 from .ccflows import DEFAULT_VARIANTS, VariantSettings, parse_variant
-from .core import RunContext
 from .dataset import DEFAULT_CUTOFF, load_problem_file, load_problems
-from .errors import ENVIRONMENT_ERRORS, ConfigError, DatasetError, NestflowError
+from .errors import ENVIRONMENT_ERRORS, ConfigError, DatasetError
 from .evalharness import (
     EvalSettings,
     evaluate_grid,
-    read_run_meta,
+    replay_pair,
     run_pair,
-    run_variant,
     write_report,
 )
 from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
-from .trace import TraceSink, normalize_trace, read_trace, replay_backend
 
 logger = logging.getLogger(__name__)
 
@@ -196,30 +193,19 @@ def cmd_replay(run_dir: str, problem_id: str, variant: str) -> None:
     """Re-execute a recorded run from its trace and diff the two traces."""
     try:
         parse_variant(variant)
-        meta = read_run_meta(run_dir)
-        trace_path = Path(run_dir) / problem_id / variant / "trace.log"
-        if not trace_path.exists():
-            raise ConfigError(f"no trace at {trace_path}")
-        original = read_trace(trace_path)
-        message_in = next(e for e in original if e.kind == "message_in")
-        vsettings = VariantSettings(**meta["variant_settings"])
-        sink = TraceSink()
-        ctx = RunContext(trace=sink, backends={vsettings.backend: replay_backend(original)})
-        run_variant(variant, vsettings, message_in.body["message"]["payload"], ctx,
-                    created_by=message_in.body["message"]["created_by"])
+        replay = replay_pair(run_dir, problem_id, variant)
     except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
         _fail(exc)
-    except NestflowError as exc:
-        click.echo(f"replay diverged: {exc}", err=True)
-        sys.exit(1)
-    before = normalize_trace(original)
-    after = normalize_trace(sink.events)
-    if before == after:
-        click.echo(f"replay identical: {len(after)} events")
+    if replay.error is not None:
+        click.echo(f"replayed run failed: {replay.error}")
+    if replay.identical:
+        click.echo(f"replay identical: {len(replay.replayed)} events")
         sys.exit(0)
+    before, after = replay.recorded, replay.replayed
     for index, (a, b) in enumerate(zip(before, after)):
         if a != b:
-            click.echo(f"replay diverged at event {index + 1}: {a['kind']} != {b['kind']}")
+            kinds = a["kind"] if a["kind"] == b["kind"] else f"{a['kind']} != {b['kind']}"
+            click.echo(f"replay diverged at event {index + 1}: {kinds}")
             break
     else:
         click.echo(f"replay diverged: event count {len(before)} != {len(after)}")

@@ -24,7 +24,7 @@ import yaml
 
 from ._util import canonical_bytes, utc_now_iso, validate_payload
 from .backends import BackendRequest, cached_complete
-from .errors import ConfigError, FlowError, MissingInputKeysError, NestflowError
+from .errors import ENVIRONMENT_ERRORS, ConfigError, FlowError, MissingInputKeysError, NestflowError
 from .trace import TraceSink
 
 RESERVED_PREFIX = "_"
@@ -170,7 +170,11 @@ class FlowState:
 
 
 class RunContext:
-    """Per-run services: tracing, message ids, backends, response cache."""
+    """Per-run services: tracing, message ids, backends, response cache.
+
+    ``cache`` is a ResponseCache or any map from request fingerprint to
+    response; replay passes the responses recorded in a trace.
+    """
 
     def __init__(self, trace=None, backends=None, cache=None):
         self.trace = trace if trace is not None else TraceSink()
@@ -197,7 +201,8 @@ class RunContext:
         })
         response, cached = cached_complete(
             backend, request, self.cache,
-            on_warning=lambda msg: self.trace.emit("warning", instance_id, {"message": msg}))
+            on_warning=lambda msg: self.trace.emit("warning", instance_id, {"message": msg}),
+            key=fingerprint)
         self.trace.emit("backend_response", instance_id, {
             "backend": backend_name,
             "fingerprint": fingerprint,
@@ -259,8 +264,10 @@ def run(flow: FlowInstance, message: Message, ctx: RunContext | None = None) -> 
 
     Validates the input against ``input_keys`` (reporting every missing
     key), traces the exchange, and checks ``output_keys`` on the result.
-    A flow instance processes one message at a time; re-entrant delivery
-    is an error rather than a deadlock.
+    Package errors become a FlowError, except environment errors (a
+    missing credential or interpreter), which propagate unwrapped. A flow
+    instance processes one message at a time; re-entrant delivery is an
+    error rather than a deadlock.
     """
     if ctx is None:
         ctx = RunContext()
@@ -280,6 +287,8 @@ def run(flow: FlowInstance, message: Message, ctx: RunContext | None = None) -> 
             except FlowError as exc:
                 if exc.instance_id is None:
                     exc.instance_id = flow.instance_id
+                raise
+            except ENVIRONMENT_ERRORS:
                 raise
             except NestflowError as exc:
                 raise FlowError(str(exc), instance_id=flow.instance_id) from exc

@@ -1,4 +1,4 @@
-"""Problem ingestion, cutoff splitting, and difficulty buckets.
+"""Problem ingestion and report buckets.
 
 Problems are YAML documents with a fixed field set; unknown fields are
 rejected so typos fail loudly. Hidden tests may be inline or a relative
@@ -10,7 +10,6 @@ import datetime as dt
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import yaml
 
@@ -23,17 +22,19 @@ SOURCES = ("codeforces", "leetcode")
 BANDS = ("easy", "medium", "hard")
 DEFAULT_CUTOFF = dt.date(2021, 9, 1)
 
-# Column order for reports: source, then pre/post, then band.
-BUCKET_ORDER = (
-    "codeforces-pre",
-    "codeforces-post",
-    "leetcode-pre-easy",
-    "leetcode-pre-medium",
-    "leetcode-pre-hard",
-    "leetcode-post-easy",
-    "leetcode-post-medium",
-    "leetcode-post-hard",
-)
+# Report columns in order (source, then pre/post, then band), each with
+# its two header labels: the source group and the column itself.
+BUCKET_LABELS = {
+    "codeforces-pre": ("Codeforces", "Pre-cutoff"),
+    "codeforces-post": ("Codeforces", "Post-cutoff"),
+    "leetcode-pre-easy": ("LeetCode", "Pre Easy"),
+    "leetcode-pre-medium": ("LeetCode", "Pre Medium"),
+    "leetcode-pre-hard": ("LeetCode", "Pre Hard"),
+    "leetcode-post-easy": ("LeetCode", "Post Easy"),
+    "leetcode-post-medium": ("LeetCode", "Post Medium"),
+    "leetcode-post-hard": ("LeetCode", "Post Hard"),
+}
+BUCKET_ORDER = tuple(BUCKET_LABELS)
 
 _FIELDS = frozenset({
     "id", "source", "difficulty", "release_date",
@@ -57,11 +58,6 @@ class Problem:
     hidden_tests: tuple[TestCase, ...]
     explanation: str | None = None
     human_plan: str | None = None
-
-
-class CutoffSplit(NamedTuple):
-    pre: list[Problem]
-    post: list[Problem]
 
 
 def _parse_tests(raw, *, where: str) -> tuple[TestCase, ...]:
@@ -174,42 +170,15 @@ def load_problems(path: str | Path) -> list[Problem]:
     return problems
 
 
-def split_by_cutoff(problems: list[Problem], cutoff: dt.date = DEFAULT_CUTOFF) -> CutoffSplit:
-    """Partition by release date; the boundary day counts as post-cutoff."""
-    pre = [p for p in problems if p.release_date < cutoff]
-    post = [p for p in problems if p.release_date >= cutoff]
-    return CutoffSplit(pre=pre, post=post)
-
-
 def bucket_key(problem: Problem, cutoff: dt.date = DEFAULT_CUTOFF) -> str:
     """Report column for a problem: source, cutoff side, and band for leetcode.
 
-    Reads only ``source``, ``difficulty`` and ``release_date``, so any
-    object carrying those three works in place of a Problem.
+    The cutoff day itself counts as post-cutoff. Reads only ``source``,
+    ``difficulty`` and ``release_date``, so any object carrying those three
+    works in place of a Problem.
     """
     side = "pre" if problem.release_date < cutoff else "post"
     if problem.source == "codeforces":
         return f"codeforces-{side}"
     return f"leetcode-{side}-{problem.difficulty}"
 
-
-def bucket_leetcode(problems: list[Problem], cutoff: dt.date = DEFAULT_CUTOFF,
-                    per_bucket: int | None = None) -> dict[tuple[str, str], list[Problem]]:
-    """Group leetcode problems into (side, band) buckets.
-
-    Buckets are ordered by (release_date, id); when ``per_bucket`` is
-    given each bucket is truncated to that size deterministically.
-    """
-    buckets: dict[tuple[str, str], list[Problem]] = {
-        (side, band): [] for side in ("pre", "post") for band in BANDS
-    }
-    for problem in problems:
-        if problem.source != "leetcode":
-            continue
-        side = "pre" if problem.release_date < cutoff else "post"
-        buckets[(side, problem.difficulty)].append(problem)
-    for key, bucket in buckets.items():
-        bucket.sort(key=lambda p: (p.release_date, p.id))
-        if per_bucket is not None:
-            buckets[key] = bucket[:per_bucket]
-    return buckets

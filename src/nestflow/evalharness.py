@@ -1,8 +1,8 @@
 """Evaluation harness: run variants over problems, aggregate, report.
 
 Estimates are pass@1 solve rates in percent with percentile-bootstrap
-confidence intervals (numpy PCG64 generator, one index draw per
-resample, linear-interpolation quantiles). Reports are deterministic
+confidence intervals (numpy PCG64 generator, one index draw for all
+resamples, linear-interpolation quantiles). Reports are deterministic
 functions of the persisted records plus run metadata, so regenerating a
 report never changes its bytes.
 """
@@ -23,12 +23,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._util import add_months, month_floor
-from .ccflows import DEFAULT_VARIANTS, VariantSettings, build_variant, parse_variant, problem_payload
+from .ccflows import VariantSettings, build_variant, parse_variant, problem_payload
 from .core import ROUNDS_USED_KEY, Message, RunContext, create_flow, package_input, run
-from .dataset import BUCKET_ORDER, DEFAULT_CUTOFF, Problem, bucket_key
-from .errors import ENVIRONMENT_ERRORS, FlowError
+from .dataset import BUCKET_LABELS, BUCKET_ORDER, DEFAULT_CUTOFF, Problem, bucket_key
+from .errors import ENVIRONMENT_ERRORS, ConfigError, FlowError, ReplayDivergenceError
 from .sandbox import ExecutionLimits, Verdict, run_tests
-from .trace import TraceSink
+from .trace import TraceSink, normalize_trace, read_trace
 
 logger = logging.getLogger(__name__)
 
@@ -103,10 +103,12 @@ def bootstrap_ci(outcomes: list[bool], resamples: int = DEFAULT_RESAMPLES,
                  level: float = DEFAULT_LEVEL, seed: int = 0) -> tuple[float, float]:
     """Percentile bootstrap interval for the solve rate, in percent.
 
-    Resample b draws ``rng.integers(0, n, size=n)`` from
-    ``numpy.random.default_rng(seed)``; the interval is the
-    (alpha, 1-alpha) linear-interpolation quantiles of the resampled
-    means, widened if needed to contain the point estimate.
+    Row b of one ``rng.integers(0, n, size=(resamples, n))`` draw from
+    ``numpy.random.default_rng(seed)`` indexes resample b; this is the
+    stream that ``resamples`` draws of ``size=n`` would give, in order.
+    The interval is the (alpha, 1-alpha) linear-interpolation quantiles
+    of the resampled means, widened if needed to contain the point
+    estimate.
     """
     if not outcomes:
         raise ValueError("bootstrap_ci needs at least one outcome")
@@ -117,10 +119,7 @@ def bootstrap_ci(outcomes: list[bool], resamples: int = DEFAULT_RESAMPLES,
     values = np.asarray(outcomes, dtype=float)
     n = values.size
     rng = np.random.default_rng(seed)
-    means = np.empty(resamples, dtype=float)
-    for b in range(resamples):
-        indices = rng.integers(0, n, size=n)
-        means[b] = values[indices].mean()
+    means = values[rng.integers(0, n, size=(resamples, n))].mean(axis=1)
     alpha = (1.0 - level) / 2.0
     low, high = np.quantile(means, [alpha, 1.0 - alpha])
     point = values.mean()
@@ -200,18 +199,6 @@ def format_cell(rate: SolveRate | None, baseline: SolveRate | None = None) -> st
     return f"{delta:+.1f} ±{half:.1f}"
 
 
-_BUCKET_LABELS = {
-    "codeforces-pre": ("Codeforces", "Pre-cutoff"),
-    "codeforces-post": ("Codeforces", "Post-cutoff"),
-    "leetcode-pre-easy": ("LeetCode", "Pre Easy"),
-    "leetcode-pre-medium": ("LeetCode", "Pre Medium"),
-    "leetcode-pre-hard": ("LeetCode", "Pre Hard"),
-    "leetcode-post-easy": ("LeetCode", "Post Easy"),
-    "leetcode-post-medium": ("LeetCode", "Post Medium"),
-    "leetcode-post-hard": ("LeetCode", "Post Hard"),
-}
-
-
 def _table_cells(stats: dict[str, dict[str, SolveRate | None]], variants: list[str] | None,
                  baseline_variant: str) -> tuple[list[str], list[list[str]]]:
     """The non-empty bucket columns, and one row of cells per variant."""
@@ -241,8 +228,8 @@ def render_results_table(stats: dict[str, dict[str, SolveRate | None]],
                          baseline_variant: str = "Code") -> str:
     """Plain-text results table: baseline row absolute, other rows as deltas."""
     buckets, rows = _table_cells(stats, variants, baseline_variant)
-    group_row = ["Flow"] + [_BUCKET_LABELS[b][0] for b in buckets]
-    label_row = [""] + [_BUCKET_LABELS[b][1] for b in buckets]
+    group_row = ["Flow"] + [BUCKET_LABELS[b][0] for b in buckets]
+    label_row = [""] + [BUCKET_LABELS[b][1] for b in buckets]
     # Blank out repeated group names so each source reads as one span.
     for i in range(len(group_row) - 1, 1, -1):
         if group_row[i] == group_row[i - 1]:
@@ -292,18 +279,23 @@ class GridResult:
 
 def run_variant(variant_name: str, variant_settings: VariantSettings, payload: dict,
                 ctx: RunContext, created_by: str = "harness") -> Message:
-    """Build a variant's flow and run it on one input payload.
-
-    An environment error that surfaces as a FlowError's cause is raised
-    bare, so that callers abort instead of reporting an unsolved run.
-    """
+    """Build a variant's flow and run it on one input payload."""
     flow = create_flow(build_variant(variant_name, variant_settings))
-    try:
-        return run(flow, package_input(payload, created_by=created_by), ctx)
-    except FlowError as exc:
-        if isinstance(exc.__cause__, ENVIRONMENT_ERRORS):
-            raise exc.__cause__
-        raise
+    return run(flow, package_input(payload, created_by=created_by), ctx)
+
+
+def _trace_ref(problem_id: str, variant_name: str) -> str:
+    return f"{problem_id}/{variant_name}/trace.log"
+
+
+def _remove_trace(path: Path) -> None:
+    """Delete an aborted pair's trace and the directories that held only it."""
+    path.unlink(missing_ok=True)
+    for directory in (path.parent, path.parent.parent):
+        try:
+            directory.rmdir()
+        except OSError:  # not empty: other pairs' traces are there
+            return
 
 
 def run_pair(problem: Problem, variant_name: str,
@@ -312,31 +304,38 @@ def run_pair(problem: Problem, variant_name: str,
 
     Returns the record and the final program. The trace goes to
     ``<out_dir>/<trace_ref>``, or stays in memory when ``out_dir`` is None.
+    An environment error aborts the pair and removes its trace.
     """
     started = time.perf_counter()
-    trace_ref = f"{problem.id}/{variant_name}/trace.log"
+    trace_ref = _trace_ref(problem.id, variant_name)
+    trace_path = settings.out_dir / trace_ref if settings.out_dir is not None else None
     vsettings = settings.variant_settings
     error = None
     code = None
     rounds = 0
-    with TraceSink(settings.out_dir / trace_ref if settings.out_dir is not None else None) as sink:
-        ctx = RunContext(trace=sink, backends={vsettings.backend: settings.backend},
-                         cache=settings.cache)
-        try:
-            output = run_variant(variant_name, vsettings, problem_payload(problem), ctx)
-        except FlowError as exc:
-            error = str(exc)
-            logger.warning("run failed for %s/%s: %s", problem.id, variant_name, exc)
-        else:
-            code = output.payload.get("code")
-            rounds = output.payload.get(ROUNDS_USED_KEY, 0)
     verdict = None
-    if error is None and code is None:
-        error = "no program extracted"
-    elif error is None:
-        limits = ExecutionLimits(wall_time=vsettings.wall_time, memory_bytes=vsettings.memory_bytes)
-        verdict = run_tests(code, list(problem.hidden_tests), limits=limits,
-                            language_tag=vsettings.language_tag).verdict.value
+    try:
+        with TraceSink(trace_path) as sink:
+            ctx = RunContext(trace=sink, backends={vsettings.backend: settings.backend},
+                             cache=settings.cache)
+            try:
+                output = run_variant(variant_name, vsettings, problem_payload(problem), ctx)
+            except FlowError as exc:
+                error = str(exc)
+                logger.warning("run failed for %s/%s: %s", problem.id, variant_name, exc)
+            else:
+                code = output.payload.get("code")
+                rounds = output.payload.get(ROUNDS_USED_KEY, 0)
+        if error is None and code is None:
+            error = "no program extracted"
+        elif error is None:
+            limits = ExecutionLimits(wall_time=vsettings.wall_time, memory_bytes=vsettings.memory_bytes)
+            verdict = run_tests(code, list(problem.hidden_tests), limits=limits,
+                                language_tag=vsettings.language_tag).verdict.value
+    except ENVIRONMENT_ERRORS:
+        if trace_path is not None:
+            _remove_trace(trace_path)
+        raise
     record = RunRecord(
         problem_id=problem.id,
         variant=variant_name,
@@ -349,6 +348,57 @@ def run_pair(problem: Problem, variant_name: str,
         error=error,
     )
     return record, code
+
+
+class _Unrecorded:
+    """Replay's backend. It is asked only when the recorded responses have
+    no answer, that is, for a request the original run never made."""
+
+    def complete(self, request):
+        raise ReplayDivergenceError(
+            f"request {request.fingerprint()} not present in recorded responses; "
+            f"last turn: {request.turns[-1].content[:120]!r}")
+
+
+@dataclass(frozen=True)
+class Replay:
+    """Both normalized traces of a replayed pair, and the replay's failure."""
+
+    recorded: list[dict]
+    replayed: list[dict]
+    error: str | None
+
+    @property
+    def identical(self) -> bool:
+        return self.recorded == self.replayed
+
+
+def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Replay:
+    """Re-run a recorded pair, answering every request from its trace.
+
+    The run goes through ``run_variant`` with the variant settings from
+    ``run_meta.json`` and the recorded input message. The recorded
+    responses, keyed by request fingerprint, are the run's response cache;
+    its backend raises ReplayDivergenceError on a miss, so the cache's
+    ``put`` is never reached. A FlowError is kept in ``error``: whether the
+    replay diverged is decided by the normalized traces alone.
+    """
+    trace_path = Path(run_dir) / _trace_ref(problem_id, variant_name)
+    if not trace_path.exists():
+        raise ConfigError(f"no trace at {trace_path}")
+    recorded = read_trace(trace_path)
+    vsettings = VariantSettings(**read_run_meta(run_dir)["variant_settings"])
+    responses = {e.body["fingerprint"]: e.body["response"]
+                 for e in recorded if e.kind == "backend_response"}
+    ctx = RunContext(backends={vsettings.backend: _Unrecorded()}, cache=responses)
+    message = next(e.body["message"] for e in recorded if e.kind == "message_in")
+    error = None
+    try:
+        run_variant(variant_name, vsettings, message["payload"], ctx,
+                    created_by=message["created_by"])
+    except FlowError as exc:
+        error = str(exc)
+    return Replay(normalize_trace(recorded), normalize_trace(ctx.trace.events), error)
 
 
 def _write_run_meta(path: Path, problems: list[Problem], variants: list[str],

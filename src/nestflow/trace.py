@@ -1,23 +1,20 @@
-"""Append-only run tracing and replay.
+"""Append-only run tracing and trace normalization.
 
 A trace is a JSONL file whose first line is a format-version header and
 whose remaining lines are events, one per line, in the order they were
 recorded. Events carry full message payloads and backend request/response
-bodies so that a run can be re-executed from its trace alone.
+bodies so that a run can be re-executed from its trace alone (see
+``evalharness.replay_pair``).
 """
 from __future__ import annotations
 
-import copy
 import json
-import logging
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._util import canonical_json, utc_now_iso
 from .errors import NestflowError
-
-logger = logging.getLogger(__name__)
 
 TRACE_FORMAT_VERSION = 1
 
@@ -35,6 +32,9 @@ EVENT_KINDS = frozenset({
 # Body keys holding identifiers that get renumbered during normalization.
 _ID_KEYS = ("id", "created_by", "instance_id")
 _TIME_KEYS = ("timestamp", "created_at", "stored_at")
+# Body keys, per event kind, that describe the run's environment rather
+# than its behaviour: a replay serves every response from the cache.
+_ENVIRONMENT_KEYS = {"backend_response": ("cached",)}
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,11 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
 
 
 def normalize_trace(events: list[TraceEvent]) -> list[dict]:
-    """Rewrite ids to first-occurrence ordinals and drop timestamps.
+    """Rewrite ids to first-occurrence ordinals; drop timestamps and ``cached``.
 
     Two runs of the same flow on the same input are equivalent iff their
-    normalized traces are equal, regardless of process-level id counters
-    or wall-clock times.
+    normalized traces are equal, regardless of process-level id counters,
+    wall-clock times, or whether a response came from the cache.
     """
     mapping: dict[str, str] = {}
 
@@ -152,27 +152,12 @@ def normalize_trace(events: list[TraceEvent]) -> list[dict]:
 
     normalized = []
     for position, event in enumerate(events, start=1):
+        dropped = _ENVIRONMENT_KEYS.get(event.kind, ())
         normalized.append({
             "seq": position,
             "kind": event.kind,
             "instance_id": norm_id(event.instance_id),
-            "body": walk(copy.deepcopy(event.body)),
+            "body": walk({k: v for k, v in event.body.items() if k not in dropped}),
         })
     return normalized
 
-
-def replay_backend(events: list[TraceEvent]):
-    """Build a backend that answers requests from recorded trace events.
-
-    Responses are keyed by the canonical request fingerprint, so replay
-    does not depend on call order; an unseen request raises a divergence
-    error at the first mismatching call.
-    """
-    from .backends import ScriptedBackend
-
-    keyed: dict[str, str] = {}
-    for event in events:
-        if event.kind == "backend_response":
-            keyed[event.body["fingerprint"]] = event.body["response"]
-    logger.debug("replay backend loaded %d responses", len(keyed))
-    return ScriptedBackend(keyed=keyed)

@@ -22,7 +22,7 @@ from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
 from nestflow.backends import ScriptedBackend
-from nestflow.ccflows import DEFAULT_VARIANTS, build_variant, problem_payload
+from nestflow.ccflows import DEFAULT_VARIANTS
 from nestflow.cli import main
 from nestflow.core import (
     ROUNDS_USED_KEY,
@@ -40,14 +40,14 @@ from nestflow.evalharness import (
     read_records,
     read_temporal_csv,
     render_results_table,
+    replay_pair,
     results_table_csv,
-    run_variant,
     sliding_window,
     write_temporal_csv,
 )
 from nestflow.sandbox import ExecutionLimits, Verdict, run_tests
 from nestflow.sandbox import TestCase as IOCase
-from nestflow.trace import TraceSink, normalize_trace, read_trace, replay_backend
+from nestflow.trace import TraceSink, read_trace
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SNAPSHOTS = FIXTURES / "sandbox_corpus" / "snapshots"
@@ -352,20 +352,14 @@ class TestReportCellGrammar:
 
 
 class TestDeterminismAndIsolation:
-    def test_replay_reaches_normalized_fixpoint(self, serial_grid, problems_by_id,
-                                                fixture_settings):
-        out_dir, _, _ = serial_grid
+    def test_replay_reaches_normalized_fixpoint(self, serial_grid):
+        out_dir, result, _ = serial_grid
         # Debug loops feed sandbox reports into prompts, so they replay only
         # if those reports are free of per-run scratch paths.
-        pairs = [("cf-pairsum-202", "Plan_Collaboration-Code")] + [
-            (pid, variant) for pid in sorted(problems_by_id)
-            for variant in DEFAULT_VARIANTS if variant.startswith("Code_Debug")]
-        for pid, variant in pairs:
-            original = read_trace(out_dir / pid / variant / "trace.log")
-            sink = TraceSink()
-            ctx = RunContext(trace=sink, backends={"default": replay_backend(original)})
-            run_variant(variant, fixture_settings, problem_payload(problems_by_id[pid]), ctx)
-            assert normalize_trace(sink.events) == normalize_trace(original), (pid, variant)
+        assert len(result.records) == 6 * 9
+        for record in result.records:
+            replay = replay_pair(out_dir, record.problem_id, record.variant)
+            assert replay.identical, (record.problem_id, record.variant)
 
     def test_parallel_grid_equals_serial_grid(self, serial_grid, cli_grid):
         def key_fields(record):

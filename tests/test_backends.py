@@ -13,7 +13,6 @@ from nestflow.backends import (
 )
 from nestflow.errors import (
     AuthError,
-    ReplayDivergenceError,
     RetryBudgetExhaustedError,
     ScriptExhaustedError,
     TemplateError,
@@ -76,7 +75,7 @@ class TestScriptedBackend:
         with pytest.raises(ValueError):
             ScriptedBackend()
         with pytest.raises(ValueError):
-            ScriptedBackend(responses=["a"], keyed={})
+            ScriptedBackend(responses=["a"], rules=[])
 
     def test_queue_mode_in_order_then_exhausted(self):
         backend = ScriptedBackend(responses=["first", "second"])
@@ -85,13 +84,6 @@ class TestScriptedBackend:
         with pytest.raises(ScriptExhaustedError):
             backend.complete(request_with("s", "q3"))
         assert len(backend.requests) == 3
-
-    def test_keyed_mode_and_divergence(self):
-        known = request_with("s", "known")
-        backend = ScriptedBackend(keyed={known.fingerprint(): "answer"})
-        assert backend.complete(request_with("s", "known")) == "answer"
-        with pytest.raises(ReplayDivergenceError):
-            backend.complete(request_with("s", "unknown"))
 
     def test_rules_match_first_on_text_and_turns(self):
         backend = ScriptedBackend(rules=[

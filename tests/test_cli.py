@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,7 @@ class TestCmdEval:
         assert result.exit_code == 3
         assert "error:" in result.stderr
         assert not (tmp_path / "run" / "records.jsonl").exists()
+        assert not list((tmp_path / "run").rglob("trace.log"))
 
     def test_unknown_variant_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -225,22 +227,69 @@ class TestCmdReport:
         assert "run directory is incomplete" in result.stderr
 
 
+def replay(runner, run_dir, variant, problem_id="cf-echo-101"):
+    return runner.invoke(main, ["replay", "--run-dir", str(run_dir),
+                                "--problem-id", problem_id, "--variant", variant])
+
+
 class TestCmdReplay:
+    def eval_echo(self, runner, profiles, profile, out_dir, variants):
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"),
+            "--variants", variants, "--profiles", str(profiles),
+            "--backend-profile", profile, "--out", str(out_dir), "--wall-time", "2.0"])
+        assert result.exit_code == 0, result.output
+
     def test_identical_replay_exits_zero(self, runner, eval_dir):
         out_dir, _ = eval_dir
-        result = runner.invoke(main, [
-            "replay", "--run-dir", str(out_dir),
-            "--problem-id", "cf-echo-101", "--variant", "Code_Reflection"])
+        result = replay(runner, out_dir, "Code_Reflection")
         assert result.exit_code == 0, result.output
         assert "replay identical:" in result.output
 
     def test_missing_trace_is_usage_error(self, runner, eval_dir):
         out_dir, _ = eval_dir
-        result = runner.invoke(main, [
-            "replay", "--run-dir", str(out_dir),
-            "--problem-id", "cf-echo-101", "--variant", "Code_Debug"])
+        result = replay(runner, out_dir, "Code_Debug")
         assert result.exit_code == 2
         assert "no trace at" in result.stderr
+
+    def test_cache_served_pairs_replay_identical(self, runner, tmp_path):
+        profiles = write_profiles(tmp_path, {"cached": {
+            "kind": "scripted", "model": "scripted", "cache_dir": "cache",
+            "rules_file": str(FIXTURES / "scripted_responses.yaml")}})
+        for out in ("cold", "warm"):
+            self.eval_echo(runner, profiles, "cached", tmp_path / out, "Code,Code_Collaboration")
+        for variant in ("Code", "Code_Collaboration"):
+            trace = (tmp_path / "warm" / "cf-echo-101" / variant / "trace.log").read_text()
+            assert '"cached":true' in trace
+            result = replay(runner, tmp_path / "warm", variant)
+            assert result.exit_code == 0, result.output
+            assert "replay identical:" in result.output
+
+    def test_failed_run_replays_identical(self, runner, tmp_path):
+        profiles = write_profiles(tmp_path, {"refuse": {
+            "kind": "scripted", "responses": ["I refuse to write any code."]}})
+        self.eval_echo(runner, profiles, "refuse", tmp_path / "run", "Code")
+        result = replay(runner, tmp_path / "run", "Code")
+        assert result.exit_code == 0, result.output
+        assert "replayed run failed: completion contains no fenced python code block" \
+            in result.output
+        assert "replay identical:" in result.output
+
+    def test_altered_response_diverges(self, runner, eval_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(eval_dir[0], run_dir)
+        path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            event = json.loads(line)
+            if event.get("kind") == "backend_response":
+                event["body"]["response"] += "\n(altered)"
+                lines[i] = json.dumps(event)
+                break
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = replay(runner, run_dir, "Code_Reflection")
+        assert result.exit_code == 1, result.output
+        assert "replay diverged" in result.output
 
 
 class TestCmdCache:

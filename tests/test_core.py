@@ -17,7 +17,8 @@ from nestflow.core import (
     save_flow_config,
     snapshot_states,
 )
-from nestflow.errors import ConfigError, DatasetError, FlowError, MissingInputKeysError
+from nestflow.backends import RemoteBackend
+from nestflow.errors import AuthError, ConfigError, DatasetError, FlowError, MissingInputKeysError
 from nestflow.trace import TraceSink
 
 payloads = st.dictionaries(
@@ -162,6 +163,16 @@ class TestRun:
             run(flow, package_input({}))
         assert exc_info.value.instance_id == flow.instance_id
         assert isinstance(exc_info.value.__cause__, DatasetError)
+
+    def test_environment_errors_propagate_unwrapped(self, monkeypatch):
+        monkeypatch.delenv("NESTFLOW_UNSET_KEY", raising=False)
+        flow = create_flow({"name": "asker", "kind": "llm",
+                            "params": {"system_message": "s", "query_message": "q"}})
+        backend = RemoteBackend(endpoint="https://localhost/v1", api_key_env="NESTFLOW_UNSET_KEY")
+        sink = TraceSink()
+        with pytest.raises(AuthError):
+            run(flow, package_input({}), RunContext(trace=sink, backends=backend))
+        assert [e.kind for e in sink.events][-1] == "flow_end"
 
     def test_reentrant_delivery_is_rejected(self):
         flow = ReentrantFlow(FlowConfig(name="loop", kind="reentrant_test_flow"))

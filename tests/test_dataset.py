@@ -8,10 +8,8 @@ from nestflow.dataset import (
     DEFAULT_CUTOFF,
     Problem,
     bucket_key,
-    bucket_leetcode,
     load_problem_file,
     load_problems,
-    split_by_cutoff,
 )
 from nestflow.errors import DatasetError
 from nestflow.sandbox import TestCase as IOCase
@@ -154,15 +152,16 @@ class TestCutoffAndBuckets:
     def test_boundary_day_counts_as_post(self):
         boundary = make_problem("p1", "codeforces", 800, "2021-09-01")
         before = make_problem("p2", "codeforces", 800, "2021-08-31")
-        split = split_by_cutoff([boundary, before])
-        assert [p.id for p in split.pre] == ["p2"]
-        assert [p.id for p in split.post] == ["p1"]
+        assert bucket_key(boundary) == "codeforces-post"
+        assert bucket_key(before) == "codeforces-pre"
+        late = make_problem("p3", "leetcode", "hard", "2021-09-01")
+        assert bucket_key(late) == "leetcode-post-hard"
 
     def test_fixture_split(self, problems):
-        split = split_by_cutoff(problems)
-        assert {p.id for p in split.pre} == {"cf-echo-101", "cf-parity-303", "lc-double-404"}
-        assert {p.id for p in split.post} == {"cf-pairsum-202", "lc-countdown-505",
-                                              "lc-maxpair-606"}
+        sides = {p.id: bucket_key(p).split("-")[1] for p in problems}
+        assert sides == {"cf-echo-101": "pre", "cf-parity-303": "pre", "lc-double-404": "pre",
+                         "cf-pairsum-202": "post", "lc-countdown-505": "post",
+                         "lc-maxpair-606": "post"}
 
     def test_bucket_key(self, problems_by_id):
         assert bucket_key(problems_by_id["cf-echo-101"]) == "codeforces-pre"
@@ -178,24 +177,6 @@ class TestCutoffAndBuckets:
     def test_custom_cutoff(self):
         problem = make_problem("p", "leetcode", "easy", "2021-03-15")
         assert bucket_key(problem, cutoff=dt.date(2021, 1, 1)) == "leetcode-post-easy"
-
-    def test_bucket_leetcode_orders_and_truncates(self):
-        pool = [
-            make_problem("lc-b", "leetcode", "easy", "2020-05-01"),
-            make_problem("lc-a", "leetcode", "easy", "2020-05-01"),
-            make_problem("lc-c", "leetcode", "easy", "2019-01-01"),
-            make_problem("lc-d", "leetcode", "hard", "2022-01-01"),
-            make_problem("cf-x", "codeforces", 900, "2020-05-01"),
-        ]
-        buckets = bucket_leetcode(pool)
-        assert set(buckets) == {(side, band) for side in ("pre", "post")
-                                for band in ("easy", "medium", "hard")}
-        assert [p.id for p in buckets[("pre", "easy")]] == ["lc-c", "lc-a", "lc-b"]
-        assert [p.id for p in buckets[("post", "hard")]] == ["lc-d"]
-        assert buckets[("pre", "medium")] == []
-
-        capped = bucket_leetcode(pool, per_bucket=2)
-        assert [p.id for p in capped[("pre", "easy")]] == ["lc-c", "lc-a"]
 
     def test_default_cutoff_value(self):
         assert DEFAULT_CUTOFF == dt.date(2021, 9, 1)

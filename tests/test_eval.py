@@ -1,8 +1,10 @@
 import csv
 import datetime as dt
 import json
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,7 +57,29 @@ class TestPassAt1:
         assert 0.0 <= pass_at_1(outcomes) <= 100.0
 
 
+def per_resample_ci(outcomes, resamples, level, seed):
+    """The bootstrap drawn one resample at a time: the reference procedure."""
+    values = np.asarray(outcomes, dtype=float)
+    rng = np.random.default_rng(seed)
+    means = np.empty(resamples, dtype=float)
+    for b in range(resamples):
+        means[b] = values[rng.integers(0, values.size, size=values.size)].mean()
+    alpha = (1.0 - level) / 2.0
+    low, high = np.quantile(means, [alpha, 1.0 - alpha])
+    point = values.mean()
+    return float(100.0 * min(low, point)), float(100.0 * max(high, point))
+
+
 class TestBootstrapCi:
+    def test_single_draw_equals_per_resample_loop(self):
+        shuffler = random.Random(5)
+        for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 500, 1000):
+            for seed in range(4):
+                outcomes = [shuffler.random() < 0.4 for _ in range(n)]
+                for resamples in (1, 7, 1000):
+                    assert bootstrap_ci(outcomes, resamples, 0.95, seed) == \
+                        per_resample_ci(outcomes, resamples, 0.95, seed), (n, seed, resamples)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             bootstrap_ci([])

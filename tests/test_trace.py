@@ -2,17 +2,20 @@ import json
 
 import pytest
 
-from nestflow.backends import BackendRequest, ChatTurn, ScriptedBackend
+from nestflow.backends import ScriptedBackend
+from nestflow.ccflows import VariantSettings
 from nestflow.core import RunContext, create_flow, package_input, run
-from nestflow.errors import NestflowError, ReplayDivergenceError
+from nestflow.errors import NestflowError
+from nestflow.evalharness import EvalSettings, evaluate_grid, replay_pair
 from nestflow.trace import (
     EVENT_KINDS,
     TraceEvent,
     TraceSink,
     normalize_trace,
     read_trace,
-    replay_backend,
 )
+
+ECHO = "```python\nprint(input())\n```"
 
 
 def llm_config(name="writer"):
@@ -140,6 +143,18 @@ class TestNormalizeTrace:
         assert "created_at" not in body
         assert body["payload"] == {"x": 1}
 
+    def test_cached_flag_dropped_from_backend_responses_only(self):
+        def events(cached):
+            return [TraceEvent(1, "t0", "a#1", "backend_response",
+                               {"fingerprint": "f", "response": "r", "cached": cached}),
+                    TraceEvent(2, "t0", "a#1", "message_out",
+                               {"message": {"payload": {"cached": cached}}})]
+
+        fresh, served = normalize_trace(events(False)), normalize_trace(events(True))
+        assert fresh[0] == served[0]
+        assert fresh[0]["body"] == {"fingerprint": "f", "response": "r"}
+        assert fresh[1] != served[1]
+
 
 class TestLlmRunTraceShape:
     def test_core_event_order(self):
@@ -168,25 +183,32 @@ class TestLlmRunTraceShape:
         assert replies[0].body["fingerprint"] == calls[0].body["fingerprint"]
 
 
-class TestReplayBackend:
-    def test_replays_recorded_responses(self, tmp_path):
-        path = tmp_path / "trace.log"
-        with TraceSink(path) as sink:
-            flow = create_flow(llm_config())
-            first = run(flow, package_input({"task": "sort"}),
-                        scripted_ctx(sink, ["use mergesort"]))
-        replay = replay_backend(read_trace(path))
-        second = run(create_flow(llm_config()), package_input({"task": "sort"}),
-                     RunContext(backends={"default": replay}))
-        assert second.payload["completion"] == first.payload["completion"]
+def recorded_pair(run_dir, problem, responses):
+    """Record the Code pair of one problem, answered by a scripted queue."""
+    settings = EvalSettings(out_dir=run_dir, backend=ScriptedBackend(responses=responses),
+                            variant_settings=VariantSettings(wall_time=2.0))
+    evaluate_grid([problem], ["Code"], settings)
+    return run_dir / problem.id / "Code" / "trace.log"
 
-    def test_divergent_request_rejected(self, tmp_path):
-        path = tmp_path / "trace.log"
-        with TraceSink(path) as sink:
-            run(create_flow(llm_config()), package_input({"task": "sort"}),
-                scripted_ctx(sink, ["use mergesort"]))
-        replay = replay_backend(read_trace(path))
-        stranger = BackendRequest(model="default",
-                                  turns=[ChatTurn("user", "unrecorded")])
-        with pytest.raises(ReplayDivergenceError):
-            replay.complete(stranger)
+
+class TestReplayBackend:
+    def test_replays_recorded_responses(self, tmp_path, problems_by_id):
+        recorded_pair(tmp_path, problems_by_id["cf-echo-101"], [ECHO])
+        replay = replay_pair(tmp_path, "cf-echo-101", "Code")
+        assert replay.identical and replay.error is None
+        assert [e["body"]["response"] for e in replay.replayed
+                if e["kind"] == "backend_response"] == [ECHO]
+
+    def test_divergent_request_rejected(self, tmp_path, problems_by_id):
+        path = recorded_pair(tmp_path, problems_by_id["cf-echo-101"], [ECHO])
+        # File the recorded response under another request's fingerprint.
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            event = json.loads(line)
+            if event.get("kind") == "backend_response":
+                event["body"]["fingerprint"] = "0" * 64
+                lines[i] = json.dumps(event)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        replay = replay_pair(tmp_path, "cf-echo-101", "Code")
+        assert not replay.identical
+        assert "not present in recorded responses" in replay.error
