@@ -13,11 +13,13 @@ from nestflow.backends import (
 )
 from nestflow.errors import (
     AuthError,
+    ReplayDivergenceError,
     RetryBudgetExhaustedError,
     ScriptExhaustedError,
     TemplateError,
     TransientBackendError,
 )
+from nestflow.evalharness import _Unrecorded
 
 
 def request_with(*contents, model="m"):
@@ -84,6 +86,16 @@ class TestScriptedBackend:
         with pytest.raises(ScriptExhaustedError):
             backend.complete(request_with("s", "q3"))
         assert len(backend.requests) == 3
+
+    def test_keyed_mode_and_divergence(self):
+        # Keyed lookup is the response cache: recorded responses keyed by
+        # fingerprint, in front of replay's backend, which answers nothing.
+        known = request_with("s", "known")
+        recorded = {known.fingerprint(): "answer"}
+        assert cached_complete(_Unrecorded(), request_with("s", "known"),
+                               recorded) == ("answer", True)
+        with pytest.raises(ReplayDivergenceError, match="not present in recorded responses"):
+            cached_complete(_Unrecorded(), request_with("s", "unknown"), recorded)
 
     def test_rules_match_first_on_text_and_turns(self):
         backend = ScriptedBackend(rules=[
