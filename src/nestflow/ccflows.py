@@ -105,7 +105,6 @@ class VariantSettings:
     wall_time: float = DEFAULT_WALL_TIME
     memory_bytes: int = DEFAULT_MEMORY_BYTES
     issue_title: str = DEFAULT_ISSUE_TITLE
-    language_tag: str = "python"
     interactive_plan: bool = False
 
 
@@ -132,8 +131,7 @@ def _code_generator(settings: VariantSettings, human: str, with_plan: bool) -> d
         "kind": "llm",
         "input_keys": input_keys,
         "output_keys": ["completion", "code"],
-        "params": _llm_params(settings, T.CODE_SYSTEM, query, human,
-                              postprocess="code", language_tag=settings.language_tag),
+        "params": _llm_params(settings, T.CODE_SYSTEM, query, human, postprocess="code"),
     }
 
 
@@ -147,7 +145,6 @@ def _sandbox_critic(settings: VariantSettings) -> dict:
             "wall_time": settings.wall_time,
             "memory_bytes": settings.memory_bytes,
             "issue_title": settings.issue_title,
-            "language_tag": settings.language_tag,
         },
     }
 

@@ -24,6 +24,7 @@ from .evalharness import (
     replay_pair,
     run_pair,
     write_report,
+    write_run_meta,
 )
 from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
 
@@ -116,6 +117,8 @@ def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile
             out_dir=Path(out_dir) if out_dir else None, backend=backend, cache=cache,
             variant_settings=_variant_settings(model, wall_time, memory_mb, max_rounds,
                                                interactive_plan))
+        if settings.out_dir is not None:
+            write_run_meta(settings.out_dir, [problem], [variant], settings)
         record, code = run_pair(problem, variant, settings)
     except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
         _fail(exc)

@@ -83,7 +83,7 @@ class ReplayDivergenceError(BackendError):
 
 
 class SandboxEnvironmentError(NestflowError):
-    """The sandbox cannot run at all: unknown language or missing interpreter."""
+    """The sandbox cannot run at all: missing interpreter."""
 
 
 class DatasetError(NestflowError):

@@ -26,7 +26,7 @@ from ._util import add_months, month_floor
 from .ccflows import VariantSettings, build_variant, parse_variant, problem_payload
 from .core import ROUNDS_USED_KEY, Message, RunContext, create_flow, package_input, run
 from .dataset import BUCKET_LABELS, BUCKET_ORDER, DEFAULT_CUTOFF, Problem, bucket_key
-from .errors import ENVIRONMENT_ERRORS, ConfigError, FlowError, ReplayDivergenceError
+from .errors import ENVIRONMENT_ERRORS, ConfigError, FlowError, NestflowError, ReplayDivergenceError
 from .sandbox import ExecutionLimits, Verdict, run_tests
 from .trace import TraceSink, normalize_trace, read_trace
 
@@ -330,8 +330,7 @@ def run_pair(problem: Problem, variant_name: str,
             error = "no program extracted"
         elif error is None:
             limits = ExecutionLimits(wall_time=vsettings.wall_time, memory_bytes=vsettings.memory_bytes)
-            verdict = run_tests(code, list(problem.hidden_tests), limits=limits,
-                                language_tag=vsettings.language_tag).verdict.value
+            verdict = run_tests(code, list(problem.hidden_tests), limits=limits).verdict.value
     except ENVIRONMENT_ERRORS:
         if trace_path is not None:
             _remove_trace(trace_path)
@@ -381,13 +380,25 @@ def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Repl
     responses, keyed by request fingerprint, are the run's response cache;
     its backend raises ReplayDivergenceError on a miss, so the cache's
     ``put`` is never reached. A FlowError is kept in ``error``: whether the
-    replay diverged is decided by the normalized traces alone.
+    replay diverged is decided by the normalized traces alone. A run
+    directory that cannot be read back is a ConfigError.
     """
     trace_path = Path(run_dir) / _trace_ref(problem_id, variant_name)
     if not trace_path.exists():
         raise ConfigError(f"no trace at {trace_path}")
-    recorded = read_trace(trace_path)
-    vsettings = VariantSettings(**read_run_meta(run_dir)["variant_settings"])
+    try:
+        recorded = read_trace(trace_path)
+        settings = dict(read_run_meta(run_dir)["variant_settings"])
+    except (NestflowError, OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"cannot replay from {run_dir}: {exc}") from exc
+    # Run directories written while the judge had a language knob record
+    # it, and it always held "python".
+    if settings.get("language_tag") == "python":
+        del settings["language_tag"]
+    unknown = sorted(set(settings) - {f.name for f in fields(VariantSettings)})
+    if unknown:
+        raise ConfigError(f"run_meta.json has unknown variant settings: {unknown}")
+    vsettings = VariantSettings(**settings)
     responses = {e.body["fingerprint"]: e.body["response"]
                  for e in recorded if e.kind == "backend_response"}
     ctx = RunContext(backends={vsettings.backend: _Unrecorded()}, cache=responses)
@@ -401,8 +412,9 @@ def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Repl
     return Replay(normalize_trace(recorded), normalize_trace(ctx.trace.events), error)
 
 
-def _write_run_meta(path: Path, problems: list[Problem], variants: list[str],
-                    settings: EvalSettings) -> None:
+def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
+                   settings: EvalSettings) -> None:
+    """Write the run directory's ``run_meta.json``, which reports and replay read."""
     meta = {
         "seed": settings.seed,
         "cutoff": settings.cutoff.isoformat(),
@@ -419,7 +431,9 @@ def _write_run_meta(path: Path, problems: list[Problem], variants: list[str],
             for p in problems
         },
     }
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
+                                           encoding="utf-8")
 
 
 def read_run_meta(out_dir: str | Path) -> dict:
@@ -438,11 +452,10 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
     for variant in variants:
         parse_variant(variant)
     out_dir = Path(settings.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    write_run_meta(out_dir, problems, variants, settings)
     records_path = out_dir / "records.jsonl"
     if not settings.resume and records_path.exists():
         records_path.unlink()
-    _write_run_meta(out_dir / "run_meta.json", problems, variants, settings)
     existing = {(r.problem_id, r.variant): r for r in read_records(records_path)}
     by_id = {p.id: p for p in problems}
     todo = [(pid, variant) for pid in sorted(by_id) for variant in variants

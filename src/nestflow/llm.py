@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 
 from .backends import BackendRequest, ChatTurn, render_template
 from .compose import FINAL_ANSWER_NEEDLE
@@ -30,30 +29,22 @@ PLAN_HEADER = "# Conceptual solution"
 _FENCE = re.compile(r"```([^\s`]*)[ \t]*\n(.*?)```", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class ExtractedCode:
-    source: str
-    language: str
+def extract_code(completion: str) -> str:
+    """Pull the final Python program out of a completion.
 
-
-def extract_code(completion: str, language_tag: str = "python") -> ExtractedCode:
-    """Pull the final program out of a completion.
-
-    Prefers the last fenced block labeled with the language tag, then the
-    last unlabeled fenced block. No block at all is a malformed
-    completion.
+    Prefers the last fenced block labeled ``python``, then the last
+    unlabeled fenced block. No block at all is a malformed completion.
     """
     blocks = [(m.group(1), m.group(2)) for m in _FENCE.finditer(completion)]
-    labeled = [src for tag, src in blocks if tag == language_tag]
+    labeled = [src for tag, src in blocks if tag == "python"]
     unlabeled = [src for tag, src in blocks if not tag]
     pool = labeled or unlabeled
     if not pool:
-        raise MalformedCompletionError(
-            f"completion contains no fenced {language_tag} code block")
+        raise MalformedCompletionError("completion contains no fenced python code block")
     source = pool[-1]
     if source.endswith("\n"):
         source = source[:-1]
-    return ExtractedCode(source=source, language=language_tag)
+    return source
 
 
 def detect_final_answer(completion: str) -> bool:
@@ -92,7 +83,6 @@ class LlmFlow(FlowInstance):
         self.max_tokens = int(params.pop("max_tokens", 2048))
         self.output_key = params.pop("output_key", "completion")
         self.postprocess = params.pop("postprocess", None)
-        self.language_tag = params.pop("language_tag", "python")
         self.stateless = bool(params.pop("stateless", False))
         if params:
             raise ConfigError(f"llm flow {config.name!r} has unknown params: {sorted(params)}")
@@ -138,7 +128,7 @@ class LlmFlow(FlowInstance):
 
     def _postprocess_code(self, completion: str, ctx: RunContext) -> str:
         try:
-            code = extract_code(completion, self.language_tag).source
+            code = extract_code(completion)
         except MalformedCompletionError:
             previous = self.state.get("last_code")
             if detect_final_answer(completion) and previous is not None:

@@ -1,19 +1,23 @@
-"""Local code-testing sandbox: run untrusted programs against test cases.
+"""Local code-testing sandbox: judge Python programs against test cases.
 
-Programs run in their own subprocess inside a fresh scratch directory
-with a wall-time limit and an address-space cap. Results collapse to one
-of five verdicts and render to fixed report text that feedback loops
-embed in prompts, so the wording here is load-bearing and must not
-drift.
+A program is written to a fresh scratch directory and syntax-checked
+in-process with ``py_compile``. Then the interpreter runs it once per
+test, in its own subprocess, with a wall-time limit and an address-space
+cap. Results collapse to one of five verdicts and render to fixed report
+text that feedback loops embed in prompts, so the wording here is
+load-bearing and must not drift.
 """
 from __future__ import annotations
 
 import enum
 import logging
 import os
+import py_compile
 import subprocess
 import sys
 import tempfile
+import threading
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +30,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_ISSUE_TITLE = "# Issue with the last proposed solution"
 DEFAULT_WALL_TIME = 10.0
 DEFAULT_MEMORY_BYTES = 256 * 1024 * 1024
+
+_COMPILE_LOCK = threading.Lock()
 
 
 class Verdict(enum.Enum):
@@ -68,15 +74,6 @@ class TestReport:
     failures: list[Failure] = field(default_factory=list)
     summary: str = ""
 
-
-# Interpreter commands per language tag; {source} is the program path.
-INTERPRETERS: dict[str, dict] = {
-    "python": {
-        "suffix": ".py",
-        "compile": [sys.executable, "-m", "py_compile", "{source}"],
-        "run": [sys.executable, "{source}"],
-    },
-}
 
 # Report templates. ${.issue_title} is substituted first, then the
 # {{...}} fields; byte-exact output is contract, not cosmetics.
@@ -158,37 +155,36 @@ def _limit_resources(memory_bytes: int):
     return apply_limits
 
 
+def _strip_scratch(text: str, scratch: str) -> str:
+    """Drop the scratch directory (as given and as realpath, longest first)
+    from diagnostics, so they name the program "solution.py" on every run."""
+    for prefix in sorted({scratch, os.path.realpath(scratch)}, key=len, reverse=True):
+        text = text.replace(prefix + os.sep, "")
+    return text
+
+
 def run_tests(program: str, tests: list[TestCase],
-              limits: ExecutionLimits = ExecutionLimits(),
-              language_tag: str = "python") -> TestReport:
-    """Compile-check a program, then run it against each test in order.
+              limits: ExecutionLimits = ExecutionLimits()) -> TestReport:
+    """Syntax-check a program in-process, then run it against each test in order.
 
     The first timeout or runtime error stops the loop and is reported
     alone; wrong answers accumulate across all tests. The returned
     report carries a summary rendered with the default issue title.
     """
-    entry = INTERPRETERS.get(language_tag)
-    if entry is None:
-        raise SandboxEnvironmentError(
-            f"no interpreter configured for language {language_tag!r}; "
-            f"known: {sorted(INTERPRETERS)}")
     with tempfile.TemporaryDirectory(prefix="nestflow-sandbox-") as scratch:
-        # The program runs under its bare file name with cwd=scratch, so
-        # compiler diagnostics mention "solution.py" and stay stable
-        # across runs instead of leaking the scratch path.
-        source_name = f"solution{entry['suffix']}"
-        (Path(scratch) / source_name).write_text(program, encoding="utf-8")
-
-        def argv(command: list[str]) -> list[str]:
-            return [part.format(source=source_name) for part in command]
-
-        try:
-            compiled = subprocess.run(argv(entry["compile"]), cwd=scratch,
-                                      capture_output=True, timeout=max(limits.wall_time, 30.0))
-        except OSError as exc:
-            raise SandboxEnvironmentError(f"failed to spawn interpreter: {exc}") from exc
-        if compiled.returncode != 0:
-            error = compiled.stderr.decode(errors="replace").strip()
+        source = os.path.join(scratch, "solution.py")
+        Path(source).write_text(program, encoding="utf-8")
+        # Compiling the absolute path lets the compiler quote the offending
+        # line from the file. Compile warnings are not the grid's to print,
+        # and catch_warnings swaps process-wide state: one compile at a time.
+        with _COMPILE_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                py_compile.compile(source, doraise=True)
+                error = None
+            except py_compile.PyCompileError as exc:
+                error = _strip_scratch(exc.msg.strip(), scratch)
+        if error is not None:
             report = TestReport(Verdict.COMPILATION_ERROR,
                                 [Failure(index=0, input="", expected=None, actual=error)])
             report.summary = format_report(report)
@@ -199,7 +195,7 @@ def run_tests(program: str, tests: list[TestCase],
         for position, test in enumerate(tests, start=1):
             try:
                 result = subprocess.run(
-                    argv(entry["run"]), cwd=scratch, input=test.input.encode(),
+                    [sys.executable, "solution.py"], cwd=scratch, input=test.input.encode(),
                     capture_output=True, timeout=limits.wall_time,
                     preexec_fn=_limit_resources(limits.memory_bytes))
             except subprocess.TimeoutExpired:
@@ -211,12 +207,7 @@ def run_tests(program: str, tests: list[TestCase],
                 raise SandboxEnvironmentError(f"failed to spawn interpreter: {exc}") from exc
             if result.returncode != 0:
                 verdict = Verdict.RUNTIME_ERROR
-                error = result.stderr.decode(errors="replace").strip()
-                # Tracebacks name the script by its absolute path; strip the
-                # scratch directory (longest spelling first) so they read
-                # "solution.py" like compiler diagnostics do.
-                for prefix in sorted({scratch, os.path.realpath(scratch)}, key=len, reverse=True):
-                    error = error.replace(prefix + os.sep, "")
+                error = _strip_scratch(result.stderr.decode(errors="replace").strip(), scratch)
                 failures = [Failure(position, test.input, test.expected_output, error)]
                 break
             produced = result.stdout.decode(errors="replace")
@@ -284,7 +275,6 @@ class CodeTestingFlow(FlowInstance):
             wall_time=float(params.pop("wall_time", DEFAULT_WALL_TIME)),
             memory_bytes=int(params.pop("memory_bytes", DEFAULT_MEMORY_BYTES)))
         self.issue_title = params.pop("issue_title", DEFAULT_ISSUE_TITLE)
-        self.language_tag = params.pop("language_tag", "python")
         self.tests_key = params.pop("tests_key", "public_tests")
         self.code_key = params.pop("code_key", "code")
         if params:
@@ -304,8 +294,7 @@ class CodeTestingFlow(FlowInstance):
                                 instance_id=self.instance_id)
             tests.append(TestCase(input=entry["input"],
                                   expected_output=entry.get("expected_output", "")))
-        report = run_tests(message.payload[self.code_key], tests,
-                           limits=self.limits, language_tag=self.language_tag)
+        report = run_tests(message.payload[self.code_key], tests, limits=self.limits)
         return {
             "verdict": report.verdict.value,
             "testing_results_summary": format_report(report, self.issue_title),

@@ -1,5 +1,6 @@
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,19 @@ class TestCmdRun:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "one" / "cf-echo-101" / "Code" / "trace.log").exists()
         assert "program:" in result.output
+
+    def test_out_dir_replays(self, runner, tmp_path):
+        result = runner.invoke(main, self.run_args("cf-echo-101", "Code", out=tmp_path / "one"))
+        assert result.exit_code == 0, result.output
+        result = replay(runner, tmp_path / "one", "Code")
+        assert result.exit_code == 0, result.output
+        assert "replay identical:" in result.output
+
+    def test_missing_interpreter_is_environment_error(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+        result = runner.invoke(main, self.run_args("cf-echo-101", "Code"))
+        assert result.exit_code == 3, result.output
+        assert "error: failed to spawn interpreter" in result.stderr
 
     def test_unknown_variant_is_usage_error(self, runner):
         result = runner.invoke(main, self.run_args("cf-echo-101", "Cod"))
@@ -252,6 +266,51 @@ class TestCmdReplay:
         assert result.exit_code == 2
         assert "no trace at" in result.stderr
 
+    def copy_run(self, eval_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(eval_dir[0], run_dir)
+        return run_dir
+
+    def set_variant_settings(self, run_dir, **extra):
+        path = run_dir / "run_meta.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta["variant_settings"].update(extra)
+        path.write_text(json.dumps(meta), encoding="utf-8")
+
+    def test_missing_run_meta_is_usage_error(self, runner, eval_dir, tmp_path):
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        (run_dir / "run_meta.json").unlink()
+        result = replay(runner, run_dir, "Code")
+        assert result.exit_code == 2, result.output
+        assert "run_meta.json" in result.stderr
+
+    def test_unsupported_trace_format_is_usage_error(self, runner, eval_dir, tmp_path):
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        path = run_dir / "cf-echo-101" / "Code" / "trace.log"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(['{"trace_format":99}'] + lines[1:]) + "\n", encoding="utf-8")
+        result = replay(runner, run_dir, "Code")
+        assert result.exit_code == 2, result.output
+        assert "unsupported format version 99" in result.stderr
+
+    def test_unknown_variant_setting_is_usage_error(self, runner, eval_dir, tmp_path):
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        self.set_variant_settings(run_dir, sandbox="docker")
+        result = replay(runner, run_dir, "Code")
+        assert result.exit_code == 2, result.output
+        assert "unknown variant settings: ['sandbox']" in result.stderr
+
+    def test_meta_with_python_language_tag_replays(self, runner, eval_dir, tmp_path):
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        self.set_variant_settings(run_dir, language_tag="python")
+        result = replay(runner, run_dir, "Code")
+        assert result.exit_code == 0, result.output
+        assert "replay identical:" in result.output
+        self.set_variant_settings(run_dir, language_tag="cpp")
+        result = replay(runner, run_dir, "Code")
+        assert result.exit_code == 2, result.output
+        assert "unknown variant settings: ['language_tag']" in result.stderr
+
     def test_cache_served_pairs_replay_identical(self, runner, tmp_path):
         profiles = write_profiles(tmp_path, {"cached": {
             "kind": "scripted", "model": "scripted", "cache_dir": "cache",
@@ -276,8 +335,7 @@ class TestCmdReplay:
         assert "replay identical:" in result.output
 
     def test_altered_response_diverges(self, runner, eval_dir, tmp_path):
-        run_dir = tmp_path / "run"
-        shutil.copytree(eval_dir[0], run_dir)
+        run_dir = self.copy_run(eval_dir, tmp_path)
         path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
         lines = path.read_text(encoding="utf-8").splitlines()
         for i, line in enumerate(lines):

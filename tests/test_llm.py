@@ -11,30 +11,29 @@ from nestflow.trace import TraceSink
 class TestExtractCode:
     def test_labeled_block(self):
         completion = "Here you go:\n```python\nprint(1)\n```\nDone."
-        assert extract_code(completion).source == "print(1)"
+        assert extract_code(completion) == "print(1)"
 
     def test_last_labeled_block_wins(self):
         completion = ("```python\nold = 1\n```\ntext\n"
                       "```python\nnew = 2\n```")
-        assert extract_code(completion).source == "new = 2"
+        assert extract_code(completion) == "new = 2"
 
     def test_unlabeled_fallback(self):
         completion = "```\nx = 3\n```"
-        assert extract_code(completion).source == "x = 3"
+        assert extract_code(completion) == "x = 3"
 
     def test_labeled_preferred_over_later_unlabeled(self):
         completion = "```python\na = 1\n```\n```\nb = 2\n```"
-        assert extract_code(completion).source == "a = 1"
+        assert extract_code(completion) == "a = 1"
 
     def test_respects_language_tag(self):
-        completion = "```cpp\nint x;\n```"
-        assert extract_code(completion, language_tag="cpp").source == "int x;"
         with pytest.raises(MalformedCompletionError):
-            extract_code(completion, language_tag="python")
+            extract_code("```cpp\nint x;\n```")
+        assert extract_code("```cpp\nint x;\n```\n```\ny = 1\n```") == "y = 1"
 
     def test_multiline_source_kept_intact(self):
         completion = "```python\nfor i in range(3):\n    print(i)\n\n```"
-        assert extract_code(completion).source == "for i in range(3):\n    print(i)\n"
+        assert extract_code(completion) == "for i in range(3):\n    print(i)\n"
 
     def test_no_block_is_malformed(self):
         with pytest.raises(MalformedCompletionError, match="no fenced"):

@@ -1,3 +1,12 @@
+import py_compile
+import subprocess
+import sys
+import tempfile
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -108,15 +117,88 @@ class TestRunTests:
         assert report.verdict == Verdict.RUNTIME_ERROR
         assert "MemoryError" in report.failures[0].actual
 
-    def test_unknown_language(self):
-        with pytest.raises(SandboxEnvironmentError, match="cobol"):
-            run_tests("x", [IOCase("", "")], language_tag="cobol")
+    def test_missing_interpreter_is_environment_error(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+        with pytest.raises(SandboxEnvironmentError, match="failed to spawn interpreter"):
+            run_tests("print(1)", [IOCase("", "1\n")], limits=FAST)
 
     def test_verdict_all_passed_iff_no_failures(self):
         passing = run_tests("print(input())", [IOCase("a\n", "a\n")], limits=FAST)
         failing = run_tests("print('x')", [IOCase("a\n", "a\n")], limits=FAST)
         assert (passing.verdict == Verdict.ALL_PASSED) == (passing.failures == [])
         assert (failing.verdict == Verdict.ALL_PASSED) == (failing.failures == [])
+
+
+# Programs the syntax check must judge as the interpreter's own
+# `python -m py_compile` does, message included.
+COMPILE_CASES = {
+    "valid": "print(1)\n",
+    "unterminated_string": 'x = "abc\n',
+    "indentation_error": "x = 1\n    y = 2\n",
+    "return_outside_function": "x = 1\nreturn x\n",
+    "bad_coding_line": "# -*- coding: no-such-codec -*-\nprint(1)\n",
+    "null_byte": "print(1)\x00\n",
+    "nested_brackets": "[" * 100_000 + "\n",
+    "unary_minus": "x = " + "-" * 100_000 + "1\n",
+    "not_chain": "x = " + "not " * 50_000 + "True\n",
+    "plus_chain": "x = " + "+".join(["1"] * 200_000) + "\n",
+    "nested_ifs": "".join("    " * depth + "if x:\n" for depth in range(100))
+                  + "    " * 100 + "pass\n",
+}
+
+
+def spawn_compile(program: str) -> tuple[Verdict, str | None]:
+    """The oracle: what a `python -m py_compile` process says about a program."""
+    with tempfile.TemporaryDirectory() as scratch:
+        Path(scratch, "solution.py").write_text(program, encoding="utf-8")
+        done = subprocess.run([sys.executable, "-m", "py_compile", "solution.py"],
+                              cwd=scratch, capture_output=True, timeout=60)
+    if done.returncode == 0:
+        return Verdict.ALL_PASSED, None
+    return Verdict.COMPILATION_ERROR, done.stderr.decode(errors="replace").strip()
+
+
+def judge_compile(program: str) -> tuple[Verdict, str | None]:
+    report = run_tests(program, [], limits=FAST)
+    return report.verdict, report.failures[0].actual if report.failures else None
+
+
+class TestCompileCheck:
+    @pytest.mark.parametrize("name", sorted(COMPILE_CASES))
+    def test_matches_py_compile_process(self, name):
+        program = COMPILE_CASES[name]
+        expected = spawn_compile(program)
+        assert judge_compile(program) == expected
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(judge_compile, [program] * 2)) == [expected] * 2
+
+    def test_compile_warnings_stay_quiet(self, capfd, monkeypatch):
+        warns = 'x = 1 is 1\nassert (1, "m")\nprint("ok")\n'
+        compile_program = py_compile.compile
+
+        def slow_compile(*args, **kwargs):
+            time.sleep(0.002)  # lets other judging threads run mid-compile
+            return compile_program(*args, **kwargs)
+
+        monkeypatch.setattr(py_compile, "compile", slow_compile)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                reports = list(pool.map(lambda program: run_tests(
+                    program, [IOCase("", "ok\n")], limits=FAST), [warns] * 2))
+            # Interleaved catch_warnings blocks would leave a filter behind.
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                checked = set(pool.map(judge_compile, [warns] * 64))
+            assert warnings.filters == filters
+            # Unlike the py_compile process, the report leaves the warning out.
+            verdict, message = judge_compile("x = 1 is 1\nreturn x\n")
+        assert [r.verdict for r in reports] == [Verdict.ALL_PASSED] * 2
+        assert checked == {(Verdict.ALL_PASSED, None)}
+        assert verdict == Verdict.COMPILATION_ERROR
+        assert message.startswith('File "solution.py", line 2\n')
+        assert shown == []
+        assert capfd.readouterr().err == ""
 
 
 class TestFormatReport:
