@@ -265,9 +265,9 @@ def run(flow: FlowInstance, message: Message, ctx: RunContext | None = None) -> 
     Validates the input against ``input_keys`` (reporting every missing
     key), traces the exchange, and checks ``output_keys`` on the result.
     Package errors become a FlowError, except environment errors (a
-    missing credential or interpreter), which propagate unwrapped. A flow
-    instance processes one message at a time; re-entrant delivery is an
-    error rather than a deadlock.
+    missing credential or interpreter, a failed backend request), which
+    propagate unwrapped. A flow instance processes one message at a time;
+    re-entrant delivery is an error rather than a deadlock.
     """
     if ctx is None:
         ctx = RunContext()

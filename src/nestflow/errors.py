@@ -91,5 +91,6 @@ class DatasetError(NestflowError):
 
 
 # Failures of the machine rather than of a run: they abort with exit code 3
-# instead of being recorded as an unsolved outcome.
-ENVIRONMENT_ERRORS = (AuthError, SandboxEnvironmentError)
+# instead of being recorded as an unsolved outcome, so resume runs the pair again.
+ENVIRONMENT_ERRORS = (AuthError, TransientBackendError, RetryBudgetExhaustedError,
+                      SandboxEnvironmentError)

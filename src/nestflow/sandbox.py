@@ -1,11 +1,12 @@
 """Local code-testing sandbox: judge Python programs against test cases.
 
 A program is written to a fresh scratch directory and syntax-checked
-in-process with ``py_compile``. Then the interpreter runs it once per
-test, in its own subprocess, with a wall-time limit and an address-space
-cap. Results collapse to one of five verdicts and render to fixed report
-text that feedback loops embed in prompts, so the wording here is
-load-bearing and must not drift.
+in-process. Then the interpreter runs it once per test, in its own
+subprocess, with a wall-time limit and an address-space cap. Results
+collapse to one of five verdicts and render to fixed report text that
+feedback loops embed in prompts, so the wording here is load-bearing and
+must not drift. A process-wide memo judges each distinct program, test
+list and limit set once.
 """
 from __future__ import annotations
 
@@ -18,9 +19,12 @@ import sys
 import tempfile
 import threading
 import warnings
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from concurrent.futures import Future
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from ._util import fingerprint
 from .backends import render_template
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
 from .errors import FlowError, SandboxEnvironmentError
@@ -31,7 +35,14 @@ DEFAULT_ISSUE_TITLE = "# Issue with the last proposed solution"
 DEFAULT_WALL_TIME = 10.0
 DEFAULT_MEMORY_BYTES = 256 * 1024 * 1024
 
+# Judgements the memo keeps, evicting the oldest first. Repeats come within
+# one pair's rounds and across one problem's variants, so a short history
+# catches them; an entry holds a report and a future, about 2.5 KB.
+MEMO_ENTRIES = 256
+
 _COMPILE_LOCK = threading.Lock()
+_MEMO: OrderedDict[str, Future] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
 
 
 class Verdict(enum.Enum):
@@ -170,20 +181,53 @@ def run_tests(program: str, tests: list[TestCase],
     The first timeout or runtime error stops the loop and is reported
     alone; wrong answers accumulate across all tests. The returned
     report carries a summary rendered with the default issue title.
+
+    Reports are memoized on the program, the tests, the limits and the
+    interpreter, so a repeated judgement starts no process; a caller
+    asking for a judgement still in progress waits for it. Every verdict
+    is kept, ``Timeout`` included; an error is raised to every waiter
+    and never kept.
     """
+    key = fingerprint([program, [[t.input, t.expected_output] for t in tests],
+                       limits.wall_time, limits.memory_bytes, sys.executable, sys.version])
+    with _MEMO_LOCK:
+        entry = _MEMO.get(key)
+        judge = entry is None
+        if judge:
+            entry = _MEMO[key] = Future()
+            if len(_MEMO) > MEMO_ENTRIES:
+                _MEMO.popitem(last=False)
+    if judge:
+        try:
+            entry.set_result(_judge(program, tests, limits))
+        except BaseException as exc:
+            with _MEMO_LOCK:
+                if _MEMO.get(key) is entry:
+                    del _MEMO[key]
+            entry.set_exception(exc)
+            raise
+    report = entry.result()
+    return replace(report, failures=list(report.failures))
+
+
+def _judge(program: str, tests: list[TestCase], limits: ExecutionLimits) -> TestReport:
     with tempfile.TemporaryDirectory(prefix="nestflow-sandbox-") as scratch:
         source = os.path.join(scratch, "solution.py")
-        Path(source).write_text(program, encoding="utf-8")
-        # Compiling the absolute path lets the compiler quote the offending
-        # line from the file. Compile warnings are not the grid's to print,
-        # and catch_warnings swaps process-wide state: one compile at a time.
+        data = program.encode("utf-8")
+        Path(source).write_bytes(data)
+        # Compiling under the absolute path lets the compiler quote the
+        # offending line from the file; the code object is dropped, so no
+        # bytecode file is written. Compile warnings are not the grid's to
+        # print, and catch_warnings swaps process-wide state: one compile
+        # at a time.
         with _COMPILE_LOCK, warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                py_compile.compile(source, doraise=True)
+                compile(data, source, "exec", dont_inherit=True)
                 error = None
-            except py_compile.PyCompileError as exc:
-                error = _strip_scratch(exc.msg.strip(), scratch)
+            except Exception as exc:  # what py_compile.compile(doraise=True) wraps
+                error = py_compile.PyCompileError(type(exc), exc, source).msg
+                error = _strip_scratch(error.strip(), scratch)
         if error is not None:
             report = TestReport(Verdict.COMPILATION_ERROR,
                                 [Failure(index=0, input="", expected=None, actual=error)])

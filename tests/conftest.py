@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,3 +34,22 @@ def scripted_backend():
 def fixture_settings():
     # Tight wall time keeps the deliberate-timeout fixture problem cheap.
     return VariantSettings(wall_time=1.0, model="scripted")
+
+
+class FailingSession:
+    """A stub HTTP session that answers every request with one status code."""
+
+    def __init__(self, status: int):
+        self.status = status
+        self.posts = 0
+
+    def post(self, *args, **kwargs):
+        self.posts += 1
+        return SimpleNamespace(status_code=self.status, text="unavailable")
+
+
+@pytest.fixture()
+def unavailable_session(monkeypatch):
+    """A credential in STUB_API_KEY, and a session on which every request gets HTTP 503."""
+    monkeypatch.setenv("STUB_API_KEY", "stub-token")
+    return FailingSession(503)

@@ -1,3 +1,4 @@
+import functools
 import json
 import shutil
 import sys
@@ -215,6 +216,23 @@ class TestCmdEval:
             "--backend-profile", "api", "--out", str(tmp_path / "run")])
         assert result.exit_code == 3
         assert "error:" in result.stderr
+        assert not (tmp_path / "run" / "records.jsonl").exists()
+        assert not list((tmp_path / "run").rglob("trace.log"))
+
+    def test_backend_failure_is_environment_error(self, runner, tmp_path, monkeypatch,
+                                                  unavailable_session):
+        monkeypatch.setattr("nestflow.cli.RemoteBackend", functools.partial(
+            RemoteBackend, session=unavailable_session, sleep=lambda _: None))
+        profiles = write_profiles(tmp_path, {
+            "api": {"kind": "remote", "endpoint": "https://localhost/v1",
+                    "api_key_env": "STUB_API_KEY", "max_attempts": 3}})
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"),
+            "--variants", "Code", "--profiles", str(profiles),
+            "--backend-profile", "api", "--out", str(tmp_path / "run")])
+        assert result.exit_code == 3, result.output
+        assert "error: backend failed after 3 attempts: HTTP 503" in result.stderr
+        assert unavailable_session.posts == 3
         assert not (tmp_path / "run" / "records.jsonl").exists()
         assert not list((tmp_path / "run").rglob("trace.log"))
 

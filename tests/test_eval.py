@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nestflow.backends import ScriptedBackend
+from nestflow.backends import RemoteBackend, ScriptedBackend
 from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
-from nestflow.errors import ConfigError
+from nestflow.errors import ConfigError, RetryBudgetExhaustedError, TransientBackendError
 from nestflow.evalharness import (
     EvalSettings,
     RunRecord,
@@ -343,6 +343,27 @@ class TestEvaluateGrid:
         second = evaluate_grid(problems, ["Code"], settings)
         assert first.new_runs == second.new_runs == 1
         assert len(read_records(tmp_path / "records.jsonl")) == 1
+
+    @pytest.mark.parametrize("status, error", [(503, RetryBudgetExhaustedError),
+                                               (400, TransientBackendError)])
+    def test_backend_failure_aborts_and_resume_reruns(self, tmp_path, problems_by_id,
+                                                      unavailable_session, status, error):
+        unavailable_session.status = status
+        settings = EvalSettings(
+            out_dir=tmp_path,
+            backend=RemoteBackend("https://localhost/v1", "STUB_API_KEY", max_attempts=2,
+                                  session=unavailable_session, sleep=lambda _: None),
+            variant_settings=VariantSettings(wall_time=2.0, model="scripted"),
+        )
+        problems = [problems_by_id["cf-echo-101"]]
+        with pytest.raises(error):
+            evaluate_grid(problems, ["Code"], settings)
+        assert read_records(tmp_path / "records.jsonl") == []
+        assert not list(tmp_path.rglob("trace.log"))
+        settings.backend = ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml")
+        resumed = evaluate_grid(problems, ["Code"], settings)
+        assert resumed.new_runs == 1
+        assert resumed.records[0].solved
 
     def test_flow_failure_becomes_error_record(self, tmp_path, problems_by_id):
         settings = EvalSettings(

@@ -1,9 +1,12 @@
-import py_compile
+import builtins
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nestflow import sandbox
 from nestflow.core import create_flow, package_input, run
 from nestflow.errors import FlowError, SandboxEnvironmentError
 from nestflow.sandbox import (
@@ -88,8 +92,10 @@ class TestRunTests:
 
     def test_traceback_is_stable_across_runs(self):
         program = "n = int(input())\nprint(1 // n)\n"
-        first, second = (run_tests(program, [IOCase("0\n", "0\n")], limits=FAST)
-                         for _ in range(2))
+        # A distinct trailing comment per run keeps the memo from answering.
+        first, second = (run_tests(program + f"# run {i}\n", [IOCase("0\n", "0\n")],
+                                   limits=FAST)
+                         for i in range(2))
         assert first.verdict == Verdict.RUNTIME_ERROR
         assert 'File "solution.py", line 2' in first.summary
         assert first.summary.encode() == second.summary.encode()
@@ -169,27 +175,34 @@ class TestCompileCheck:
         program = COMPILE_CASES[name]
         expected = spawn_compile(program)
         assert judge_compile(program) == expected
+        # A trailing comment after the error line changes no message, and
+        # makes each thread's judgement its own memo key.
         with ThreadPoolExecutor(max_workers=2) as pool:
-            assert list(pool.map(judge_compile, [program] * 2)) == [expected] * 2
+            assert list(pool.map(judge_compile, [program + f"# {i}\n" for i in range(2)])) \
+                == [expected] * 2
 
     def test_compile_warnings_stay_quiet(self, capfd, monkeypatch):
         warns = 'x = 1 is 1\nassert (1, "m")\nprint("ok")\n'
-        compile_program = py_compile.compile
+        compiled = []
 
         def slow_compile(*args, **kwargs):
+            compiled.append(args[1])
             time.sleep(0.002)  # lets other judging threads run mid-compile
-            return compile_program(*args, **kwargs)
+            return builtins.compile(*args, **kwargs)
 
-        monkeypatch.setattr(py_compile, "compile", slow_compile)
+        monkeypatch.setattr(sandbox, "compile", slow_compile, raising=False)
         with warnings.catch_warnings(record=True) as shown:
             warnings.simplefilter("always")
             filters = list(warnings.filters)
             with ThreadPoolExecutor(max_workers=2) as pool:
                 reports = list(pool.map(lambda program: run_tests(
-                    program, [IOCase("", "ok\n")], limits=FAST), [warns] * 2))
+                    program, [IOCase("", "ok\n")], limits=FAST),
+                    [warns + f"# {i}\n" for i in range(2)]))
             # Interleaved catch_warnings blocks would leave a filter behind.
             with ThreadPoolExecutor(max_workers=8) as pool:
-                checked = set(pool.map(judge_compile, [warns] * 64))
+                checked = set(pool.map(judge_compile,
+                                       [warns + f"# {i}\n" for i in range(2, 66)]))
+            assert len(compiled) == 66  # each program compiled, none served by the memo
             assert warnings.filters == filters
             # Unlike the py_compile process, the report leaves the warning out.
             verdict, message = judge_compile("x = 1 is 1\nreturn x\n")
@@ -199,6 +212,192 @@ class TestCompileCheck:
         assert message.startswith('File "solution.py", line 2\n')
         assert shown == []
         assert capfd.readouterr().err == ""
+
+    def test_scratch_holds_only_the_program(self, monkeypatch):
+        left = []
+
+        class Recording(tempfile.TemporaryDirectory):
+            def cleanup(self):
+                left.append(sorted(os.listdir(self.name)))
+                super().cleanup()
+
+        monkeypatch.setattr(sandbox.tempfile, "TemporaryDirectory", Recording)
+        monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
+        run_tests("print(input())\n", [IOCase("a\n", "a\n")], limits=FAST)
+        run_tests("def broken(:\n", [], limits=FAST)
+        assert left == [["solution.py"], ["solution.py"]]
+
+
+class Work:
+    """What run_tests started, one log entry per spawn or compile.
+
+    A spawn waits ``delay`` seconds first, then raises ``error`` if set.
+    """
+
+    def __init__(self):
+        self.log = []
+        self.delay = 0.0
+        self.error = None
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """An empty memo, with every interpreter spawn and compile counted."""
+    monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
+    work = Work()
+    spawn = subprocess.run
+
+    def counted_run(*args, **kwargs):
+        work.log.append("spawn")
+        time.sleep(work.delay)
+        if work.error is not None:
+            raise work.error
+        return spawn(*args, **kwargs)
+
+    def counted_compile(*args, **kwargs):
+        work.log.append("compile")
+        return builtins.compile(*args, **kwargs)
+
+    monkeypatch.setattr(sandbox.subprocess, "run", counted_run)
+    monkeypatch.setattr(sandbox, "compile", counted_compile, raising=False)
+    return work
+
+
+MEMO_TESTS = [IOCase("1\n", "2\n"), IOCase("2\n", "3\n")]
+MEMO_LIMITS = ExecutionLimits(wall_time=0.5)
+VERDICT_PROGRAMS = {
+    Verdict.ALL_PASSED: "print(int(input()) + 1)\n",
+    Verdict.COMPILATION_ERROR: "def broken(:\n",
+    Verdict.TIMEOUT: "import time\ntime.sleep(10)\n",
+    Verdict.RUNTIME_ERROR: "raise SystemExit('memo')\n",
+    Verdict.WRONG_ANSWER: "print(0)\n",
+}
+
+
+def judge_together(callers: int, call):
+    """Run ``call`` from several threads released at once; returns what each got."""
+    start = threading.Barrier(callers)
+
+    def one(_):
+        start.wait(timeout=10)
+        try:
+            return call()
+        except SandboxEnvironmentError as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=callers) as pool:
+        return list(pool.map(one, range(callers), timeout=60))
+
+
+class TestVerdictMemo:
+    @pytest.mark.parametrize("verdict", list(VERDICT_PROGRAMS), ids=lambda v: v.value)
+    def test_repeat_call_starts_nothing(self, work, verdict):
+        first = run_tests(VERDICT_PROGRAMS[verdict], MEMO_TESTS, limits=MEMO_LIMITS)
+        assert first.verdict == verdict
+        started = list(work.log)
+        assert started
+        second = run_tests(VERDICT_PROGRAMS[verdict], MEMO_TESTS, limits=MEMO_LIMITS)
+        assert work.log == started
+        assert second == first
+
+    def test_any_change_to_the_key_misses(self, work, monkeypatch):
+        program = VERDICT_PROGRAMS[Verdict.ALL_PASSED]
+        run_tests(program, MEMO_TESTS, limits=MEMO_LIMITS)
+        folder, name = os.path.split(sys.executable)
+        changes = {
+            "program": (program + "# changed\n", MEMO_TESTS, MEMO_LIMITS),
+            "input": (program, [MEMO_TESTS[0], IOCase("3\n", "3\n")], MEMO_LIMITS),
+            "expected output": (program, [MEMO_TESTS[0], IOCase("2\n", "4\n")], MEMO_LIMITS),
+            "test order": (program, MEMO_TESTS[::-1], MEMO_LIMITS),
+            "fewer tests": (program, MEMO_TESTS[:1], MEMO_LIMITS),
+            "wall time": (program, MEMO_TESTS, ExecutionLimits(wall_time=0.75)),
+            "memory": (program, MEMO_TESTS,
+                       ExecutionLimits(wall_time=0.5, memory_bytes=512 * 1024 * 1024)),
+        }
+        for what, (changed, tests, limits) in changes.items():
+            before = len(work.log)
+            run_tests(changed, tests, limits=limits)
+            assert len(work.log) > before, what
+        for attribute, value in (("executable", os.path.join(folder, ".", name)),
+                                 ("version", sys.version + " (other build)")):
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, attribute, value)
+                before = len(work.log)
+                assert run_tests(program, MEMO_TESTS, limits=MEMO_LIMITS).verdict \
+                    == Verdict.ALL_PASSED
+                assert len(work.log) > before, attribute
+        before = len(work.log)
+        run_tests(program, MEMO_TESTS, limits=MEMO_LIMITS)
+        assert len(work.log) == before
+
+    def test_concurrent_callers_share_one_judgement(self, work):
+        work.delay = 0.3  # the first caller is still judging when the others ask
+        reports = judge_together(4, lambda: run_tests(
+            VERDICT_PROGRAMS[Verdict.ALL_PASSED], MEMO_TESTS[:1], limits=MEMO_LIMITS))
+        assert work.log == ["compile", "spawn"]
+        assert [r.verdict for r in reports] == [Verdict.ALL_PASSED] * 4
+        assert all(r == reports[0] for r in reports)
+
+    def test_environment_error_reaches_every_caller_and_is_not_kept(self, work):
+        work.delay, work.error = 0.3, OSError("no interpreter here")
+        call = lambda: run_tests(VERDICT_PROGRAMS[Verdict.ALL_PASSED], MEMO_TESTS[:1],
+                                 limits=MEMO_LIMITS)
+        errors = judge_together(4, call)
+        assert all(isinstance(e, SandboxEnvironmentError) for e in errors), errors
+        assert work.log == ["compile", "spawn"]
+        work.delay, work.error = 0.0, None
+        assert call().verdict == Verdict.ALL_PASSED
+        assert work.log == ["compile", "spawn"] * 2
+
+    def test_changing_a_report_leaves_the_memo_alone(self, work):
+        program = VERDICT_PROGRAMS[Verdict.WRONG_ANSWER]
+        first = run_tests(program, MEMO_TESTS, limits=MEMO_LIMITS)
+        kept, summary = list(first.failures), first.summary
+        assert len(kept) == 2
+        first.failures.clear()
+        first.verdict, first.summary = Verdict.ALL_PASSED, ""
+        second = run_tests(program, MEMO_TESTS, limits=MEMO_LIMITS)
+        assert (second.verdict, second.failures, second.summary) \
+            == (Verdict.WRONG_ANSWER, kept, summary)
+        second.failures.append(Failure(9, "", "", ""))
+        assert run_tests(program, MEMO_TESTS, limits=MEMO_LIMITS).failures == kept
+        passed = VERDICT_PROGRAMS[Verdict.ALL_PASSED]
+        run_tests(passed, MEMO_TESTS, limits=MEMO_LIMITS).failures.append(kept[0])
+        assert run_tests(passed, MEMO_TESTS, limits=MEMO_LIMITS).failures == []
+        assert work.log.count("spawn") == 4
+
+    def test_oldest_entry_is_evicted_first(self, work, monkeypatch):
+        monkeypatch.setattr(sandbox, "MEMO_ENTRIES", 2)
+        programs = [f"x = {i}\n" for i in range(3)]
+        for program in programs:
+            run_tests(program, [], limits=FAST)
+        run_tests(programs[2], [], limits=FAST)
+        run_tests(programs[1], [], limits=FAST)
+        assert work.log == ["compile"] * 3
+        run_tests(programs[0], [], limits=FAST)
+        assert work.log == ["compile"] * 4
+        assert len(sandbox._MEMO) == 2
+
+    def test_threads_racing_on_few_keys_judge_each_once(self, work, monkeypatch):
+        counted = sandbox.compile
+
+        def slow_compile(*args, **kwargs):
+            time.sleep(0.001)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(sandbox, "compile", slow_compile)
+        programs = [f"y = {k}\n" for k in range(4)] * 16
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                verdicts = list(pool.map(
+                    lambda program: run_tests(program, [], limits=FAST).verdict,
+                    programs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert verdicts == [Verdict.ALL_PASSED] * 64
+        assert work.log == ["compile"] * 4
 
 
 class TestFormatReport:
