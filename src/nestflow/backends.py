@@ -20,6 +20,7 @@ import requests as _requests
 from ._util import canonical_json, fingerprint, utc_now_iso
 from .errors import (
     AuthError,
+    BackendError,
     RetryBudgetExhaustedError,
     ScriptExhaustedError,
     TemplateError,
@@ -207,7 +208,9 @@ class RemoteBackend:
                 if resp.status_code == 429 or resp.status_code >= 500:
                     last_error = TransientBackendError(f"HTTP {resp.status_code}")
                 elif resp.status_code >= 400:
-                    raise TransientBackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                    # Another client error is the request's own fault (say, a
+                    # prompt too long): no retry mends it, and the pair records it.
+                    raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
                 else:
                     payload = resp.json()
                     return payload["choices"][0]["message"]["content"]

@@ -35,10 +35,13 @@ DEFAULT_ISSUE_TITLE = "# Issue with the last proposed solution"
 DEFAULT_WALL_TIME = 10.0
 DEFAULT_MEMORY_BYTES = 256 * 1024 * 1024
 
-# Judgements the memo keeps, evicting the oldest first. Repeats come within
-# one pair's rounds and across one problem's variants, so a short history
-# catches them; an entry holds a report and a future, about 2.5 KB.
+# Judgements the memo keeps, evicting the oldest first, and the most text a
+# kept report may hold (its summary and its failures' inputs, expected and
+# actual outputs, in characters). A larger report goes to its callers but is
+# not kept, so the memo holds at most MEMO_ENTRIES * MEMO_REPORT_CHARS
+# characters of reports; an entry also costs about 2 KB of objects.
 MEMO_ENTRIES = 256
+MEMO_REPORT_CHARS = 16 * 1024
 
 _COMPILE_LOCK = threading.Lock()
 _MEMO: OrderedDict[str, Future] = OrderedDict()
@@ -185,7 +188,8 @@ def run_tests(program: str, tests: list[TestCase],
     Reports are memoized on the program, the tests, the limits and the
     interpreter, so a repeated judgement starts no process; a caller
     asking for a judgement still in progress waits for it. Every verdict
-    is kept, ``Timeout`` included; an error is raised to every waiter
+    is kept, ``Timeout`` included, unless the report holds more than
+    ``MEMO_REPORT_CHARS`` characters; an error is raised to every waiter
     and never kept.
     """
     key = fingerprint([program, [[t.input, t.expected_output] for t in tests],
@@ -199,15 +203,27 @@ def run_tests(program: str, tests: list[TestCase],
                 _MEMO.popitem(last=False)
     if judge:
         try:
-            entry.set_result(_judge(program, tests, limits))
+            report = _judge(program, tests, limits)
         except BaseException as exc:
-            with _MEMO_LOCK:
-                if _MEMO.get(key) is entry:
-                    del _MEMO[key]
+            _forget(key, entry)
             entry.set_exception(exc)
             raise
+        if _report_chars(report) > MEMO_REPORT_CHARS:
+            _forget(key, entry)
+        entry.set_result(report)
     report = entry.result()
     return replace(report, failures=list(report.failures))
+
+
+def _forget(key: str, entry: Future) -> None:
+    with _MEMO_LOCK:
+        if _MEMO.get(key) is entry:
+            del _MEMO[key]
+
+
+def _report_chars(report: TestReport) -> int:
+    return len(report.summary) + sum(len(f.input) + len(f.expected or "") + len(f.actual)
+                                     for f in report.failures)
 
 
 def _judge(program: str, tests: list[TestCase], limits: ExecutionLimits) -> TestReport:

@@ -12,12 +12,13 @@ from nestflow.backends import (
     render_template,
 )
 from nestflow.errors import (
+    ENVIRONMENT_ERRORS,
     AuthError,
+    BackendError,
     ReplayDivergenceError,
     RetryBudgetExhaustedError,
     ScriptExhaustedError,
     TemplateError,
-    TransientBackendError,
 )
 from nestflow.evalharness import _Unrecorded
 
@@ -189,8 +190,9 @@ class TestRemoteBackend:
 
     def test_client_errors_fail_fast(self, monkeypatch):
         backend, session, _ = remote([FakeResponse(404, text="missing")], monkeypatch)
-        with pytest.raises(TransientBackendError, match="404"):
+        with pytest.raises(BackendError, match="404") as caught:
             backend.complete(request_with("s", "q"))
+        assert not isinstance(caught.value, ENVIRONMENT_ERRORS)
         assert len(session.calls) == 1
 
 

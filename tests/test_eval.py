@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nestflow.backends import RemoteBackend, ScriptedBackend
 from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
-from nestflow.errors import ConfigError, RetryBudgetExhaustedError, TransientBackendError
+from nestflow.errors import ConfigError, RetryBudgetExhaustedError
 from nestflow.evalharness import (
     EvalSettings,
     RunRecord,
@@ -344,11 +344,8 @@ class TestEvaluateGrid:
         assert first.new_runs == second.new_runs == 1
         assert len(read_records(tmp_path / "records.jsonl")) == 1
 
-    @pytest.mark.parametrize("status, error", [(503, RetryBudgetExhaustedError),
-                                               (400, TransientBackendError)])
     def test_backend_failure_aborts_and_resume_reruns(self, tmp_path, problems_by_id,
-                                                      unavailable_session, status, error):
-        unavailable_session.status = status
+                                                      unavailable_session):
         settings = EvalSettings(
             out_dir=tmp_path,
             backend=RemoteBackend("https://localhost/v1", "STUB_API_KEY", max_attempts=2,
@@ -356,7 +353,7 @@ class TestEvaluateGrid:
             variant_settings=VariantSettings(wall_time=2.0, model="scripted"),
         )
         problems = [problems_by_id["cf-echo-101"]]
-        with pytest.raises(error):
+        with pytest.raises(RetryBudgetExhaustedError):
             evaluate_grid(problems, ["Code"], settings)
         assert read_records(tmp_path / "records.jsonl") == []
         assert not list(tmp_path.rglob("trace.log"))
@@ -364,6 +361,25 @@ class TestEvaluateGrid:
         resumed = evaluate_grid(problems, ["Code"], settings)
         assert resumed.new_runs == 1
         assert resumed.records[0].solved
+
+    def test_client_error_becomes_error_record(self, tmp_path, problems_by_id,
+                                               unavailable_session):
+        unavailable_session.status = 400
+        settings = EvalSettings(
+            out_dir=tmp_path,
+            backend=RemoteBackend("https://localhost/v1", "STUB_API_KEY", max_attempts=2,
+                                  session=unavailable_session, sleep=lambda _: None),
+            variant_settings=VariantSettings(wall_time=2.0, model="scripted"),
+        )
+        problems = [problems_by_id["cf-echo-101"], problems_by_id["cf-pairsum-202"]]
+        result = evaluate_grid(problems, ["Code"], settings)
+        assert result.new_runs == 2
+        assert unavailable_session.posts == 2
+        for record in read_records(tmp_path / "records.jsonl"):
+            assert not record.solved
+            assert record.verdict is None
+            assert "HTTP 400: unavailable" in record.error
+        assert len(list(tmp_path.rglob("trace.log"))) == 2
 
     def test_flow_failure_becomes_error_record(self, tmp_path, problems_by_id):
         settings = EvalSettings(

@@ -366,6 +366,20 @@ class TestVerdictMemo:
         assert run_tests(passed, MEMO_TESTS, limits=MEMO_LIMITS).failures == []
         assert work.log.count("spawn") == 4
 
+    def test_large_report_reaches_every_caller_and_is_not_kept(self, work):
+        program = f"print('x' * {sandbox.MEMO_REPORT_CHARS})\n"
+        work.delay = 0.3
+        reports = judge_together(4, lambda: run_tests(program, MEMO_TESTS[:1],
+                                                      limits=MEMO_LIMITS))
+        assert work.log == ["compile", "spawn"]
+        assert all(r == reports[0] for r in reports)
+        assert reports[0].verdict == Verdict.WRONG_ANSWER
+        assert len(reports[0].failures[0].actual) == sandbox.MEMO_REPORT_CHARS
+        assert not sandbox._MEMO
+        work.delay = 0.0
+        assert run_tests(program, MEMO_TESTS[:1], limits=MEMO_LIMITS) == reports[0]
+        assert work.log == ["compile", "spawn"] * 2
+
     def test_oldest_entry_is_evicted_first(self, work, monkeypatch):
         monkeypatch.setattr(sandbox, "MEMO_ENTRIES", 2)
         programs = [f"x = {i}\n" for i in range(3)]
