@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import re
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -265,10 +266,17 @@ class ResponseCache:
         return body
 
     def put(self, key: str, response: str) -> None:
+        """Store a response; concurrent writers of one key each replace the
+        entry whole, from a temporary file of their own."""
         header = canonical_json({"fingerprint": key, "stored_at": utc_now_iso()})
-        tmp = self._path(key).with_suffix(".tmp")
-        tmp.write_text(header + "\n" + response, encoding="utf-8")
-        tmp.replace(self._path(key))
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(header + "\n" + response)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
     def stats(self) -> dict:
         entries = list(self.directory.glob("*.resp"))

@@ -82,14 +82,40 @@ def append_record(path: str | Path, record: RunRecord) -> None:
 
 
 def read_records(path: str | Path) -> list[RunRecord]:
+    """The records in a records file.
+
+    A last line without its newline that does not parse was torn by an
+    interrupted append: it is dropped with a warning. Any other line that
+    does not parse raises.
+    """
     path = Path(path)
     if not path.exists():
         return []
-    records = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(RunRecord.from_dict(json.loads(line)))
+    body, _, tail = path.read_text(encoding="utf-8").rpartition("\n")
+    records = [RunRecord.from_dict(json.loads(line)) for line in body.splitlines() if line.strip()]
+    if tail.strip():
+        try:
+            records.append(RunRecord.from_dict(json.loads(tail)))
+        except ValueError as exc:
+            logger.warning("%s: dropping a torn last record (%s)", path, exc)
     return records
+
+
+def _end_last_line(path: Path) -> None:
+    """Make a records file end in a newline before more records are appended:
+    a torn last line is cut off, a whole one is terminated."""
+    if not path.exists():
+        return
+    with path.open("rb+") as fh:
+        data = fh.read()
+        if not data or data.endswith(b"\n"):
+            return
+        start = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[start:])
+            fh.write(b"\n")
+        except ValueError:
+            fh.truncate(start)
 
 
 def pass_at_1(outcomes: list[bool]) -> float:
@@ -457,6 +483,7 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
     if not settings.resume and records_path.exists():
         records_path.unlink()
     existing = {(r.problem_id, r.variant): r for r in read_records(records_path)}
+    _end_last_line(records_path)
     by_id = {p.id: p for p in problems}
     todo = [(pid, variant) for pid in sorted(by_id) for variant in variants
             if (pid, variant) not in existing]

@@ -1,8 +1,11 @@
 """Local code-testing sandbox: judge Python programs against test cases.
 
-A program is written to a fresh scratch directory and syntax-checked
-in-process. Then the interpreter runs it once per test, in its own
-subprocess, with a wall-time limit and an address-space cap. Results
+A program is written to a fresh scratch directory and compiled
+in-process, which is its syntax check. A warm runner process
+(``_runner.py``) then runs the compiled program once per test, each run
+a child forked into its own session with a wall-time limit and an
+address-space cap, set up as ``python solution.py`` would be. Runners
+wait in a process-wide pool, one per concurrent judgement. Results
 collapse to one of five verdicts and render to fixed report text that
 feedback loops embed in prompts, so the wording here is load-bearing and
 must not drift. A process-wide memo judges each distinct program, test
@@ -10,8 +13,10 @@ list and limit set once.
 """
 from __future__ import annotations
 
+import atexit
 import enum
 import logging
+import marshal
 import os
 import py_compile
 import subprocess
@@ -21,6 +26,7 @@ import threading
 import warnings
 from collections import OrderedDict
 from concurrent.futures import Future
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -46,6 +52,9 @@ MEMO_REPORT_CHARS = 16 * 1024
 _COMPILE_LOCK = threading.Lock()
 _MEMO: OrderedDict[str, Future] = OrderedDict()
 _MEMO_LOCK = threading.Lock()
+_RUNNER_SCRIPT = str(Path(__file__).with_name("_runner.py"))
+_IDLE: list[_Runner] = []
+_IDLE_LOCK = threading.Lock()
 
 
 class Verdict(enum.Enum):
@@ -160,15 +169,6 @@ def _normalize(text: str) -> list[str]:
     return lines
 
 
-def _limit_resources(memory_bytes: int):
-    import resource
-
-    def apply_limits():
-        resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
-
-    return apply_limits
-
-
 def _strip_scratch(text: str, scratch: str) -> str:
     """Drop the scratch directory (as given and as realpath, longest first)
     from diagnostics, so they name the program "solution.py" on every run."""
@@ -232,14 +232,14 @@ def _judge(program: str, tests: list[TestCase], limits: ExecutionLimits) -> Test
         data = program.encode("utf-8")
         Path(source).write_bytes(data)
         # Compiling under the absolute path lets the compiler quote the
-        # offending line from the file; the code object is dropped, so no
-        # bytecode file is written. Compile warnings are not the grid's to
-        # print, and catch_warnings swaps process-wide state: one compile
-        # at a time.
-        with _COMPILE_LOCK, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        # offending line from the file; no bytecode file is written. The code
+        # runs every test, so it is compiled as `python solution.py` compiles
+        # it: unoptimized, and with its compile warnings kept for each run to
+        # print. catch_warnings swaps process-wide state: one compile at a time.
+        with _COMPILE_LOCK, warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
             try:
-                compile(data, source, "exec", dont_inherit=True)
+                code = compile(data, source, "exec", dont_inherit=True, optimize=0)
                 error = None
             except Exception as exc:  # what py_compile.compile(doraise=True) wraps
                 error = py_compile.PyCompileError(type(exc), exc, source).msg
@@ -250,37 +250,117 @@ def _judge(program: str, tests: list[TestCase], limits: ExecutionLimits) -> Test
             report.summary = format_report(report)
             return report
 
+        job = (scratch, marshal.dumps(code),
+               [(str(w.message), w.category.__name__, w.lineno)
+                for w in shown if w.filename == source],
+               limits.memory_bytes, limits.wall_time)
         failures: list[Failure] = []
         verdict = Verdict.ALL_PASSED
-        for position, test in enumerate(tests, start=1):
-            try:
-                result = subprocess.run(
-                    [sys.executable, "solution.py"], cwd=scratch, input=test.input.encode(),
-                    capture_output=True, timeout=limits.wall_time,
-                    preexec_fn=_limit_resources(limits.memory_bytes))
-            except subprocess.TimeoutExpired:
-                verdict = Verdict.TIMEOUT
-                failures = [Failure(position, test.input, test.expected_output,
-                                    f"wall time limit of {limits.wall_time}s exceeded")]
-                break
-            except OSError as exc:
-                raise SandboxEnvironmentError(f"failed to spawn interpreter: {exc}") from exc
-            if result.returncode != 0:
-                verdict = Verdict.RUNTIME_ERROR
-                error = _strip_scratch(result.stderr.decode(errors="replace").strip(), scratch)
-                failures = [Failure(position, test.input, test.expected_output, error)]
-                break
-            produced = result.stdout.decode(errors="replace")
-            if not compare_output(test.expected_output, produced):
-                verdict = Verdict.WRONG_ANSWER
-                failures.append(Failure(position, test.input,
-                                        test.expected_output.rstrip("\n"),
-                                        produced.rstrip("\n")))
+        with _lease() if tests else nullcontext() as runner:
+            for position, test in enumerate(tests, start=1):
+                status, stdout, stderr = runner.run_test(job, test.input.encode())
+                if status is None:
+                    verdict = Verdict.TIMEOUT
+                    failures = [Failure(position, test.input, test.expected_output,
+                                        f"wall time limit of {limits.wall_time}s exceeded")]
+                    break
+                if status != 0:
+                    verdict = Verdict.RUNTIME_ERROR
+                    error = _strip_scratch(stderr.decode(errors="replace").strip(), scratch)
+                    failures = [Failure(position, test.input, test.expected_output, error)]
+                    break
+                produced = stdout.decode(errors="replace")
+                if not compare_output(test.expected_output, produced):
+                    verdict = Verdict.WRONG_ANSWER
+                    failures.append(Failure(position, test.input,
+                                            test.expected_output.rstrip("\n"),
+                                            produced.rstrip("\n")))
         if verdict == Verdict.ALL_PASSED and failures:
             verdict = Verdict.WRONG_ANSWER
         report = TestReport(verdict, failures)
         report.summary = format_report(report)
         return report
+
+
+class _Runner:
+    """A runner process (``_runner.py``) that forks one child per test run.
+
+    It is started by path with this interpreter's default flags, in its
+    own session so that a terminal's interrupt does not reach it, and it
+    exits when its stdin closes.
+    """
+
+    def __init__(self):
+        self.executable = sys.executable
+        try:
+            self.process = subprocess.Popen(
+                [self.executable, _RUNNER_SCRIPT], stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, start_new_session=True)
+        except OSError as exc:
+            raise SandboxEnvironmentError(f"failed to spawn interpreter: {exc}") from exc
+
+    def run_test(self, job: tuple, stdin: bytes) -> tuple[int | None, bytes, bytes]:
+        """Run the job's program on one input: its exit status (None on a
+        timeout), stdout and stderr. A runner that went away raises OSError."""
+        data = marshal.dumps((*job, stdin))
+        self.process.stdin.write(len(data).to_bytes(8, "big") + data)
+        self.process.stdin.flush()
+        header = self.process.stdout.read(8)
+        size = int.from_bytes(header, "big")
+        body = self.process.stdout.read(size)
+        if len(header) < 8 or len(body) < size:
+            raise OSError("judge runner exited mid-request")
+        return marshal.loads(body)
+
+    def close(self) -> None:
+        """Close its pipes; it exits once any test run in progress ends."""
+        for pipe in (self.process.stdin, self.process.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+
+
+@contextmanager
+def _lease():
+    """An idle runner of this interpreter, or a new one, given back when done.
+
+    A runner that failed mid-request is dropped, and its ``OSError`` is
+    raised as ``SandboxEnvironmentError``. So there are at most as many
+    runners as judgements that ever ran at once.
+    """
+    runner = _take_idle() or _Runner()
+    try:
+        yield runner
+    except BaseException as exc:
+        runner.close()
+        if isinstance(exc, OSError):
+            raise SandboxEnvironmentError(f"judge runner failed: {exc}") from exc
+        raise
+    with _IDLE_LOCK:
+        _IDLE.append(runner)
+
+
+def _take_idle() -> _Runner | None:
+    """An idle runner that is alive and runs this interpreter; others are stopped."""
+    while True:
+        with _IDLE_LOCK:
+            if not _IDLE:
+                return None
+            runner = _IDLE.pop()
+        if runner.process.poll() is None and runner.executable == sys.executable:
+            return runner
+        runner.close()
+        runner.process.wait()
+
+
+@atexit.register
+def _close_idle() -> None:
+    with _IDLE_LOCK:
+        runners, _IDLE[:] = list(_IDLE), []
+    for runner in runners:
+        runner.close()
+        runner.process.wait()
 
 
 # Value fields shown inside code fences; trailing newlines would render

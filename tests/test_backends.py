@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 import requests
 
@@ -219,6 +222,26 @@ class TestResponseCache:
         assert (response, cached) == ("fresh", False)
         assert cache.misses == 1 and cache.hits == 0
         assert cache.get(request.fingerprint()) == "fresh"
+
+    def test_concurrent_writers_of_one_key_never_tear_it(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        bodies = [f"{writer}" * 200_000 for writer in range(8)]
+        start = threading.Barrier(len(bodies))
+
+        def write_and_read(body):
+            start.wait(timeout=10)
+            seen = []
+            for _ in range(50):
+                cache.put("shared", body)
+                seen.append(cache.get("shared"))
+            return seen
+
+        with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
+            seen = [got for batch in pool.map(write_and_read, bodies, timeout=120)
+                    for got in batch]
+        assert len(seen) == 400
+        assert set(seen) <= set(bodies)
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["shared.resp"]
 
     def test_stats_and_clear(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")

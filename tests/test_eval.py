@@ -267,6 +267,30 @@ class TestRecordsIo:
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_records(tmp_path / "absent.jsonl") == []
 
+    def test_torn_last_line_is_dropped_with_a_warning(self, tmp_path, caplog):
+        path = tmp_path / "records.jsonl"
+        append_record(path, self.record())
+        torn = json.dumps(self.record(variant="Plan-Code").to_dict(), sort_keys=True)[:40]
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(torn)
+        with caplog.at_level("WARNING", logger="nestflow.evalharness"):
+            assert read_records(path) == [self.record()]
+        assert "torn last record" in caplog.text
+
+    def test_whole_last_line_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        append_record(path, self.record())
+        path.write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+        assert read_records(path) == [self.record()]
+
+    @pytest.mark.parametrize("bad", ["{torn\n", "{torn"], ids=["terminated", "unterminated"])
+    def test_corruption_before_the_last_line_raises(self, tmp_path, bad):
+        path = tmp_path / "records.jsonl"
+        path.write_text(bad + ("\n" if not bad.endswith("\n") else "")
+                        + json.dumps(self.record().to_dict()) + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            read_records(path)
+
 
 class TestStatsFromRecords:
     def test_bucketing(self):
@@ -330,6 +354,27 @@ class TestEvaluateGrid:
         out_dir, settings, problems, _ = small_grid
         with pytest.raises(ConfigError):
             evaluate_grid(problems, ["Telepathy-Code"], settings)
+
+    def test_resume_after_a_torn_append_reruns_that_pair(self, tmp_path, problems_by_id):
+        settings = EvalSettings(
+            out_dir=tmp_path,
+            backend=ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml"),
+            variant_settings=VariantSettings(wall_time=2.0, model="scripted"),
+        )
+        problems = [problems_by_id["cf-echo-101"]]
+        variants = ["Code", "Code_Reflection", "Plan-Code"]
+        evaluate_grid(problems, variants, settings)
+        path = tmp_path / "records.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        torn = json.loads(lines[-1])["variant"]
+        path.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2], encoding="utf-8")
+        resumed = evaluate_grid(problems, variants, settings)
+        assert resumed.new_runs == 1
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and len(text.splitlines()) == 3
+        records = read_records(path)
+        assert sorted(r.variant for r in records) == sorted(variants)
+        assert [r.variant for r in records][-1] == torn
 
     def test_fresh_start_discards_records(self, tmp_path, problems_by_id):
         settings = EvalSettings(

@@ -1,5 +1,7 @@
 import builtins
+import functools
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -15,8 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nestflow import sandbox
+from nestflow.backends import ScriptedBackend
+from nestflow.ccflows import VariantSettings
 from nestflow.core import create_flow, package_input, run
 from nestflow.errors import FlowError, SandboxEnvironmentError
+from nestflow.evalharness import EvalSettings, evaluate_grid
 from nestflow.sandbox import (
     DEFAULT_ISSUE_TITLE,
     ExecutionLimits,
@@ -30,6 +35,7 @@ from nestflow.sandbox import TestCase as IOCase
 from nestflow.sandbox import TestReport as IOReport
 
 FAST = ExecutionLimits(wall_time=2.0)
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 class TestCompareOutput:
@@ -135,6 +141,140 @@ class TestRunTests:
         assert (failing.verdict == Verdict.ALL_PASSED) == (failing.failures == [])
 
 
+def spawn_judge(program: str, tests: list[IOCase], limits: ExecutionLimits = FAST) -> IOReport:
+    """The oracle: each test run by its own ``python solution.py`` process
+    under the same address-space cap, as the sandbox once ran them."""
+    cap = functools.partial(resource.setrlimit, resource.RLIMIT_AS,
+                            (limits.memory_bytes, limits.memory_bytes))
+    failures, verdict = [], Verdict.ALL_PASSED
+    with tempfile.TemporaryDirectory(prefix="nestflow-sandbox-") as scratch:
+        Path(scratch, "solution.py").write_bytes(program.encode("utf-8"))
+        for position, test in enumerate(tests, start=1):
+            try:
+                done = subprocess.run([sys.executable, "solution.py"], cwd=scratch,
+                                      input=test.input.encode(), capture_output=True,
+                                      timeout=limits.wall_time, preexec_fn=cap)
+            except subprocess.TimeoutExpired:
+                verdict = Verdict.TIMEOUT
+                failures = [Failure(position, test.input, test.expected_output,
+                                    f"wall time limit of {limits.wall_time}s exceeded")]
+                break
+            if done.returncode != 0:
+                verdict = Verdict.RUNTIME_ERROR
+                error = sandbox._strip_scratch(done.stderr.decode(errors="replace").strip(),
+                                               scratch)
+                failures = [Failure(position, test.input, test.expected_output, error)]
+                break
+            produced = done.stdout.decode(errors="replace")
+            if not compare_output(test.expected_output, produced):
+                verdict = Verdict.WRONG_ANSWER
+                failures.append(Failure(position, test.input, test.expected_output.rstrip("\n"),
+                                        produced.rstrip("\n")))
+    report = IOReport(verdict, failures)
+    report.summary = format_report(report)
+    return report
+
+
+LONG_INPUT = "".join(f"{i}\n" for i in range(40_000))  # about 230 KB
+# Programs whose runs in the warm runner must be judged exactly as
+# ``python solution.py`` processes judge them: (program, tests[, limits]).
+RUN_CASES = {
+    "exit_0": ("print('done')\nimport sys\nsys.exit(0)\n", [IOCase("", "done\n")]),
+    "exit_3": ("print('partial')\nimport sys\nsys.exit(3)\n", [IOCase("", "partial\n")]),
+    "exit_message": ("import sys\nsys.exit('bad input: ' + input())\n", [IOCase("7\n", "")]),
+    "exit_256_is_status_0": ("print(1)\nraise SystemExit(256)\n", [IOCase("", "1\n")]),
+    "os_exit": ("import os\nprint('x', flush=True)\nos._exit(4)\n", [IOCase("", "x\n")]),
+    "input_at_eof": ("a = input()\nb = input()\nprint(a, b)\n", [IOCase("1\n", "1 2\n")]),
+    "no_trailing_newline": ("import sys\nsys.stdout.write(input())\n",
+                            [IOCase("42\n", "42\n"), IOCase("43\n", "44")]),
+    "output_over_64k": ("print('x' * 100_000)\nprint('y' * 50_000)\n",
+                        [IOCase("", "x" * 100_000 + "\n" + "y" * 50_000 + "\n")]),
+    "input_over_64k": ("import sys\nprint(sum(map(int, sys.stdin.read().split())))\n",
+                       [IOCase(LONG_INPUT, f"{sum(range(40_000))}\n")]),
+    "input_and_output_over_64k_interleaved": ("import sys\nfor line in sys.stdin:\n"
+                                              "    sys.stdout.write(line * 3)\n",
+                                              [IOCase(LONG_INPUT, "".join(
+                                                  f"{i}\n" * 3 for i in range(40_000)))]),
+    "input_over_64k_unread": ("print('ok')\n", [IOCase(LONG_INPUT, "ok\n")]),
+    "atexit_handlers": ("import atexit\natexit.register(print, 'second')\n"
+                        "atexit.register(print, 'first')\nprint('main')\n",
+                        [IOCase("", "main\nfirst\nsecond\n")]),
+    "exit_message_then_atexit": ("import atexit, sys\n"
+                                 "atexit.register(lambda: print('cleanup', file=sys.stderr))\n"
+                                 "sys.exit('stopping')\n", [IOCase("", "")]),
+    "thread_prints_after_main": ("import threading, time\n"
+                                 "def late():\n    time.sleep(0.2)\n    print('late')\n"
+                                 "threading.Thread(target=late).start()\nprint('early')\n",
+                                 [IOCase("", "early\nlate\n")]),
+    "stderr_with_status_0": ("import sys\nprint('note', file=sys.stderr)\n"
+                             "print(int(input()) + 1)\n", [IOCase("1\n", "2\n")]),
+    "memory_error": ("data = bytearray(1024 ** 3)\nprint('ok')\n", [IOCase("", "ok\n")]),
+    "recursion_past_the_limit": ("def f(n):\n    return f(n + 1)\nf(0)\n", [IOCase("", "")]),
+    "deepest_recursion": ("def depth(n=1):\n    try:\n        return depth(n + 1)\n"
+                          "    except RecursionError:\n        return n\nprint(depth())\n",
+                          [IOCase("", "0\n")]),
+    "traceback": ("def f(n):\n    return 10 // n\nprint(f(int(input())))\n",
+                  [IOCase("5\n", "2\n"), IOCase("0\n", "0\n")]),
+    "assert_fails": ("n = int(input())\nassert n > 0, f'need a positive number, got {n}'\n"
+                     "print(n)\n", [IOCase("2\n", "2\n"), IOCase("0\n", "0\n")]),
+    "syntax_warning_then_error": ("x = 1 is 1\nprint(1 / 0)\n", [IOCase("", "")]),
+    "main_module_state": ("import sys\nprint(list(globals()))\n"
+                          "print(__name__, __spec__, __package__, __cached__, __doc__)\n"
+                          "print(sys.modules['__main__'] is sys.modules[__name__])\n"
+                          "print(len(sys.modules), sorted(sys.modules))\n"
+                          "print(sys.argv, sys.orig_argv[1:], type(__loader__).__name__)\n",
+                          [IOCase("", "")]),
+    "script_paths": ("import os, sys\nprint(os.path.basename(__file__))\n"
+                     "print(os.path.dirname(__file__) == os.getcwd() == sys.path[0])\n",
+                     [IOCase("", "solution.py\nTrue\n")]),
+    "imports_from_its_directory": ("open('helper_mod.py', 'w').write('VALUE = 41\\n')\n"
+                                   "import importlib.util, helper_mod\n"
+                                   "print(helper_mod.VALUE + 1)\n"
+                                   "print(importlib.util.find_spec('sandbox'))\n",
+                                   [IOCase("", "42\nNone\n")]),
+    "pickles_a_main_class": ("import pickle\nclass Point:\n    def __init__(self, x):\n"
+                             "        self.x = x\n"
+                             "p = pickle.loads(pickle.dumps(Point(int(input()))))\n"
+                             "print(type(p).__module__, type(p).__qualname__, p.x)\n",
+                             [IOCase("5\n", "__main__ Point 5\n")]),
+    "stdio_setup": ("import sys\nfor s in (sys.stdin, sys.stdout, sys.stderr):\n"
+                    "    print(s.name, s.mode, s.encoding, s.errors, s.line_buffering,"
+                    " s.write_through, type(s.buffer).__name__, s is getattr(sys, '__' +"
+                    " s.name[1:-1] + '__'))\n", [IOCase("", "")]),
+    "unclosed_file_on_stdout": ("out = open(1, 'w', closefd=False)\nout.write('kept ' + input())\n",
+                                [IOCase("5\n", "kept 5\n")]),
+    "finalizer_at_exit": ("class Bye:\n    def __del__(self):\n        print('bye')\n"
+                          "keep = Bye()\nprint('hi')\n", [IOCase("", "hi\nbye\n")]),
+    "timeout": ("import time\ntime.sleep(10)\n", [IOCase("", "")], ExecutionLimits(wall_time=0.5)),
+}
+
+
+class TestRunnerMatchesProcess:
+    @pytest.mark.parametrize("name", sorted(RUN_CASES))
+    def test_same_report(self, name, monkeypatch):
+        monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
+        program, tests, *limits = RUN_CASES[name]
+        limits = limits[0] if limits else FAST
+        assert run_tests(program, tests, limits=limits) == spawn_judge(program, tests, limits)
+
+    @pytest.mark.parametrize("name", ["stdio_setup", "unclosed_file_on_stdout",
+                                      "finalizer_at_exit", "output_over_64k",
+                                      "exit_message_then_atexit", "traceback"])
+    def test_same_report_with_buffered_streams(self, name, runners, monkeypatch):
+        # A runner started now inherits the environment, as each process does.
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        program, tests = RUN_CASES[name]
+        assert run_tests(program, tests, limits=FAST) == spawn_judge(program, tests)
+
+    def test_random_draws_differ_between_runs(self, monkeypatch):
+        monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
+        program = "import random\nprint(random.random())\n"
+        tests = [IOCase("", "")] * 3
+        for report in (run_tests(program, tests, limits=FAST), spawn_judge(program, tests)):
+            assert report.verdict == Verdict.WRONG_ANSWER
+            assert len({f.actual for f in report.failures}) == 3
+
+
 # Programs the syntax check must judge as the interpreter's own
 # `python -m py_compile` does, message included.
 COMPILE_CASES = {
@@ -229,9 +369,9 @@ class TestCompileCheck:
 
 
 class Work:
-    """What run_tests started, one log entry per spawn or compile.
+    """What run_tests started, one log entry per test run ("spawn") or compile.
 
-    A spawn waits ``delay`` seconds first, then raises ``error`` if set.
+    A test run waits ``delay`` seconds first, then raises ``error`` if set.
     """
 
     def __init__(self):
@@ -242,25 +382,44 @@ class Work:
 
 @pytest.fixture
 def work(monkeypatch):
-    """An empty memo, with every interpreter spawn and compile counted."""
+    """An empty memo, with every test run and compile counted."""
     monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
     work = Work()
-    spawn = subprocess.run
+    run_test = sandbox._Runner.run_test
 
     def counted_run(*args, **kwargs):
         work.log.append("spawn")
         time.sleep(work.delay)
         if work.error is not None:
             raise work.error
-        return spawn(*args, **kwargs)
+        return run_test(*args, **kwargs)
 
     def counted_compile(*args, **kwargs):
         work.log.append("compile")
         return builtins.compile(*args, **kwargs)
 
-    monkeypatch.setattr(sandbox.subprocess, "run", counted_run)
+    monkeypatch.setattr(sandbox._Runner, "run_test", counted_run)
     monkeypatch.setattr(sandbox, "compile", counted_compile, raising=False)
     return work
+
+
+@pytest.fixture
+def runners(monkeypatch):
+    """An empty memo and runner pool; lists every runner started, and stops them after."""
+    monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
+    monkeypatch.setattr(sandbox, "_IDLE", [])
+    started = []
+    start = sandbox._Runner.__init__
+
+    def listed_start(self):
+        start(self)
+        started.append(self)
+
+    monkeypatch.setattr(sandbox._Runner, "__init__", listed_start)
+    yield started
+    for runner in started:
+        runner.close()
+        runner.process.wait(timeout=30)
 
 
 MEMO_TESTS = [IOCase("1\n", "2\n"), IOCase("2\n", "3\n")]
@@ -412,6 +571,118 @@ class TestVerdictMemo:
             sys.setswitchinterval(interval)
         assert verdicts == [Verdict.ALL_PASSED] * 64
         assert work.log == ["compile"] * 4
+
+
+class TestContainment:
+    def test_program_children_die_with_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
+        # The program's child is up before the program goes on, and writes
+        # its marker a second later unless it is killed.
+        writer = ("import subprocess, sys\n"
+                  "child = subprocess.Popen([sys.executable, '-c', 'import sys, time; "
+                  "print(flush=True); time.sleep(1); open(sys.argv[1], \"w\").close()', "
+                  "{marker!r}], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)\n"
+                  "child.stdout.readline()\n")
+        slow = run_tests(writer.format(marker=str(tmp_path / "after-timeout"))
+                         + "import time\ntime.sleep(10)\n",
+                         [IOCase("", "")], limits=ExecutionLimits(wall_time=0.5))
+        assert slow.verdict == Verdict.TIMEOUT
+        done = run_tests(writer.format(marker=str(tmp_path / "after-exit")) + "print('ok')\n",
+                         [IOCase("", "ok\n")], limits=ExecutionLimits(wall_time=5.0))
+        assert done.verdict == Verdict.ALL_PASSED
+        time.sleep(3)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRunnerPool:
+    def test_importing_the_cli_starts_no_process(self):
+        src = str(Path(sandbox.__file__).resolve().parents[1])
+        code = ("import os, nestflow.cli\n"
+                "try:\n    os.waitpid(-1, os.WNOHANG)\n"
+                "except ChildProcessError:\n    print('no children')\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.stdout == "no children\n", done.stderr
+
+    def test_runner_exits_when_its_parent_dies(self):
+        src = str(Path(sandbox.__file__).resolve().parents[1])
+        code = ("import os\nfrom nestflow import sandbox\n"
+                "sandbox.run_tests('print(1)', [sandbox.TestCase('', '1\\n')])\n"
+                "print(sandbox._IDLE[0].process.pid, flush=True)\n"
+                "os._exit(0)  # no atexit: the runner sees only its stdin close\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        # The runner inherits stderr: a pipe there would keep run() waiting for it.
+        done = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True, env=env, timeout=60)
+        assert done.stdout.strip().isdigit(), done.stdout
+        stat = Path("/proc", done.stdout.strip(), "stat")
+
+        def running() -> bool:  # a zombie has exited and waits to be reaped
+            try:
+                return stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while running():
+            assert time.monotonic() < deadline, "the runner outlived its parent"
+            time.sleep(0.05)
+
+    def test_grids_keep_one_runner_per_worker(self, runners, tmp_path, problems_by_id):
+        problems = [problems_by_id[pid] for pid in ("cf-echo-101", "cf-pairsum-202",
+                                                     "lc-double-404")]
+        for attempt in range(3):
+            sandbox._MEMO.clear()  # every grid judges for real
+            settings = EvalSettings(
+                out_dir=tmp_path / str(attempt),
+                backend=ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml"),
+                variant_settings=VariantSettings(wall_time=2.0, model="scripted"), workers=2)
+            assert evaluate_grid(problems, ["Code", "Code_Debug"], settings).new_runs == 6
+        assert 1 <= len(runners) <= 2
+        assert sorted(map(id, sandbox._IDLE)) == sorted(map(id, runners))
+        assert all(runner.process.poll() is None for runner in runners)
+
+    def test_killed_runner_is_replaced(self, runners):
+        assert run_tests("print(input())\n", [IOCase("a\n", "a\n")],
+                         limits=FAST).verdict == Verdict.ALL_PASSED
+        [first] = runners
+        first.process.kill()
+        first.process.wait(timeout=30)
+        report = run_tests("print(int(input()) * 3)\n", [IOCase("2\n", "6\n"), IOCase("3\n", "8\n")],
+                           limits=FAST)
+        assert (report.verdict, [f.index for f in report.failures]) == (Verdict.WRONG_ANSWER, [2])
+        assert len(runners) == 2 and sandbox._IDLE == [runners[1]]
+
+    def test_runner_dying_mid_request_is_dropped(self, runners):
+        with pytest.raises(SandboxEnvironmentError, match="judge runner failed"):
+            run_tests("import os, signal\nos.kill(os.getppid(), signal.SIGKILL)\n",
+                      [IOCase("", "")], limits=FAST)
+        assert sandbox._IDLE == []
+        assert run_tests("print(1)\n", [IOCase("", "1\n")], limits=FAST).verdict \
+            == Verdict.ALL_PASSED
+        assert len(runners) == 2 and sandbox._IDLE == [runners[1]]
+
+    def test_runner_that_cannot_start_fails_every_waiter(self, runners, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+        attempts = []
+        start = sandbox._Runner.__init__
+
+        def slow_start(self):
+            attempts.append(self)
+            time.sleep(0.3)  # the other callers ask while this start is under way
+            start(self)
+
+        monkeypatch.setattr(sandbox._Runner, "__init__", slow_start)
+        errors = judge_together(4, lambda: run_tests("print(1)\n", [IOCase("", "1\n")],
+                                                     limits=FAST))
+        assert all(isinstance(e, SandboxEnvironmentError)
+                   and "failed to spawn interpreter" in str(e) for e in errors), errors
+        assert len(attempts) == 1 and runners == []
+
+    def test_no_tests_starts_no_runner(self, runners):
+        assert run_tests("x = 1\n", [], limits=FAST).verdict == Verdict.ALL_PASSED
+        assert runners == []
 
 
 class TestFormatReport:
