@@ -12,9 +12,13 @@ marshalled tuple behind an 8-byte length:
 
 Each child starts its own session under an address-space limit and runs
 the code as a fresh ``__main__`` in the scratch directory, as
-``python solution.py`` would. The runner feeds and drains the child's
-pipes together, kills the child's process group when the child exits or
-its wall time runs out, and exits itself at end of input.
+``python solution.py`` would. Its standard streams are anonymous
+in-memory files: the runner writes the input before the fork and reads
+the output back after the child is reaped, so no stream can block
+either side. When the child exits, or is killed when its wall time runs
+out, the runner kills every process it left behind, in whatever session:
+the runner is a child subreaper, so these all become its children. It
+exits itself at end of input.
 """
 import sys
 
@@ -22,6 +26,7 @@ _FRESH = set(sys.modules)  # what the interpreter loaded before this runner's im
 
 import atexit
 import builtins
+import ctypes
 import gc
 import io
 import marshal
@@ -29,12 +34,11 @@ import os
 import resource
 import select
 import signal
-import time
 import types
 import _frozen_importlib_external
 import _warnings
 
-_CHUNK = 1 << 16
+_PR_SET_CHILD_SUBREAPER = 36  # from <linux/prctl.h>
 
 
 def _stdio(fd, name, like):
@@ -50,12 +54,12 @@ def _stdio(fd, name, like):
     return text
 
 
-def _child(scratch, code, warns, memory, pipes, inherited):
+def _child(scratch, code, warns, memory, files, inherited):
     """Become ``python solution.py`` and run; never returns."""
     os.setsid()
     for fd in inherited:
         os.close(fd)
-    for target, fd in enumerate(pipes):
+    for target, fd in enumerate(files):
         os.dup2(fd, target)
         os.close(fd)
     resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
@@ -141,76 +145,66 @@ def _flush():
 def _run(channel, scratch, code, warns, memory, wall_time, data):
     """Run one test in a forked child; returns (status or None, stdout, stderr)."""
     code = marshal.loads(code)
-    stdin_r, stdin_w = os.pipe()
-    stdout_r, stdout_w = os.pipe()
-    stderr_r, stderr_w = os.pipe()
+    files = [os.memfd_create(name) for name in ("stdin", "stdout", "stderr")]
+    with open(files[0], "wb", closefd=False) as stdin:
+        stdin.write(data)
+    os.lseek(files[0], 0, os.SEEK_SET)
     pid = os.fork()
     if pid == 0:
-        _child(scratch, code, warns, memory, (stdin_r, stdout_w, stderr_w),
-               (*channel, stdin_w, stdout_r, stderr_r))
-    deadline = time.monotonic() + wall_time
-    for fd in (stdin_r, stdout_w, stderr_w):
-        os.close(fd)
+        _child(scratch, code, warns, memory, files, channel)
+    os.close(files[0])
     exited = os.pidfd_open(pid)
-    poller = select.poll()
-    poller.register(exited, select.POLLIN)
-    streams = {stdout_r: [], stderr_r: []}
-    for fd in streams:
-        poller.register(fd, select.POLLIN)
-    pending = memoryview(data)
-    if pending:
-        os.set_blocking(stdin_w, False)
-        poller.register(stdin_w, select.POLLOUT)
-    else:
-        os.close(stdin_w)
-    status = None
-    live = set(streams) | ({stdin_w} if pending else set())
-    while status is None or live:
-        left = deadline - time.monotonic()
-        if left <= 0:
-            break
-        for fd, _ in poller.poll(left * 1000):
-            if fd == exited:
-                # The group goes before the child is reaped, so its id cannot be reused.
-                _kill_group(pid)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                poller.unregister(fd)
-                continue
-            if fd == stdin_w:
-                try:
-                    pending = pending[os.write(fd, pending[:_CHUNK]):]
-                except BrokenPipeError:
-                    pending = pending[:0]
-                done = not pending
-            else:
-                chunk = os.read(fd, _CHUNK)
-                streams[fd].append(chunk)
-                done = not chunk
-            if done:
-                poller.unregister(fd)
-                os.close(fd)
-                live.discard(fd)
-    timed_out = status is None or bool(live)
+    timed_out = not select.select([exited], [], [], wall_time)[0]
+    os.close(exited)
     if timed_out:
-        _kill_group(pid)
-        if status is None:
-            os.kill(pid, signal.SIGKILL)  # in case it had not yet left our group
-            os.waitpid(pid, 0)
-    for fd in live | {exited}:
-        os.close(fd)
+        os.kill(pid, signal.SIGKILL)
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    _kill_strays()
     if timed_out:
+        for fd in files[1:]:
+            os.close(fd)
         return None, b"", b""
-    return status, b"".join(streams[stdout_r]), b"".join(streams[stderr_r])
+    return status, _contents(files[1]), _contents(files[2])
 
 
-def _kill_group(pid):
-    try:
-        os.killpg(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
+def _contents(fd):
+    """All that was written to the file ``fd``, which is then closed."""
+    os.lseek(fd, 0, os.SEEK_SET)
+    with open(fd, "rb") as file:
+        return file.read()
+
+
+def _become_subreaper():
+    """Make this process the reaper of every orphan below it, so that what a
+    test child leaves behind, in any session, becomes a child of the runner."""
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+        raise OSError(ctypes.get_errno(), "cannot become a child subreaper")
+
+
+def _kill_strays():
+    """Kill and reap every child of the runner, until none is left.
+
+    Once a test child is reaped, its descendants are the runner's children
+    (it is their subreaper), and so are theirs once they are reaped here.
+    """
+    children = f"/proc/{os.getpid()}/task/{os.getpid()}/children"
+    while True:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        with open(children) as listing:
+            pids = [int(pid) for pid in listing.read().split()]
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def serve():
+    _become_subreaper()
     requests, replies = os.fdopen(os.dup(0), "rb"), os.dup(1)
     quiet = os.open(os.devnull, os.O_RDWR)  # no stray output among the replies
     os.dup2(quiet, 0)

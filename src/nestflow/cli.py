@@ -184,6 +184,8 @@ def cmd_report(run_dir: str) -> None:
         paths = write_report(run_dir)
     except (USAGE_ERRORS + (FileNotFoundError, KeyError)) as exc:
         _fail(ConfigError(f"run directory is incomplete: {exc}"))
+    except ValueError as exc:  # a line of records.jsonl or run_meta.json that does not parse
+        _fail(ConfigError(f"run directory is corrupt: {exc}"))
     click.echo(paths["table"].read_text(encoding="utf-8"), nl=False)
     sys.exit(0)
 

@@ -417,10 +417,6 @@ def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Repl
         settings = dict(read_run_meta(run_dir)["variant_settings"])
     except (NestflowError, OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot replay from {run_dir}: {exc}") from exc
-    # Run directories written while the judge had a language knob record
-    # it, and it always held "python".
-    if settings.get("language_tag") == "python":
-        del settings["language_tag"]
     unknown = sorted(set(settings) - {f.name for f in fields(VariantSettings)})
     if unknown:
         raise ConfigError(f"run_meta.json has unknown variant settings: {unknown}")
@@ -428,7 +424,9 @@ def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Repl
     responses = {e.body["fingerprint"]: e.body["response"]
                  for e in recorded if e.kind == "backend_response"}
     ctx = RunContext(backends={vsettings.backend: _Unrecorded()}, cache=responses)
-    message = next(e.body["message"] for e in recorded if e.kind == "message_in")
+    message = next((e.body["message"] for e in recorded if e.kind == "message_in"), None)
+    if message is None:
+        raise ConfigError(f"trace at {trace_path} has no input message")
     error = None
     try:
         run_variant(variant_name, vsettings, message["payload"], ctx,
@@ -438,9 +436,7 @@ def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Repl
     return Replay(normalize_trace(recorded), normalize_trace(ctx.trace.events), error)
 
 
-def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
-                   settings: EvalSettings) -> None:
-    """Write the run directory's ``run_meta.json``, which reports and replay read."""
+def _run_meta(problems: list[Problem], variants: list[str], settings: EvalSettings) -> dict:
     meta = {
         "seed": settings.seed,
         "cutoff": settings.cutoff.isoformat(),
@@ -457,13 +453,38 @@ def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
             for p in problems
         },
     }
+    return json.loads(json.dumps(meta))  # as read back from the file
+
+
+def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
+                   settings: EvalSettings) -> None:
+    """Write the run directory's ``run_meta.json``, which reports and replay read."""
+    meta = _run_meta(problems, variants, settings)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                                            encoding="utf-8")
 
 
 def read_run_meta(out_dir: str | Path) -> dict:
-    return json.loads((Path(out_dir) / "run_meta.json").read_text(encoding="utf-8"))
+    meta = json.loads((Path(out_dir) / "run_meta.json").read_text(encoding="utf-8"))
+    # Run directories written while the judge had a language knob record
+    # it, and it always held "python".
+    if meta.get("variant_settings", {}).get("language_tag") == "python":
+        del meta["variant_settings"]["language_tag"]
+    return meta
+
+
+def _settings_changes(old: dict, new: dict) -> list[str]:
+    """``key: old -> new`` for each setting a resumed run must keep that differs."""
+    def settings(meta: dict) -> dict:
+        flat = {key: meta.get(key) for key in ("seed", "cutoff", "resamples", "level", "variants")}
+        flat.update((f"variant_settings.{key}", value)
+                    for key, value in meta.get("variant_settings", {}).items())
+        return flat
+
+    before, after = settings(old), settings(new)
+    return [f"{key}: {json.dumps(before.get(key))} -> {json.dumps(after.get(key))}"
+            for key in sorted(before.keys() | after.keys()) if before.get(key) != after.get(key)]
 
 
 def evaluate_grid(problems: list[Problem], variants: list[str],
@@ -473,11 +494,19 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
     Pairs run on a thread pool; results append to records.jsonl as they
     finish. A failing pair becomes a solved=false record with an error
     note, while an environment error aborts the grid. Record order on disk is
-    completion order; aggregation always re-sorts.
+    completion order; aggregation always re-sorts. Resuming a run directory
+    whose ``run_meta.json`` holds other settings is a ConfigError, and
+    leaves every file as it was.
     """
     for variant in variants:
         parse_variant(variant)
     out_dir = Path(settings.out_dir)
+    if settings.resume and (out_dir / "run_meta.json").exists():
+        changes = _settings_changes(read_run_meta(out_dir),
+                                    _run_meta(problems, variants, settings))
+        if changes:
+            raise ConfigError(f"cannot resume {out_dir} with other settings "
+                              f"(start over with --no-resume): {'; '.join(changes)}")
     write_run_meta(out_dir, problems, variants, settings)
     records_path = out_dir / "records.jsonl"
     if not settings.resume and records_path.exists():

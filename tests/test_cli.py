@@ -243,6 +243,26 @@ class TestCmdEval:
             "--out", str(tmp_path)])
         assert result.exit_code == 2
 
+    def test_resume_with_other_settings_is_usage_error(self, runner, tmp_path):
+        def eval_rounds(rounds: int, *extra: str):
+            return runner.invoke(main, [
+                "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"),
+                "--variants", "Code_Debug", "--profiles", str(PROFILES),
+                "--out", str(tmp_path), "--wall-time", "2.0", "--max-rounds", str(rounds),
+                *extra])
+
+        assert eval_rounds(4).exit_code == 0
+        records = (tmp_path / "records.jsonl").read_bytes()
+        result = eval_rounds(1)
+        assert result.exit_code == 2, result.output
+        assert "variant_settings.max_rounds: 4 -> 1" in result.stderr
+        assert (tmp_path / "records.jsonl").read_bytes() == records
+        assert json.loads((tmp_path / "run_meta.json").read_text())["variant_settings"][
+            "max_rounds"] == 4
+        result = eval_rounds(1, "--no-resume")
+        assert result.exit_code == 0, result.output
+        assert "1 records (1 new runs)" in result.output
+
 
 class TestCmdReport:
     def test_regenerates_table(self, runner, eval_dir):
@@ -257,6 +277,15 @@ class TestCmdReport:
         result = runner.invoke(main, ["report", "--run-dir", str(tmp_path)])
         assert result.exit_code == 2
         assert "run directory is incomplete" in result.stderr
+
+    def test_corrupt_records_are_usage_error(self, runner, eval_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(eval_dir[0], run_dir)
+        path = run_dir / "records.jsonl"
+        path.write_text("{torn\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        result = runner.invoke(main, ["report", "--run-dir", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert "run directory is corrupt" in result.stderr
 
 
 def replay(runner, run_dir, variant, problem_id="cf-echo-101"):
@@ -310,6 +339,15 @@ class TestCmdReplay:
         result = replay(runner, run_dir, "Code")
         assert result.exit_code == 2, result.output
         assert "unsupported format version 99" in result.stderr
+
+    def test_trace_without_input_message_is_usage_error(self, runner, eval_dir, tmp_path):
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        path = run_dir / "cf-echo-101" / "Code" / "trace.log"
+        path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n",
+                        encoding="utf-8")
+        result = replay(runner, run_dir, "Code")
+        assert result.exit_code == 2, result.output
+        assert "has no input message" in result.stderr
 
     def test_unknown_variant_setting_is_usage_error(self, runner, eval_dir, tmp_path):
         run_dir = self.copy_run(eval_dir, tmp_path)

@@ -376,6 +376,51 @@ class TestEvaluateGrid:
         assert sorted(r.variant for r in records) == sorted(variants)
         assert [r.variant for r in records][-1] == torn
 
+    @pytest.mark.parametrize("change, named", [
+        ({"seed": 1}, "seed: 0 -> 1"),
+        ({"cutoff": dt.date(2022, 1, 1)}, 'cutoff: "2021-09-01" -> "2022-01-01"'),
+        ({"resamples": 500}, "resamples: 1000 -> 500"),
+        ({"level": 0.9}, "level: 0.95 -> 0.9"),
+        ({"variants": ["Code", "Plan-Code"]}, 'variants: ["Code"] -> ["Code", "Plan-Code"]'),
+        ({"variant_settings": VariantSettings(wall_time=2.0, model="scripted", max_rounds=1)},
+         "variant_settings.max_rounds: 4 -> 1"),
+    ], ids=["seed", "cutoff", "resamples", "level", "variants", "variant_settings"])
+    def test_resume_with_other_settings_is_refused(self, tmp_path, problems_by_id, change, named):
+        settings = EvalSettings(
+            out_dir=tmp_path,
+            backend=ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml"),
+            variant_settings=VariantSettings(wall_time=2.0, model="scripted"),
+        )
+        problems = [problems_by_id["cf-echo-101"]]
+        evaluate_grid(problems, ["Code"], settings)
+        files = {path: (path.read_bytes(), path.stat().st_mtime_ns)
+                 for path in tmp_path.rglob("*") if path.is_file()}
+        variants = change.pop("variants", ["Code"])
+        other = EvalSettings(**{**vars(settings), **change})
+        with pytest.raises(ConfigError, match="cannot resume") as caught:
+            evaluate_grid(problems, variants, other)
+        assert str(caught.value).endswith(named)
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in tmp_path.rglob("*") if path.is_file()} == files
+        other.resume = False
+        assert evaluate_grid(problems, variants, other).new_runs == len(variants)
+        other.resume = True
+        assert evaluate_grid(problems, variants, other).new_runs == 0
+
+    def test_resume_accepts_the_old_python_language_tag(self, tmp_path, problems_by_id):
+        settings = EvalSettings(
+            out_dir=tmp_path,
+            backend=ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml"),
+            variant_settings=VariantSettings(wall_time=2.0, model="scripted"),
+        )
+        problems = [problems_by_id["cf-echo-101"]]
+        evaluate_grid(problems, ["Code"], settings)
+        path = tmp_path / "run_meta.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta["variant_settings"]["language_tag"] = "python"
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        assert evaluate_grid(problems, ["Code"], settings).new_runs == 0
+
     def test_fresh_start_discards_records(self, tmp_path, problems_by_id):
         settings = EvalSettings(
             out_dir=tmp_path,

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import functools
 import os
@@ -246,6 +247,14 @@ RUN_CASES = {
     "finalizer_at_exit": ("class Bye:\n    def __del__(self):\n        print('bye')\n"
                           "keep = Bye()\nprint('hi')\n", [IOCase("", "hi\nbye\n")]),
     "timeout": ("import time\ntime.sleep(10)\n", [IOCase("", "")], ExecutionLimits(wall_time=0.5)),
+    "subprocess_writes_to_stdout": ("import subprocess, sys\nprint('a', flush=True)\n"
+                                    "subprocess.run([sys.executable, '-c', 'print(\"b\")'])\n"
+                                    "print('c')\n", [IOCase("", "a\nb\nc\n")]),
+    "subprocess_reads_the_rest_of_stdin": ("import subprocess, sys\nprint(sys.stdin.readline())\n"
+                                           "subprocess.run([sys.executable, '-c', 'import sys; "
+                                           "print(sys.stdin.read().split()[-1])'])\n",
+                                           [IOCase(LONG_INPUT, "0\n\n39999\n")]),
+    "closes_stdout": ("import os\nprint('x', flush=True)\nos.close(1)\n", [IOCase("", "x\n")]),
 }
 
 
@@ -265,6 +274,16 @@ class TestRunnerMatchesProcess:
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
         program, tests = RUN_CASES[name]
         assert run_tests(program, tests, limits=FAST) == spawn_judge(program, tests)
+
+    def test_standard_streams_are_seekable_files(self, monkeypatch):
+        # The one documented difference: a run's streams are in-memory files,
+        # as under `python solution.py < input > output`; the oracle's are pipes.
+        monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
+        program = ("import sys\n"
+                   "print(sys.stdin.seekable(), sys.stdout.seekable(), sys.stderr.seekable())\n")
+        tests = [IOCase("", "True True True\n")]
+        assert run_tests(program, tests, limits=FAST).verdict == Verdict.ALL_PASSED
+        assert [f.actual for f in spawn_judge(program, tests).failures] == ["False False False"]
 
     def test_random_draws_differ_between_runs(self, monkeypatch):
         monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
@@ -573,25 +592,59 @@ class TestVerdictMemo:
         assert work.log == ["compile"] * 4
 
 
+def judge_child_writers(markers: Path, setsid: str = "", popen: str = "") -> None:
+    """Judge a program whose child writes a marker into ``markers`` a second
+    after it is up, once ending in a timeout and once in a normal exit.
+
+    The program goes on only once its child is up. ``setsid`` starts the
+    child's code; ``popen`` adds arguments to its ``Popen``.
+    """
+    writer = ("import subprocess, sys\n"
+              "child = subprocess.Popen([sys.executable, '-c', 'import os, sys, time; "
+              + setsid + "print(flush=True); time.sleep(1); open(sys.argv[1], \"w\").close()', "
+              "{marker!r}], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL" + popen + ")\n"
+              "child.stdout.readline()\n")
+    slow = run_tests(writer.format(marker=str(markers / "after-timeout"))
+                     + "import time\ntime.sleep(10)\n",
+                     [IOCase("", "")], limits=ExecutionLimits(wall_time=0.5))
+    assert slow.verdict == Verdict.TIMEOUT
+    done = run_tests(writer.format(marker=str(markers / "after-exit")) + "print('ok')\n",
+                     [IOCase("", "ok\n")], limits=ExecutionLimits(wall_time=5.0))
+    assert done.verdict == Verdict.ALL_PASSED
+
+
 class TestContainment:
     def test_program_children_die_with_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
-        # The program's child is up before the program goes on, and writes
-        # its marker a second later unless it is killed.
-        writer = ("import subprocess, sys\n"
-                  "child = subprocess.Popen([sys.executable, '-c', 'import sys, time; "
-                  "print(flush=True); time.sleep(1); open(sys.argv[1], \"w\").close()', "
-                  "{marker!r}], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)\n"
-                  "child.stdout.readline()\n")
-        slow = run_tests(writer.format(marker=str(tmp_path / "after-timeout"))
-                         + "import time\ntime.sleep(10)\n",
-                         [IOCase("", "")], limits=ExecutionLimits(wall_time=0.5))
-        assert slow.verdict == Verdict.TIMEOUT
-        done = run_tests(writer.format(marker=str(tmp_path / "after-exit")) + "print('ok')\n",
-                         [IOCase("", "ok\n")], limits=ExecutionLimits(wall_time=5.0))
-        assert done.verdict == Verdict.ALL_PASSED
+        judge_child_writers(tmp_path)
         time.sleep(3)
         assert list(tmp_path.iterdir()) == []
+
+    def test_children_in_sessions_of_their_own_die_with_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
+        (tmp_path / "new-session").mkdir()
+        (tmp_path / "setsid").mkdir()
+        judge_child_writers(tmp_path / "new-session", popen=", start_new_session=True")
+        judge_child_writers(tmp_path / "setsid", setsid="os.setsid(); ")
+        time.sleep(3)
+        assert sorted(tmp_path.rglob("after-*")) == []
+
+    def test_runner_that_cannot_become_a_subreaper_fails(self, runners, capfd, monkeypatch,
+                                                         tmp_path):
+        # No silent fallback to a runner that would let such children escape.
+        wrapper = tmp_path / "runner.py"
+        wrapper.write_text(
+            "import ctypes, errno, runpy\n"
+            "class NoPrctl:\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        self.prctl = lambda *args: (ctypes.set_errno(errno.EPERM), -1)[1]\n"
+            "ctypes.CDLL = NoPrctl\n"
+            f"runpy.run_path({sandbox._RUNNER_SCRIPT!r}, run_name='__main__')\n")
+        monkeypatch.setattr(sandbox, "_RUNNER_SCRIPT", str(wrapper))
+        with pytest.raises(SandboxEnvironmentError, match="judge runner failed"):
+            run_tests("print(1)\n", [IOCase("", "1\n")], limits=FAST)
+        assert "cannot become a child subreaper" in capfd.readouterr().err
+        assert sandbox._IDLE == []
 
 
 class TestRunnerPool:
@@ -679,6 +732,15 @@ class TestRunnerPool:
         assert all(isinstance(e, SandboxEnvironmentError)
                    and "failed to spawn interpreter" in str(e) for e in errors), errors
         assert len(attempts) == 1 and runners == []
+
+    def test_runner_imports_only_the_standard_library(self):
+        tree = ast.parse(Path(sandbox._RUNNER_SCRIPT).read_text(encoding="utf-8"))
+        imported = {alias.name.partition(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.partition(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert "ctypes" in imported
+        assert imported <= sys.stdlib_module_names
 
     def test_no_tests_starts_no_runner(self, runners):
         assert run_tests("x = 1\n", [], limits=FAST).verdict == Verdict.ALL_PASSED
