@@ -1,24 +1,25 @@
-"""Warm judge runner: forks one child per test run of a compiled program.
+"""Warm judge runner: forks one child per test run of a program.
 
 ``nestflow.sandbox`` starts this file by path, once per concurrent
-judgement, with the interpreter's default flags. It stays
-single-threaded and imports only the standard library, never nestflow.
-It reads requests from stdin and writes replies to stdout, each a
-marshalled tuple behind an 8-byte length:
+judgement, with the interpreter's default flags and pipes as its
+standard streams. It stays single-threaded and imports only the
+standard library, never nestflow. It reads requests from stdin and
+writes replies to stdout, each a marshalled tuple behind an 8-byte
+length:
 
-    (scratch, marshalled code, compile warnings as (message, category, line),
-     memory bytes, wall time, stdin bytes)
+    (scratch, memory bytes, wall time, stdin bytes)
     -> (exit status or None on timeout, stdout bytes, stderr bytes)
 
-Each child starts its own session under an address-space limit and runs
-the code as a fresh ``__main__`` in the scratch directory, as
-``python solution.py`` would. Its standard streams are anonymous
-in-memory files: the runner writes the input before the fork and reads
-the output back after the child is reaped, so no stream can block
-either side. When the child exits, or is killed when its wall time runs
-out, the runner kills every process it left behind, in whatever session:
-the runner is a child subreaper, so these all become its children. It
-exits itself at end of input.
+Each child starts its own session under an address-space and file-size
+limit, and compiles and runs ``solution.py`` as a fresh ``__main__`` in
+the scratch directory, as ``python solution.py`` would, on the standard
+streams the interpreter built on the runner's pipes. Under them lie
+anonymous in-memory files: the runner writes the input before the fork
+and reads the output back after the child is reaped, so no stream can
+block either side. When the child exits, or is killed when its wall time
+runs out, the runner kills every process it left behind, in whatever
+session: the runner is a child subreaper, so these all become its
+children. It exits itself at end of input.
 """
 import sys
 
@@ -28,7 +29,6 @@ import atexit
 import builtins
 import ctypes
 import gc
-import io
 import marshal
 import os
 import resource
@@ -36,25 +36,11 @@ import select
 import signal
 import types
 import _frozen_importlib_external
-import _warnings
 
 _PR_SET_CHILD_SUBREAPER = 36  # from <linux/prctl.h>
 
 
-def _stdio(fd, name, like):
-    """A standard stream on ``fd``, built as the interpreter builds its own."""
-    writing = fd > 0
-    unbuffered = like.write_through  # set by -u or PYTHONUNBUFFERED alone
-    buffering = 0 if writing and unbuffered else -1
-    stream = io.open(fd, "wb" if writing else "rb", buffering, closefd=False)
-    (stream if buffering == 0 else stream.raw).name = name
-    line_buffering = not unbuffered and (fd == 2 or stream.isatty())
-    text = io.TextIOWrapper(stream, like.encoding, like.errors, "\n", line_buffering, unbuffered)
-    text.mode = "w" if writing else "r"
-    return text
-
-
-def _child(scratch, code, warns, memory, files, inherited):
+def _child(scratch, memory, files, inherited):
     """Become ``python solution.py`` and run; never returns."""
     os.setsid()
     for fd in inherited:
@@ -62,7 +48,8 @@ def _child(scratch, code, warns, memory, files, inherited):
     for target, fd in enumerate(files):
         os.dup2(fd, target)
         os.close(fd)
-    resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+    for limit in (resource.RLIMIT_AS, resource.RLIMIT_FSIZE):
+        resource.setrlimit(limit, (memory, memory))
     os.chdir(scratch)
     for name in set(sys.modules) - _FRESH:
         del sys.modules[name]
@@ -78,24 +65,22 @@ def _child(scratch, code, warns, memory, files, inherited):
     sys.orig_argv = sys.orig_argv[:1] + sys.argv
     if not getattr(sys.flags, "safe_path", False):  # else neither puts its directory first
         sys.path[0] = os.path.dirname(path)  # was this file's, holding nestflow's modules
-    sys.stdin = sys.__stdin__ = _stdio(0, "<stdin>", sys.__stdin__)
-    sys.stdout = sys.__stdout__ = _stdio(1, "<stdout>", sys.__stdout__)
-    sys.stderr = sys.__stderr__ = _stdio(2, "<stderr>", sys.__stderr__)
     # The frames below the program's count towards the recursion limit; a
     # program run as a script starts with none.
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     sys.setrecursionlimit(sys.getrecursionlimit() + depth)
-    for message, category, lineno in warns:
-        _warnings.warn_explicit(message, getattr(builtins, category), code.co_filename, lineno)
     try:
+        with open(path, "rb") as source:
+            code = compile(source.read(), path, "exec", dont_inherit=True)
         exec(code, main.__dict__)
         status = 0
     except SystemExit as exc:
         status = _exit_status(exc.code)
     except BaseException as exc:
-        # Printed as the interpreter prints it: from the program's own frame.
+        # Printed as the interpreter prints it: from the program's own frame,
+        # or with no frame when compiling failed.
         tb = exc.__traceback__.tb_next
         exc.__traceback__ = tb
         sys.last_type, sys.last_value, sys.last_traceback = type(exc), exc, tb
@@ -142,16 +127,15 @@ def _flush():
     return ok
 
 
-def _run(channel, scratch, code, warns, memory, wall_time, data):
+def _run(channel, scratch, memory, wall_time, data):
     """Run one test in a forked child; returns (status or None, stdout, stderr)."""
-    code = marshal.loads(code)
     files = [os.memfd_create(name) for name in ("stdin", "stdout", "stderr")]
     with open(files[0], "wb", closefd=False) as stdin:
         stdin.write(data)
     os.lseek(files[0], 0, os.SEEK_SET)
     pid = os.fork()
     if pid == 0:
-        _child(scratch, code, warns, memory, files, channel)
+        _child(scratch, memory, files, channel)
     os.close(files[0])
     exited = os.pidfd_open(pid)
     timed_out = not select.select([exited], [], [], wall_time)[0]
@@ -203,6 +187,22 @@ def _kill_strays():
             os.waitpid(pid, 0)
 
 
+def _send(fd, reply):
+    """Write one reply behind its length; False if the pipe is broken.
+
+    The reply is dropped on return, so that the next test child does not
+    start with it in its address space, where it would count against its
+    memory cap.
+    """
+    view = memoryview(len(reply).to_bytes(8, "big") + reply)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        return False
+    return True
+
+
 def serve():
     _become_subreaper()
     requests, replies = os.fdopen(os.dup(0), "rb"), os.dup(1)
@@ -217,13 +217,9 @@ def serve():
         request = requests.read(size)
         if len(header) < 8 or len(request) < size:
             return  # end of input: the parent went away
-        reply = marshal.dumps(_run((requests.fileno(), replies), *marshal.loads(request)))
-        view = memoryview(len(reply).to_bytes(8, "big") + reply)
-        try:
-            while view:
-                view = view[os.write(replies, view):]
-        except BrokenPipeError:
-            return
+        if not _send(replies, marshal.dumps(_run((requests.fileno(), replies),
+                                                  *marshal.loads(request)))):
+            return  # the parent went away
 
 
 if __name__ == "__main__":

@@ -348,14 +348,12 @@ class HumanPlanFlow(FlowInstance):
     """Plan source that bypasses the model: dataset plan or interactive entry."""
 
     kind = "human_plan"
+    accepted_params = ("interactive", "plan_key")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
-        params = dict(config.params)
-        self.interactive = bool(params.pop("interactive", False))
-        self.plan_key = params.pop("plan_key", "human_plan")
-        if params:
-            raise ConfigError(f"human_plan flow {config.name!r} has unknown params: {sorted(params)}")
+        self.interactive = bool(config.params.get("interactive", False))
+        self.plan_key = config.params.get("plan_key", "human_plan")
 
     def _step(self, message: Message, ctx: RunContext) -> dict:
         if self.interactive:

@@ -31,6 +31,9 @@ from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
 logger = logging.getLogger(__name__)
 
 USAGE_ERRORS = (ConfigError, DatasetError)
+# Types of the sandbox limits: zero or less would lift a cap or time out every test.
+POSITIVE_FLOAT = click.FloatRange(min=0, min_open=True)
+POSITIVE_INT = click.IntRange(min=1)
 
 
 def _fail(exc: Exception) -> None:
@@ -101,9 +104,9 @@ def main(verbose: bool) -> None:
               help="Directory for the run trace (same layout as eval).")
 @click.option("--interactive-plan", is_flag=True,
               help="Read the Plan_Oracle plan from stdin instead of the dataset.")
-@click.option("--wall-time", default=DEFAULT_WALL_TIME, show_default=True, type=float)
+@click.option("--wall-time", default=DEFAULT_WALL_TIME, show_default=True, type=POSITIVE_FLOAT)
 @click.option("--memory", "memory_mb", default=DEFAULT_MEMORY_BYTES // (1024 * 1024),
-              show_default=True, type=int, help="Sandbox memory limit in MiB.")
+              show_default=True, type=POSITIVE_INT, help="Sandbox memory limit in MiB.")
 @click.option("--max-rounds", default=4, show_default=True, type=int)
 def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile: str,
             out_dir: str | None, interactive_plan: bool, wall_time: float,
@@ -147,9 +150,9 @@ def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile
 @click.option("--cutoff", default=DEFAULT_CUTOFF.isoformat(), show_default=True)
 @click.option("--resume/--no-resume", default=True, show_default=True,
               help="Keep existing records and run only missing pairs.")
-@click.option("--wall-time", default=DEFAULT_WALL_TIME, show_default=True, type=float)
+@click.option("--wall-time", default=DEFAULT_WALL_TIME, show_default=True, type=POSITIVE_FLOAT)
 @click.option("--memory", "memory_mb", default=DEFAULT_MEMORY_BYTES // (1024 * 1024),
-              show_default=True, type=int)
+              show_default=True, type=POSITIVE_INT)
 @click.option("--max-rounds", default=4, show_default=True, type=int)
 def cmd_eval(dataset_path: str, variants: str, profiles_path: str, backend_profile: str,
              out_dir: str, workers: int, seed: int, cutoff: str, resume: bool,

@@ -111,6 +111,7 @@ class SequentialFlow(FlowInstance):
     """Run children once each, in order, threading the running payload."""
 
     kind = "sequential"
+    accepted_params = ("children", "step_mappings")
 
     def __init__(self, config: FlowConfig):
         children = [create_flow(c) for c in _child_configs(config)]
@@ -149,6 +150,7 @@ class CircularFlow(SequentialFlow):
     """
 
     kind = "circular"
+    accepted_params = SequentialFlow.accepted_params + ("max_rounds", "exit")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
@@ -182,6 +184,7 @@ class GeneratorCriticFlow(FlowInstance):
     """
 
     kind = "generator_critic"
+    accepted_params = ("children", "max_rounds", "stop_on", "critic_stop_on", "feedback_mapping")
 
     def __init__(self, config: FlowConfig):
         generator_cfg, critic_cfg = _child_configs(config, exactly=2)

@@ -217,12 +217,17 @@ class FlowInstance:
 
     ``_step`` returns either an updates map or ``(updates, extra_parents)``;
     the run loop overlays updates onto the input payload and wraps the
-    result as the output message.
+    result as the output message. A config holding a param that is not in
+    ``accepted_params`` is refused.
     """
 
     kind: str = ""
+    accepted_params: tuple[str, ...] = ()
 
     def __init__(self, config: FlowConfig, children: list["FlowInstance"] | None = None):
+        unknown = sorted(set(config.params) - set(self.accepted_params))
+        if unknown:
+            raise ConfigError(f"{self.kind} flow {config.name!r} has unknown params: {unknown}")
         self.config = config
         self.children = list(children or [])
         self.instance_id = f"{config.name}#{next(_instance_counter)}"
@@ -330,14 +335,12 @@ class FixedReplyFlow(FlowInstance):
     """Atomic flow that replies with configured text, ignoring the input."""
 
     kind = "fixed_reply"
+    accepted_params = ("reply", "output_key")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
-        params = dict(config.params)
-        self.reply = params.pop("reply", None)
-        self.output_key = params.pop("output_key", "reply")
-        if params:
-            raise ConfigError(f"fixed_reply flow {config.name!r} has unknown params: {sorted(params)}")
+        self.reply = config.params.get("reply")
+        self.output_key = config.params.get("output_key", "reply")
         if not isinstance(self.reply, str):
             raise ConfigError(f"fixed_reply flow {config.name!r} needs a text 'reply' param")
 
@@ -350,16 +353,15 @@ class TransformFlow(FlowInstance):
     """Atomic flow applying deterministic payload edits: rename, set, template."""
 
     kind = "transform"
+    accepted_params = ("rename", "set", "template", "output_key")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
-        params = dict(config.params)
-        self.rename = dict(params.pop("rename", {}))
-        self.assign = dict(params.pop("set", {}))
-        self.template = params.pop("template", None)
-        self.output_key = params.pop("output_key", "text")
-        if params:
-            raise ConfigError(f"transform flow {config.name!r} has unknown params: {sorted(params)}")
+        params = config.params
+        self.rename = dict(params.get("rename", {}))
+        self.assign = dict(params.get("set", {}))
+        self.template = params.get("template")
+        self.output_key = params.get("output_key", "text")
 
     def _step(self, message: Message, ctx: RunContext) -> dict:
         from .backends import render_template

@@ -70,22 +70,22 @@ class LlmFlow(FlowInstance):
     """
 
     kind = "llm"
+    accepted_params = ("system_message", "query_message", "human_message", "backend", "model",
+                       "temperature", "max_tokens", "output_key", "postprocess", "stateless")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
-        params = dict(config.params)
-        self.system_message = params.pop("system_message", None)
-        self.query_message = params.pop("query_message", None)
-        self.human_message = params.pop("human_message", None)
-        self.backend_name = params.pop("backend", "default")
-        self.model = params.pop("model", "default")
-        self.temperature = float(params.pop("temperature", 0.0))
-        self.max_tokens = int(params.pop("max_tokens", 2048))
-        self.output_key = params.pop("output_key", "completion")
-        self.postprocess = params.pop("postprocess", None)
-        self.stateless = bool(params.pop("stateless", False))
-        if params:
-            raise ConfigError(f"llm flow {config.name!r} has unknown params: {sorted(params)}")
+        params = config.params
+        self.system_message = params.get("system_message")
+        self.query_message = params.get("query_message")
+        self.human_message = params.get("human_message")
+        self.backend_name = params.get("backend", "default")
+        self.model = params.get("model", "default")
+        self.temperature = float(params.get("temperature", 0.0))
+        self.max_tokens = int(params.get("max_tokens", 2048))
+        self.output_key = params.get("output_key", "completion")
+        self.postprocess = params.get("postprocess")
+        self.stateless = bool(params.get("stateless", False))
         if not isinstance(self.system_message, str) or not isinstance(self.query_message, str):
             raise ConfigError(f"llm flow {config.name!r} needs system_message and query_message")
         if self.postprocess not in (None, "code", "plan"):

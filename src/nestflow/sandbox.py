@@ -2,9 +2,9 @@
 
 A program is written to a fresh scratch directory and compiled
 in-process, which is its syntax check. A warm runner process
-(``_runner.py``) then runs the compiled program once per test, each run
-a child forked into its own session with a wall-time limit and an
-address-space cap, set up as ``python solution.py`` would be. Runners
+(``_runner.py``) then runs the program once per test, each run a child
+forked into its own session with a wall-time limit and an address-space
+cap, which compiles and runs it as ``python solution.py`` would. Runners
 wait in a process-wide pool, one per concurrent judgement. Results
 collapse to one of five verdicts and render to fixed report text that
 feedback loops embed in prompts, so the wording here is load-bearing and
@@ -33,7 +33,7 @@ from pathlib import Path
 from ._util import fingerprint
 from .backends import render_template
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
-from .errors import FlowError, SandboxEnvironmentError
+from .errors import ConfigError, FlowError, SandboxEnvironmentError
 
 logger = logging.getLogger(__name__)
 
@@ -73,8 +73,16 @@ class TestCase:
 
 @dataclass(frozen=True)
 class ExecutionLimits:
+    """Each test run's wall time in seconds, and its cap in bytes on both
+    address space and the size of any file it writes, its output included."""
+
     wall_time: float = DEFAULT_WALL_TIME
     memory_bytes: int = DEFAULT_MEMORY_BYTES
+
+    def __post_init__(self):
+        if not (self.wall_time > 0 and self.memory_bytes > 0):
+            raise ConfigError(f"execution limits must be positive, got wall_time="
+                              f"{self.wall_time!r} and memory_bytes={self.memory_bytes!r}")
 
 
 @dataclass(frozen=True)
@@ -232,14 +240,13 @@ def _judge(program: str, tests: list[TestCase], limits: ExecutionLimits) -> Test
         data = program.encode("utf-8")
         Path(source).write_bytes(data)
         # Compiling under the absolute path lets the compiler quote the
-        # offending line from the file; no bytecode file is written. The code
-        # runs every test, so it is compiled as `python solution.py` compiles
-        # it: unoptimized, and with its compile warnings kept for each run to
-        # print. catch_warnings swaps process-wide state: one compile at a time.
-        with _COMPILE_LOCK, warnings.catch_warnings(record=True) as shown:
-            warnings.simplefilter("always")
+        # offending line from the file; no bytecode file is written. Each test
+        # child compiles it again and prints its warnings, so here they are
+        # ignored, one compile at a time: catch_warnings swaps process-wide state.
+        with _COMPILE_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             try:
-                code = compile(data, source, "exec", dont_inherit=True, optimize=0)
+                compile(data, source, "exec", dont_inherit=True)
                 error = None
             except Exception as exc:  # what py_compile.compile(doraise=True) wraps
                 error = py_compile.PyCompileError(type(exc), exc, source).msg
@@ -250,10 +257,7 @@ def _judge(program: str, tests: list[TestCase], limits: ExecutionLimits) -> Test
             report.summary = format_report(report)
             return report
 
-        job = (scratch, marshal.dumps(code),
-               [(str(w.message), w.category.__name__, w.lineno)
-                for w in shown if w.filename == source],
-               limits.memory_bytes, limits.wall_time)
+        job = (scratch, limits.memory_bytes, limits.wall_time)
         failures: list[Failure] = []
         verdict = Verdict.ALL_PASSED
         with _lease() if tests else nullcontext() as runner:
@@ -286,8 +290,9 @@ class _Runner:
     """A runner process (``_runner.py``) that forks one child per test run.
 
     It is started by path with this interpreter's default flags, in its
-    own session so that a terminal's interrupt does not reach it, and it
-    exits when its stdin closes.
+    own session so that a terminal's interrupt does not reach it, and with
+    pipes as its standard streams, which its test children keep. It exits
+    when its stdin closes.
     """
 
     def __init__(self):
@@ -295,7 +300,7 @@ class _Runner:
         try:
             self.process = subprocess.Popen(
                 [self.executable, _RUNNER_SCRIPT], stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE, start_new_session=True)
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
         except OSError as exc:
             raise SandboxEnvironmentError(f"failed to spawn interpreter: {exc}") from exc
 
@@ -303,18 +308,24 @@ class _Runner:
         """Run the job's program on one input: its exit status (None on a
         timeout), stdout and stderr. A runner that went away raises OSError."""
         data = marshal.dumps((*job, stdin))
-        self.process.stdin.write(len(data).to_bytes(8, "big") + data)
-        self.process.stdin.flush()
+        try:
+            self.process.stdin.write(len(data).to_bytes(8, "big") + data)
+            self.process.stdin.flush()
+        except BrokenPipeError:
+            pass  # it went away: its output below ends early
         header = self.process.stdout.read(8)
         size = int.from_bytes(header, "big")
         body = self.process.stdout.read(size)
         if len(header) < 8 or len(body) < size:
-            raise OSError("judge runner exited mid-request")
+            # The runner writes to its stderr only when it fails, so that pipe
+            # is read only now that it has gone away: its last line names why.
+            cause = self.process.stderr.read().decode(errors="replace").strip().splitlines()
+            raise OSError(": ".join(["judge runner exited mid-request", *cause[-1:]]))
         return marshal.loads(body)
 
     def close(self) -> None:
         """Close its pipes; it exits once any test run in progress ends."""
-        for pipe in (self.process.stdin, self.process.stdout):
+        for pipe in (self.process.stdin, self.process.stdout, self.process.stderr):
             try:
                 pipe.close()
             except OSError:
@@ -407,20 +418,17 @@ class CodeTestingFlow(FlowInstance):
     """
 
     kind = "code_testing"
+    accepted_params = ("wall_time", "memory_bytes", "issue_title", "tests_key", "code_key")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
-        params = dict(config.params)
+        params = config.params
         self.limits = ExecutionLimits(
-            wall_time=float(params.pop("wall_time", DEFAULT_WALL_TIME)),
-            memory_bytes=int(params.pop("memory_bytes", DEFAULT_MEMORY_BYTES)))
-        self.issue_title = params.pop("issue_title", DEFAULT_ISSUE_TITLE)
-        self.tests_key = params.pop("tests_key", "public_tests")
-        self.code_key = params.pop("code_key", "code")
-        if params:
-            from .errors import ConfigError
-
-            raise ConfigError(f"code_testing flow {config.name!r} has unknown params: {sorted(params)}")
+            wall_time=float(params.get("wall_time", DEFAULT_WALL_TIME)),
+            memory_bytes=int(params.get("memory_bytes", DEFAULT_MEMORY_BYTES)))
+        self.issue_title = params.get("issue_title", DEFAULT_ISSUE_TITLE)
+        self.tests_key = params.get("tests_key", "public_tests")
+        self.code_key = params.get("code_key", "code")
 
     def _step(self, message: Message, ctx: RunContext) -> dict:
         raw_tests = message.payload[self.tests_key]

@@ -129,6 +129,14 @@ class TestCmdRun:
         assert "error:" in result.stderr
         assert "did you mean 'Code'" in result.stderr
 
+    @pytest.mark.parametrize("limit", [["--wall-time", "-1"], ["--wall-time", "0"],
+                                       ["--memory", "-5"], ["--memory", "0"]])
+    def test_limit_that_is_not_positive_is_usage_error(self, runner, tmp_path, limit):
+        result = runner.invoke(main, self.run_args("cf-echo-101", "Code", out=tmp_path / "one")
+                               + limit)
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "one").exists()
+
     def test_missing_problem_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["run", "--problem", "no-such.yaml",
                                       "--variant", "Code"])
@@ -242,6 +250,15 @@ class TestCmdEval:
             "--variants", "Code,Nope", "--profiles", str(PROFILES),
             "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("limit", [["--wall-time", "-1"], ["--wall-time", "0"],
+                                       ["--memory", "-5"], ["--memory", "0"]])
+    def test_limit_that_is_not_positive_is_usage_error(self, runner, tmp_path, limit):
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--variants", "Code",
+            "--profiles", str(PROFILES), "--out", str(tmp_path / "run"), *limit])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "run").exists()
 
     def test_resume_with_other_settings_is_usage_error(self, runner, tmp_path):
         def eval_rounds(rounds: int, *extra: str):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nestflow.backends import ScriptedBackend
@@ -145,6 +147,12 @@ class TestSequential:
         with pytest.raises(ConfigError, match="children"):
             create_flow({"name": "seq", "kind": "sequential", "params": {}})
 
+    def test_unknown_params_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "sequential flow 'seq' has unknown params: ['step_mapping']")):
+            create_flow({"name": "seq", "kind": "sequential",
+                         "params": {"children": [fixed("a", "r")], "step_mapping": [{}]}})
+
     def test_failure_annotated_with_step(self):
         flow = create_flow({
             "name": "pipeline", "kind": "sequential",
@@ -191,6 +199,13 @@ class TestCircular:
         with pytest.raises(ConfigError, match="max_rounds"):
             create_flow({"name": "loop", "kind": "circular",
                          "params": {"children": [fixed("a", "r")], "max_rounds": 0}})
+
+    def test_unknown_params_rejected(self):
+        # A misspelt max_rounds would otherwise run the default number of rounds.
+        with pytest.raises(ConfigError, match=re.escape(
+                "circular flow 'loop' has unknown params: ['max_round']")):
+            create_flow({"name": "loop", "kind": "circular",
+                         "params": {"children": [fixed("a", "r")], "max_round": 2}})
 
 
 def generator_critic(responses, *, max_rounds=5, critic=None, **params):
@@ -250,6 +265,13 @@ class TestGeneratorCritic:
         # carried it into a later generator input.
         assert "reply" not in out.payload
         assert out.payload["feedback"] == "try again"
+
+    def test_unknown_params_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "generator_critic flow 'gc' has unknown params: ['max_round', 'stop']")):
+            create_flow({"name": "gc", "kind": "generator_critic",
+                         "params": {"children": [llm_config(), fixed("critic", "r")],
+                                    "max_round": 2, "stop": None}})
 
     def test_needs_exactly_two_children(self):
         with pytest.raises(ConfigError, match="exactly 2"):
