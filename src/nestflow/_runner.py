@@ -4,8 +4,9 @@
 judgement, with the interpreter's default flags and pipes as its
 standard streams. It stays single-threaded and imports only the
 standard library, never nestflow. It reads requests from stdin and
-writes replies to stdout, each a marshalled tuple behind an 8-byte
-length:
+writes replies to stdout, one marshalled tuple each, back to back
+(``marshal`` reads exactly one value and raises ``EOFError`` at end
+of input):
 
     (scratch, memory bytes, wall time, stdin bytes)
     -> (exit status or None on timeout, stdout bytes, stderr bytes)
@@ -16,10 +17,12 @@ the scratch directory, as ``python solution.py`` would, on the standard
 streams the interpreter built on the runner's pipes. Under them lie
 anonymous in-memory files: the runner writes the input before the fork
 and reads the output back after the child is reaped, so no stream can
-block either side. When the child exits, or is killed when its wall time
-runs out, the runner kills every process it left behind, in whatever
-session: the runner is a child subreaper, so these all become its
-children. It exits itself at end of input.
+block either side. It drops the request before the fork and each reply
+once it is written, so neither a test's input nor the previous test's
+output counts against the child's memory cap. When the child exits, or
+is killed when its wall time runs out, the runner kills every process it
+left behind, in whatever session: the runner is a child subreaper, so
+these all become its children. It exits itself at end of input.
 """
 import sys
 
@@ -127,16 +130,14 @@ def _flush():
     return ok
 
 
-def _run(channel, scratch, memory, wall_time, data):
-    """Run one test in a forked child; returns (status or None, stdout, stderr)."""
-    files = [os.memfd_create(name) for name in ("stdin", "stdout", "stderr")]
-    with open(files[0], "wb", closefd=False) as stdin:
-        stdin.write(data)
-    os.lseek(files[0], 0, os.SEEK_SET)
+def _run(channel, scratch, memory, wall_time, stdin):
+    """Run one test in a forked child on the file ``stdin``, which is then
+    closed; returns (status or None, stdout, stderr)."""
+    files = [stdin] + [os.memfd_create(name) for name in ("stdout", "stderr")]
     pid = os.fork()
     if pid == 0:
         _child(scratch, memory, files, channel)
-    os.close(files[0])
+    os.close(stdin)
     exited = os.pidfd_open(pid)
     timed_out = not select.select([exited], [], [], wall_time)[0]
     os.close(exited)
@@ -187,38 +188,30 @@ def _kill_strays():
             os.waitpid(pid, 0)
 
 
-def _send(fd, reply):
-    """Write one reply behind its length; False if the pipe is broken.
-
-    The reply is dropped on return, so that the next test child does not
-    start with it in its address space, where it would count against its
-    memory cap.
-    """
-    view = memoryview(len(reply).to_bytes(8, "big") + reply)
-    try:
-        while view:
-            view = view[os.write(fd, view):]
-    except BrokenPipeError:
-        return False
-    return True
-
-
 def serve():
     _become_subreaper()
-    requests, replies = os.fdopen(os.dup(0), "rb"), os.dup(1)
+    requests, replies = os.fdopen(os.dup(0), "rb"), os.fdopen(os.dup(1), "wb")
     quiet = os.open(os.devnull, os.O_RDWR)  # no stray output among the replies
     os.dup2(quiet, 0)
     os.dup2(quiet, 1)
     os.close(quiet)
+    channel = (requests.fileno(), replies.fileno())
     gc.freeze()  # children then collect only what their program made
     while True:
-        header = requests.read(8)
-        size = int.from_bytes(header, "big")
-        request = requests.read(size)
-        if len(header) < 8 or len(request) < size:
+        try:
+            scratch, memory, wall_time, data = marshal.load(requests)
+        except (EOFError, ValueError):
             return  # end of input: the parent went away
-        if not _send(replies, marshal.dumps(_run((requests.fileno(), replies),
-                                                  *marshal.loads(request)))):
+        stdin = os.memfd_create("stdin")
+        with open(stdin, "wb", closefd=False) as file:
+            file.write(data)
+        del data  # it is in the stdin file, and the child must not start with it
+        os.lseek(stdin, 0, os.SEEK_SET)
+        try:
+            # The reply is a temporary, dropped once written.
+            marshal.dump(_run(channel, scratch, memory, wall_time, stdin), replies)
+            replies.flush()
+        except BrokenPipeError:
             return  # the parent went away
 
 

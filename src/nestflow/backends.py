@@ -18,7 +18,7 @@ from pathlib import Path
 
 import requests as _requests
 
-from ._util import canonical_json, fingerprint, utc_now_iso
+from ._util import canonical_bytes, fingerprint, sha256_hex, utc_now_iso
 from .errors import (
     AuthError,
     BackendError,
@@ -227,10 +227,10 @@ class RemoteBackend:
 class ResponseCache:
     """Content-addressed response store: one file per request fingerprint.
 
-    The file holds a small JSON header line (fingerprint, stored_at)
-    followed by the raw response text. Writes go through a temp file and
-    atomic replace. Cache failures must never fail a run; callers treat
-    them as misses (see cached_complete).
+    The file holds a small JSON header line (fingerprint, the sha256 of
+    the body, stored_at) followed by the response text in UTF-8. Writes
+    go through a temp file and atomic replace. Cache failures must never
+    fail a run; callers treat them as misses (see cached_complete).
     """
 
     def __init__(self, directory: str | Path):
@@ -246,18 +246,22 @@ class ResponseCache:
     def get(self, key: str) -> str | None:
         """The stored response, or None on a miss.
 
-        A torn entry (its header does not parse) counts as a miss, so the
-        fresh response overwrites it.
+        A torn entry counts as a miss, so the fresh response overwrites it:
+        one whose header does not parse, or whose body does not match the
+        sha256 in its header (a body cut short, say). An entry without that
+        hash cannot be checked, so it is a miss too.
         """
         path = self._path(key)
         body = None
         if path.exists():
+            header, _, data = path.read_bytes().partition(b"\n")
             try:
-                header, _, body = path.read_text(encoding="utf-8").partition("\n")
-                json.loads(header)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                stored = json.loads(header)
+                if not isinstance(stored, dict) or stored.get("sha256") != sha256_hex(data):
+                    raise ValueError("its body does not match the sha256 in its header")
+                body = data.decode("utf-8")
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
                 logger.warning("cache entry %s is torn, treating it as a miss: %s", path.name, exc)
-                body = None
         with self._lock:
             if body is None:
                 self.misses += 1
@@ -268,11 +272,13 @@ class ResponseCache:
     def put(self, key: str, response: str) -> None:
         """Store a response; concurrent writers of one key each replace the
         entry whole, from a temporary file of their own."""
-        header = canonical_json({"fingerprint": key, "stored_at": utc_now_iso()})
+        data = response.encode("utf-8")
+        header = canonical_bytes({"fingerprint": key, "sha256": sha256_hex(data),
+                                  "stored_at": utc_now_iso()})
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(header + "\n" + response)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header + b"\n" + data)
             os.replace(tmp, self._path(key))
         except BaseException:
             Path(tmp).unlink(missing_ok=True)

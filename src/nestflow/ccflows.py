@@ -108,12 +108,10 @@ class VariantSettings:
     interactive_plan: bool = False
 
 
-def _llm_params(settings: VariantSettings, system: str, query: str, human: str,
-                **extra) -> dict:
+def _llm_params(settings: VariantSettings, system: str, query: str, **extra) -> dict:
     params = {
         "system_message": system,
         "query_message": query,
-        "human_message": human,
         "backend": settings.backend,
         "model": settings.model,
         "temperature": settings.temperature,
@@ -131,7 +129,8 @@ def _code_generator(settings: VariantSettings, human: str, with_plan: bool) -> d
         "kind": "llm",
         "input_keys": input_keys,
         "output_keys": ["completion", "code"],
-        "params": _llm_params(settings, T.CODE_SYSTEM, query, human, postprocess="code"),
+        "params": _llm_params(settings, T.CODE_SYSTEM, query, human_message=human,
+                              postprocess="code"),
     }
 
 
@@ -154,13 +153,13 @@ def _fixed_critic(name: str, reply: str) -> dict:
 
 
 def _llm_critic(settings: VariantSettings, name: str, input_keys: list[str],
-                system: str, query: str, human: str) -> dict:
+                system: str, query: str) -> dict:
     return {
         "name": name,
         "kind": "llm",
         "input_keys": input_keys,
         "output_keys": ["completion"],
-        "params": _llm_params(settings, system, query, human, stateless=True),
+        "params": _llm_params(settings, system, query, stateless=True),
     }
 
 
@@ -196,7 +195,7 @@ def _code_part_config(variant: FlowVariant, settings: VariantSettings) -> FlowCo
     elif part == "Code_Collaboration":
         generator = _code_generator(settings, T.COLLAB_HUMAN, with_plan)
         critic = _llm_critic(settings, "code_critic", list(PROBLEM_KEYS) + ["code"],
-                             T.CRITIC_SYSTEM, T.CRITIC_QUERY, T.CRITIC_HUMAN)
+                             T.CRITIC_SYSTEM, T.CRITIC_QUERY)
         params["feedback_mapping"] = {"completion": "code_feedback"}
     elif part == "Code_Debug":
         generator = _code_generator(settings, T.DEBUG_HUMAN, with_plan)
@@ -206,8 +205,7 @@ def _code_part_config(variant: FlowVariant, settings: VariantSettings) -> FlowCo
         generator = _code_generator(settings, T.COLLAB_HUMAN, with_plan)
         analyst = _llm_critic(settings, "debug_critic",
                               list(PROBLEM_KEYS) + ["code", "testing_results_summary"],
-                              T.DEBUG_COLLAB_CRITIC_SYSTEM, T.DEBUG_COLLAB_CRITIC_QUERY,
-                              T.DEBUG_COLLAB_CRITIC_HUMAN)
+                              T.DEBUG_COLLAB_CRITIC_SYSTEM, T.DEBUG_COLLAB_CRITIC_QUERY)
         critic = {
             "name": "code_critic",
             "kind": "sequential",
@@ -230,7 +228,7 @@ def _plan_generator(settings: VariantSettings, human: str) -> dict:
         "kind": "llm",
         "input_keys": list(PROBLEM_KEYS),
         "output_keys": ["completion", "plan"],
-        "params": _llm_params(settings, T.PLAN_SYSTEM, T.PLAN_QUERY, human,
+        "params": _llm_params(settings, T.PLAN_SYSTEM, T.PLAN_QUERY, human_message=human,
                               postprocess="plan"),
     }
 
@@ -253,7 +251,7 @@ def _plan_part_config(variant: FlowVariant, settings: VariantSettings) -> FlowCo
     elif part == "Plan_Collaboration":
         generator = _plan_generator(settings, T.PLAN_COLLAB_HUMAN)
         critic = _llm_critic(settings, "plan_critic", list(PROBLEM_KEYS) + ["plan"],
-                             T.PLAN_CRITIC_SYSTEM, T.PLAN_CRITIC_QUERY, T.PLAN_CRITIC_HUMAN)
+                             T.PLAN_CRITIC_SYSTEM, T.PLAN_CRITIC_QUERY)
         params = {"max_rounds": settings.max_rounds,
                   "feedback_mapping": {"completion": "plan_feedback"}}
     else:  # pragma: no cover - parse_variant guards this

@@ -106,6 +106,18 @@ def _max_rounds(config: FlowConfig) -> int:
     return value
 
 
+def _deliver(owner: FlowInstance, child: FlowInstance, payload: dict, parents: tuple[str, ...],
+             ctx: RunContext, **annotations) -> Message:
+    """Send ``payload`` from ``owner`` to ``child`` as a new message with the
+    given parents; returns the child's output. A child's ``FlowError`` is
+    raised with ``annotations`` added, in order, where it has none of its own."""
+    message = ctx.new_message(payload, created_by=owner.instance_id, parents=parents)
+    try:
+        return run(child, message, ctx)
+    except FlowError as exc:
+        raise exc.annotate(**annotations)
+
+
 @register_flow_kind
 class SequentialFlow(FlowInstance):
     """Run children once each, in order, threading the running payload."""
@@ -126,14 +138,10 @@ class SequentialFlow(FlowInstance):
         the annotations of a child's error, ahead of the step.
         """
         for index, (child, mapping) in enumerate(zip(self.children, self.mappings)):
-            child_in = ctx.new_message({**running, **mapping.apply(running)},
-                                       created_by=self.instance_id, parents=parents)
-            try:
-                child_out = run(child, child_in, ctx)
-            except FlowError as exc:
-                raise exc.annotate(**context, step=index, step_name=child.config.name)
-            running = {**child_in.payload, **child_out.payload}
-            parents = (child_out.id,)
+            # A flow's output payload is its input payload with its updates overlaid.
+            child_out = _deliver(self, child, {**running, **mapping.apply(running)}, parents, ctx,
+                                 **context, step=index, step_name=child.config.name)
+            running, parents = child_out.payload, (child_out.id,)
         return running, parents
 
     def _step(self, message: Message, ctx: RunContext):
@@ -211,34 +219,19 @@ class GeneratorCriticFlow(FlowInstance):
         return self.children[1]
 
     def _step(self, message: Message, ctx: RunContext):
-        base = message.payload
         feedback: dict = {}
         parents: tuple[str, ...] = (message.id,)
-        last_output: Message | None = None
-        rounds = 0
         for round_no in range(1, self.max_rounds + 1):
-            gen_in = ctx.new_message({**base, **feedback},
-                                     created_by=self.instance_id, parents=parents)
-            try:
-                gen_out = run(self.generator, gen_in, ctx)
-            except FlowError as exc:
-                raise exc.annotate(round=round_no, role="generator")
-            rounds = round_no
-            last_output = gen_out
-            parents = (gen_out.id,)
+            gen_out = _deliver(self, self.generator, {**message.payload, **feedback}, parents, ctx,
+                               round=round_no, role="generator")
             if self.stop_on and self.stop_on.matches(gen_out.payload):
                 break
             if round_no == self.max_rounds:
                 break
-            critic_in = ctx.new_message(dict(gen_out.payload),
-                                        created_by=self.instance_id, parents=(gen_out.id,))
-            try:
-                critic_out = run(self.critic, critic_in, ctx)
-            except FlowError as exc:
-                raise exc.annotate(round=round_no, role="critic")
-            parents = (critic_out.id,)
+            critic_out = _deliver(self, self.critic, gen_out.payload, (gen_out.id,), ctx,
+                                  round=round_no, role="critic")
             if self.critic_stop_on and self.critic_stop_on.matches(critic_out.payload):
                 break
             feedback = self.feedback_mapping.apply(critic_out.payload)
-        updates = {**last_output.payload, ROUNDS_USED_KEY: rounds}
-        return updates, (last_output.id,)
+            parents = (critic_out.id,)
+        return {**gen_out.payload, ROUNDS_USED_KEY: round_no}, (gen_out.id,)

@@ -307,21 +307,18 @@ class _Runner:
     def run_test(self, job: tuple, stdin: bytes) -> tuple[int | None, bytes, bytes]:
         """Run the job's program on one input: its exit status (None on a
         timeout), stdout and stderr. A runner that went away raises OSError."""
-        data = marshal.dumps((*job, stdin))
         try:
-            self.process.stdin.write(len(data).to_bytes(8, "big") + data)
+            marshal.dump((*job, stdin), self.process.stdin)
             self.process.stdin.flush()
         except BrokenPipeError:
-            pass  # it went away: its output below ends early
-        header = self.process.stdout.read(8)
-        size = int.from_bytes(header, "big")
-        body = self.process.stdout.read(size)
-        if len(header) < 8 or len(body) < size:
+            pass  # it went away: its reply below ends early
+        try:
+            return marshal.load(self.process.stdout)
+        except (EOFError, ValueError):
             # The runner writes to its stderr only when it fails, so that pipe
             # is read only now that it has gone away: its last line names why.
             cause = self.process.stderr.read().decode(errors="replace").strip().splitlines()
             raise OSError(": ".join(["judge runner exited mid-request", *cause[-1:]]))
-        return marshal.loads(body)
 
     def close(self) -> None:
         """Close its pipes; it exits once any test run in progress ends."""

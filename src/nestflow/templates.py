@@ -104,8 +104,6 @@ CRITIC_QUERY = (
     "provide code."
 )
 
-CRITIC_HUMAN = "{{query}}"
-
 DEBUG_HUMAN = (
     "{{testing_results_summary}}\n"
     "\n"
@@ -154,8 +152,6 @@ DEBUG_COLLAB_CRITIC_QUERY = (
     "attempt incorrect? How should it be fixed? Explain your reasoning very concisely, and do "
     "not provide code."
 )
-
-DEBUG_COLLAB_CRITIC_HUMAN = "{{query}}"
 
 PLAN_SYSTEM = (
     "Your goal is to provide a high-level conceptual solution that, if implemented, will "
@@ -243,8 +239,6 @@ PLAN_CRITIC_QUERY = (
     "with the proposed conceptual solution or it is correct? Explain your reasoning very "
     "concisely, and do not provide code."
 )
-
-PLAN_CRITIC_HUMAN = "{{query}}"
 
 # Appended to the code query when an upstream flow supplies a plan.
 PLAN_SECTION = "\n\n# Conceptual solution\n{{plan}}"

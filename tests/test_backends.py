@@ -202,7 +202,7 @@ class TestRemoteBackend:
 class TestResponseCache:
     def test_round_trip_preserves_bytes(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
-        body = "line one\n\nline three\n"
+        body = "line one\r\n\nline three\r\n"
         cache.put("k1", body)
         assert cache.get("k1") == body
         assert cache.hits == 1
@@ -212,15 +212,23 @@ class TestResponseCache:
         assert cache.get("absent") is None
         assert cache.misses == 1
 
-    @pytest.mark.parametrize("torn", [b"{torn", b"\xff\xfe{}\nbody"], ids=["bad-json", "bad-utf8"])
-    def test_torn_entry_is_a_miss_and_gets_overwritten(self, tmp_path, torn):
+    # Each tears the stored entry; an entry without a hash cannot be checked.
+    @pytest.mark.parametrize("tear", [lambda stored: b"{torn",
+                                      lambda stored: b"\xff\xfe{}\nbody",
+                                      lambda stored: b"[]\nold",
+                                      lambda stored: stored[:-1],
+                                      lambda stored: b'{"fingerprint":"k"}\nold'],
+                             ids=["bad-json", "bad-utf8", "header-not-a-map", "cut-body", "no-hash"])
+    def test_torn_entry_is_a_miss_and_gets_overwritten(self, tmp_path, tear, caplog):
         cache = ResponseCache(tmp_path / "cache")
         request = request_with("hello")
         cache.put(request.fingerprint(), "old")
-        (tmp_path / "cache" / f"{request.fingerprint()}.resp").write_bytes(torn)
+        entry = tmp_path / "cache" / f"{request.fingerprint()}.resp"
+        entry.write_bytes(tear(entry.read_bytes()))
         response, cached = cached_complete(ScriptedBackend(responses=["fresh"]), request, cache)
         assert (response, cached) == ("fresh", False)
         assert cache.misses == 1 and cache.hits == 0
+        assert "is torn, treating it as a miss" in caplog.text
         assert cache.get(request.fingerprint()) == "fresh"
 
     def test_concurrent_writers_of_one_key_never_tear_it(self, tmp_path):

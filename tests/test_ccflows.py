@@ -16,7 +16,7 @@ from nestflow.ccflows import (
     parse_variant,
     problem_payload,
 )
-from nestflow.core import create_flow, package_input, run
+from nestflow.core import FlowConfig, create_flow, package_input, run
 from nestflow.dataset import Problem
 from nestflow.errors import ConfigError, DatasetError, FlowError
 from nestflow.sandbox import TestCase as IOCase
@@ -95,6 +95,22 @@ class TestBuildVariant:
         assert critic["kind"] == "llm"
         assert critic["params"]["stateless"] is True
         assert config.params["feedback_mapping"] == {"completion": "code_feedback"}
+
+    def test_no_stateless_llm_flow_carries_a_follow_up_template(self):
+        # A stateless llm flow starts a fresh conversation on every message,
+        # so a human_message would never be sent.
+        def flows(config):
+            config = config if isinstance(config, FlowConfig) else FlowConfig.from_dict(config)
+            yield config
+            for child in config.params.get("children", []):
+                yield from flows(child)
+
+        names = list(CODE_PARTS) + [f"{plan}-{code}" for plan in PLAN_PARTS for code in CODE_PARTS]
+        stateless = [(name, flow) for name in names for flow in flows(build_variant(name))
+                     if flow.kind == "llm" and flow.params.get("stateless")]
+        assert len(names) == 25 and stateless
+        assert [(name, flow.name) for name, flow in stateless
+                if "human_message" in flow.params] == []
 
     def test_debug_grounds_critic_in_public_tests(self):
         config = build_variant("Code_Debug")

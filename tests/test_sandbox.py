@@ -203,6 +203,8 @@ def spawn_judge(program: str, tests: list[IOCase], limits: ExecutionLimits = FAS
 
 
 LONG_INPUT = "".join(f"{i}\n" for i in range(40_000))  # about 230 KB
+HUGE_TEXT = "x" * 30_000_000
+CAP_64_MIB = ExecutionLimits(wall_time=10.0, memory_bytes=64 * 1024 * 1024)
 # Programs whose runs in the warm runner must be judged exactly as
 # ``python solution.py`` processes judge them: (program, tests[, limits]).
 RUN_CASES = {
@@ -286,6 +288,16 @@ RUN_CASES = {
                                     ExecutionLimits(wall_time=10.0, memory_bytes=64 * 1024 * 1024)),
     "stream_kinds": ("import sys\nfor s in (sys.stdin, sys.stdout, sys.stderr):\n"
                      "    print(s.seekable(), s.isatty(), s.line_buffering)\n", [IOCase("", "")]),
+    # A test's input and the previous test's output must not count against
+    # a run's memory cap.
+    "input_over_30mb_unread": ("data = bytearray(30_000_000)\nprint('ok')\n",
+                               [IOCase(HUGE_TEXT, "ok\n")] * 3, CAP_64_MIB),
+    "output_over_30mb_then_memory": ("import sys\nif input() == '1':\n"
+                                     "    for _ in range(30):\n"
+                                     "        sys.stdout.write('x' * 1_000_000)\n"
+                                     "else:\n    data = bytearray(30_000_000)\n    print('ok')\n",
+                                     [IOCase("1\n", HUGE_TEXT), IOCase("2\n", "ok\n")] * 2,
+                                     CAP_64_MIB),
 }
 
 
@@ -732,6 +744,30 @@ class TestRunnerPool:
             run_tests("import os, signal\nos.kill(os.getppid(), signal.SIGKILL)\n",
                       [IOCase("", "")], limits=FAST)
         assert sandbox._IDLE == []
+        assert run_tests("print(1)\n", [IOCase("", "1\n")], limits=FAST).verdict \
+            == Verdict.ALL_PASSED
+        assert len(runners) == 2 and sandbox._IDLE == [runners[1]]
+
+    def test_runner_cutting_its_reply_short_is_dropped(self, runners, monkeypatch, tmp_path):
+        wrapper = tmp_path / "runner.py"
+        wrapper.write_text(
+            "import marshal, os, runpy, sys\n"
+            "def cut_short(reply, file):\n"
+            "    data = marshal.dumps(reply)\n"
+            "    file.write(data[:len(data) // 2])\n"
+            "    file.flush()\n"
+            "    print('reply cut short', file=sys.stderr, flush=True)\n"
+            "    os._exit(1)\n"
+            "marshal.dump = cut_short\n"
+            f"runpy.run_path({sandbox._RUNNER_SCRIPT!r}, run_name='__main__')\n")
+        runner_script = sandbox._RUNNER_SCRIPT
+        monkeypatch.setattr(sandbox, "_RUNNER_SCRIPT", str(wrapper))
+        with pytest.raises(SandboxEnvironmentError) as failed:
+            run_tests("print(1)\n", [IOCase("", "1\n")], limits=FAST)
+        assert str(failed.value) == ("judge runner failed: judge runner exited mid-request: "
+                                     "reply cut short")
+        assert sandbox._IDLE == []
+        monkeypatch.setattr(sandbox, "_RUNNER_SCRIPT", runner_script)
         assert run_tests("print(1)\n", [IOCase("", "1\n")], limits=FAST).verdict \
             == Verdict.ALL_PASSED
         assert len(runners) == 2 and sandbox._IDLE == [runners[1]]
