@@ -1,10 +1,13 @@
-"""Low-level helpers: canonical serialization, payload validation, month math."""
+"""Low-level helpers: canonical serialization, YAML loading, payload validation, month math."""
 from __future__ import annotations
 
 import calendar
 import datetime as dt
 import hashlib
 import json
+from pathlib import Path
+
+import yaml
 
 from .errors import ConfigError
 
@@ -31,6 +34,28 @@ def sha256_hex(data: bytes) -> str:
 
 def fingerprint(obj) -> str:
     return sha256_hex(canonical_bytes(obj))
+
+
+def load_yaml(path, *, error: type[Exception] = ConfigError):
+    """Parse one YAML file, with libyaml when PyYAML was built with it.
+
+    A document that does not parse raises ``error`` naming the path, line
+    and column. A file that cannot be read raises OSError, for the caller
+    to word.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.reader.ReaderError as exc:
+        # An unacceptable character. Its reported offset counts UTF-8 bytes
+        # under libyaml and characters otherwise, so find it here.
+        offset = yaml.reader.Reader.NON_PRINTABLE.search(text).start()
+        line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        problem = exc.reason
+    except yaml.MarkedYAMLError as exc:
+        line, column = exc.problem_mark.line + 1, exc.problem_mark.column + 1
+        problem = exc.problem
+    raise error(f"{path}: invalid YAML at line {line}, column {column}: {problem}")
 
 
 def validate_payload(payload, *, where: str = "payload") -> dict:

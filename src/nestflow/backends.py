@@ -16,12 +16,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests as _requests
-
-from ._util import canonical_bytes, fingerprint, sha256_hex, utc_now_iso
+from ._util import canonical_bytes, fingerprint, load_yaml, sha256_hex, utc_now_iso
 from .errors import (
     AuthError,
     BackendError,
+    ConfigError,
     RetryBudgetExhaustedError,
     ScriptExhaustedError,
     TemplateError,
@@ -153,9 +152,10 @@ class ScriptedBackend:
 
     @classmethod
     def from_rules_file(cls, path: str | Path) -> "ScriptedBackend":
-        import yaml
-
-        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        try:
+            doc = load_yaml(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read rules file {path}: {exc}") from exc
         rules = [
             ResponseRule(
                 response=entry["response"],
@@ -177,15 +177,21 @@ class RemoteBackend:
     def __init__(self, endpoint: str, api_key_env: str, *, max_attempts: int = 5,
                  backoff_base: float = 0.5, request_timeout: float = 60.0,
                  session=None, sleep=time.sleep):
+        # requests is imported here, not at module level, so that commands
+        # on local backends never pay for it (urllib3 and ssl come with it).
+        import requests
+
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.request_timeout = request_timeout
-        self._session = session or _requests.Session()
+        self._session = session or requests.Session()
         self._sleep = sleep
 
     def complete(self, request: BackendRequest) -> str:
+        import requests
+
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
             raise AuthError(f"environment variable {self.api_key_env} is not set")
@@ -201,7 +207,7 @@ class RemoteBackend:
             try:
                 resp = self._session.post(self.endpoint, json=body, headers=headers,
                                           timeout=self.request_timeout)
-            except _requests.RequestException as exc:
+            except requests.RequestException as exc:
                 last_error = TransientBackendError(f"network error: {exc}")
             else:
                 if resp.status_code in (401, 403):

@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 import click
-import yaml
 
+from ._util import load_yaml
 from .backends import RemoteBackend, ResponseCache, ScriptedBackend
 from .ccflows import DEFAULT_VARIANTS, VariantSettings, parse_variant
 from .dataset import DEFAULT_CUTOFF, load_problem_file, load_problems
@@ -47,7 +47,7 @@ def load_backend_profile(profiles_path: str | Path, name: str):
     """Build (backend, cache, model) from one profile in the profiles file."""
     path = Path(profiles_path)
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = load_yaml(path)
     except OSError as exc:
         raise ConfigError(f"cannot read profiles file {path}: {exc}") from exc
     profiles = (doc or {}).get("profiles", {})

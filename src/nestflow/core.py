@@ -22,7 +22,7 @@ from pathlib import Path
 
 import yaml
 
-from ._util import canonical_bytes, utc_now_iso, validate_payload
+from ._util import canonical_bytes, load_yaml, utc_now_iso, validate_payload
 from .backends import BackendRequest, cached_complete
 from .errors import ENVIRONMENT_ERRORS, ConfigError, FlowError, MissingInputKeysError, NestflowError
 from .trace import TraceSink
@@ -141,8 +141,7 @@ class FlowConfig:
 
 
 def load_flow_config(path: str | Path) -> FlowConfig:
-    doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    return FlowConfig.from_dict(doc)
+    return FlowConfig.from_dict(load_yaml(path))
 
 
 def save_flow_config(config: FlowConfig, path: str | Path) -> None:

@@ -11,8 +11,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
+from ._util import load_yaml
 from .errors import DatasetError
 from .sandbox import TestCase
 
@@ -81,7 +80,7 @@ def _parse_tests(raw, *, where: str) -> tuple[TestCase, ...]:
 def load_problem_file(path: str | Path) -> Problem:
     """Parse and validate one problem document."""
     path = Path(path)
-    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    doc = load_yaml(path, error=DatasetError)
     if not isinstance(doc, dict):
         raise DatasetError(f"{path}: problem document must be a map")
     unknown = set(doc) - _FIELDS
@@ -128,7 +127,7 @@ def load_problem_file(path: str | Path) -> Problem:
     if isinstance(hidden_raw, str):
         hidden_path = path.parent / hidden_raw
         try:
-            hidden_doc = yaml.safe_load(hidden_path.read_text(encoding="utf-8"))
+            hidden_doc = load_yaml(hidden_path, error=DatasetError)
         except OSError as exc:
             raise DatasetError(f"{path}: cannot read hidden tests file {hidden_raw!r}: {exc}") from exc
         hidden = _parse_tests(hidden_doc, where=f"{hidden_path}: hidden_tests")

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 import requests
@@ -24,6 +28,8 @@ from nestflow.errors import (
     TemplateError,
 )
 from nestflow.evalharness import _Unrecorded
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def request_with(*contents, model="m"):
@@ -152,7 +158,22 @@ def remote(outcomes, monkeypatch, **kwargs):
     return backend, session, sleeps
 
 
+def test_importing_the_cli_leaves_requests_unloaded():
+    # A fresh interpreter, because this one has imported requests already.
+    code = ("import sys, nestflow.cli; "
+            "print(sorted({'requests', 'urllib3', 'ssl'} & set(sys.modules)))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestRemoteBackend:
+    def test_default_session_is_a_requests_session(self):
+        backend = RemoteBackend("https://example.invalid", "TEST_API_KEY")
+        assert isinstance(backend._session, requests.Session)
+
     def test_missing_credential(self, monkeypatch):
         monkeypatch.delenv("TEST_API_KEY", raising=False)
         backend = RemoteBackend("https://example.invalid", "TEST_API_KEY",

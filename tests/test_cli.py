@@ -216,6 +216,44 @@ class TestCmdEval:
         assert result.exit_code == 2
         assert "error:" in result.stderr
 
+    # Each case writes its files under tmp_path and returns (dataset, profiles,
+    # expected error). Each malformed file leaves a flow collection open, which
+    # the parser finds at the end of the stream: line 3, column 1.
+    def _malformed_problem(tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("id: bad\nsource: [codeforces\n", encoding="utf-8")
+        return path, PROFILES, f"{path}: invalid YAML at line 3, column 1:"
+
+    def _malformed_profiles(tmp_path):
+        path = tmp_path / "profiles.yaml"
+        path.write_text("profiles:\n  scripted: {kind: scripted\n", encoding="utf-8")
+        return PROBLEMS / "cf-echo-101.yaml", path, f"{path}: invalid YAML at line 3, column 1:"
+
+    def _malformed_rules(tmp_path):
+        rules = tmp_path / "rules.yaml"
+        rules.write_text("rules:\n- response: [unclosed\n", encoding="utf-8")
+        profiles = write_profiles(tmp_path, {"scripted": {"kind": "scripted",
+                                                          "rules_file": "rules.yaml"}})
+        return PROBLEMS / "cf-echo-101.yaml", profiles, f"{rules}: invalid YAML at line 3, column 1:"
+
+    def _missing_rules(tmp_path):
+        profiles = write_profiles(tmp_path, {"scripted": {"kind": "scripted",
+                                                          "rules_file": "absent.yaml"}})
+        return (PROBLEMS / "cf-echo-101.yaml", profiles,
+                f"cannot read rules file {tmp_path / 'absent.yaml'}:")
+
+    @pytest.mark.parametrize("case", [_malformed_problem, _malformed_profiles,
+                                      _malformed_rules, _missing_rules],
+                             ids=["problem", "profiles", "rules", "missing-rules"])
+    def test_malformed_or_missing_yaml_is_usage_error(self, runner, tmp_path, case):
+        dataset, profiles, expected = case(tmp_path)
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(dataset), "--variants", "Code",
+            "--profiles", str(profiles), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {expected}" in result.stderr
+
     def test_missing_credential_is_environment_error(self, runner, tmp_path, monkeypatch):
         profiles = missing_key_profiles(tmp_path, monkeypatch)
         result = runner.invoke(main, [

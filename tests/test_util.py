@@ -1,7 +1,11 @@
 import datetime as dt
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,10 +14,13 @@ from nestflow._util import (
     canonical_bytes,
     canonical_json,
     fingerprint,
+    load_yaml,
     month_floor,
     validate_payload,
 )
-from nestflow.errors import ConfigError
+from nestflow.errors import ConfigError, DatasetError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text())
 json_values = st.recursive(
@@ -83,3 +90,61 @@ def test_add_months_lands_in_expected_month(day, months):
 
 def test_month_floor():
     assert month_floor(dt.date(2021, 9, 30)) == dt.date(2021, 9, 1)
+
+
+def _generated_yaml(directory: Path, monkeypatch) -> list[Path]:
+    """The distinct-grid problems, rules, later-round rules and profiles for seeds 1-3."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclass looks itself up there
+    spec.loader.exec_module(inputs)
+    for seed in (1, 2, 3):
+        base = directory / f"seed{seed}"
+        inputs.write_problem_set(inputs.make_problems(seed, 20, "dg"), base / "problems",
+                                 base / "rules.yaml", seed)
+        inputs.write_round_rules(base / "rules.yaml", base / "rules-2.yaml", 2)
+        inputs.write_profiles(base / "profiles.yaml", base / "rules-2.yaml")
+    return sorted(directory.rglob("*.yaml"))
+
+
+def test_libyaml_and_pure_python_loaders_give_equal_documents(tmp_path, monkeypatch):
+    assert yaml.__with_libyaml__, "PyYAML was built without libyaml"
+    files = sorted((ROOT / "fixtures").rglob("*.yaml")) + _generated_yaml(tmp_path, monkeypatch)
+    assert len(files) > 60
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader), path
+        assert load_yaml(path) == yaml.safe_load(text), path
+
+
+MALFORMED = [
+    ("a: [1, 2\nb: 3\n", 2, 2),                # flow sequence left open
+    ("a: 1\n  b: 2\n", 2, 4),                  # mapping value at a deeper indent
+    ("x: \u00e9\u00e9\n\u00e9: \u00e9: y\n", 2, 5),  # column counts characters, not bytes
+    ("x: \u00e9\u00e9\ny: a\x07b\n", 2, 5),      # unacceptable character
+    ("a: !!python/object:os.system x\n", 1, 4),  # tag the safe loader refuses
+]
+
+
+@pytest.mark.parametrize("text,line,column", MALFORMED,
+                         ids=["open-sequence", "indent", "non-ascii", "control-char", "unsafe-tag"])
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_malformed_yaml_names_path_line_and_column(tmp_path, monkeypatch, text, line, column,
+                                                   libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader")
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetError) as caught:
+        load_yaml(path, error=DatasetError)
+    assert str(caught.value).startswith(f"{path}: invalid YAML at line {line}, column {column}: ")
+
+
+def test_load_yaml_parses_without_libyaml(tmp_path, monkeypatch):
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    path = tmp_path / "doc.yaml"
+    path.write_text("release_date: 2021-09-01\ntests: [{input: '1', n: 2}]\n", encoding="utf-8")
+    assert load_yaml(path) == {"release_date": dt.date(2021, 9, 1),
+                               "tests": [{"input": "1", "n": 2}]}
+    with pytest.raises(OSError):
+        load_yaml(tmp_path / "absent.yaml")
