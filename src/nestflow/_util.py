@@ -40,10 +40,15 @@ def load_yaml(path, *, error: type[Exception] = ConfigError):
     """Parse one YAML file, with libyaml when PyYAML was built with it.
 
     A document that does not parse raises ``error`` naming the path, line
-    and column. A file that cannot be read raises OSError, for the caller
-    to word.
+    and column, and one that is not UTF-8 names the first byte that is not.
+    A file that cannot be read raises OSError, for the caller to word.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        # Newlines translated as a text-mode read would.
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 at byte {exc.start}") from None
     try:
         return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.reader.ReaderError as exc:

@@ -156,14 +156,20 @@ class ScriptedBackend:
             doc = load_yaml(path)
         except OSError as exc:
             raise ConfigError(f"cannot read rules file {path}: {exc}") from exc
-        rules = [
-            ResponseRule(
-                response=entry["response"],
-                contains=tuple(entry.get("contains", ())),
-                turns=entry.get("turns"),
-            )
-            for entry in doc["rules"]
-        ]
+        entries = doc.get("rules") if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
+            raise ConfigError(f"rules file {path} must be a map holding a 'rules' list")
+        rules = []
+        for index, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not isinstance(entry.get("response"), str):
+                raise ConfigError(f"rules file {path}: rule {index} needs a text 'response'")
+            contains, turns = entry.get("contains", []), entry.get("turns")
+            if (not isinstance(contains, list) or not all(isinstance(c, str) for c in contains)
+                    or not (turns is None or type(turns) is int)):
+                raise ConfigError(f"rules file {path}: rule {index} needs 'contains' to be "
+                                  f"a list of text and 'turns' an integer")
+            rules.append(ResponseRule(response=entry["response"], contains=tuple(contains),
+                                      turns=turns))
         return cls(rules=rules)
 
 

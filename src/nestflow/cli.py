@@ -50,10 +50,16 @@ def load_backend_profile(profiles_path: str | Path, name: str):
         doc = load_yaml(path)
     except OSError as exc:
         raise ConfigError(f"cannot read profiles file {path}: {exc}") from exc
-    profiles = (doc or {}).get("profiles", {})
+    doc = {} if doc is None else doc
+    profiles = doc.get("profiles", {}) if isinstance(doc, dict) else None
+    if not isinstance(profiles, dict):
+        raise ConfigError(f"profiles file {path} must be a map holding a 'profiles' map")
     if name not in profiles:
-        raise ConfigError(f"no profile {name!r} in {path}; available: {sorted(profiles)}")
+        raise ConfigError(
+            f"no profile {name!r} in {path}; available: {sorted(map(str, profiles))}")
     profile = profiles[name]
+    if not isinstance(profile, dict):
+        raise ConfigError(f"profile {name!r} in {path} must be a map")
     kind = profile.get("kind")
     cache = ResponseCache(path.parent / profile["cache_dir"]) if profile.get("cache_dir") else None
     model = profile.get("model", "default")

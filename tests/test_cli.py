@@ -18,6 +18,7 @@ from nestflow.backends import (
 )
 from nestflow.cli import load_backend_profile, main
 from nestflow.errors import ConfigError
+from nestflow.trace import read_trace
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 PROFILES = FIXTURES / "profiles.yaml"
@@ -69,6 +70,9 @@ class TestLoadBackendProfile:
             load_backend_profile(tmp_path / "none.yaml", "scripted")
         with pytest.raises(ConfigError, match="no profile 'missing'"):
             load_backend_profile(PROFILES, "missing")
+        path = write_profiles(tmp_path, {1: {"kind": "scripted"}, "a": {"kind": "scripted"}})
+        with pytest.raises(ConfigError, match=r"available: \['1', 'a'\]"):
+            load_backend_profile(path, "missing")
         path = write_profiles(tmp_path, {"odd": {"kind": "telepathic"}})
         with pytest.raises(ConfigError, match="unknown kind 'telepathic'"):
             load_backend_profile(path, "odd")
@@ -122,6 +126,16 @@ class TestCmdRun:
         result = runner.invoke(main, self.run_args("cf-echo-101", "Code"))
         assert result.exit_code == 3, result.output
         assert "error: failed to spawn interpreter" in result.stderr
+
+    def test_problem_not_utf8_is_usage_error(self, runner, tmp_path):
+        path = tmp_path / "cf-echo-101.yaml"
+        path.write_bytes(b"\xff" + (PROBLEMS / "cf-echo-101.yaml").read_bytes())
+        args = self.run_args("cf-echo-101", "Code")
+        args[args.index("--problem") + 1] = str(path)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {path}: not UTF-8 at byte 0" in result.stderr
 
     def test_unknown_variant_is_usage_error(self, runner):
         result = runner.invoke(main, self.run_args("cf-echo-101", "Cod"))
@@ -242,9 +256,56 @@ class TestCmdEval:
         return (PROBLEMS / "cf-echo-101.yaml", profiles,
                 f"cannot read rules file {tmp_path / 'absent.yaml'}:")
 
+    def _problem_not_utf8(tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes((PROBLEMS / "cf-echo-101.yaml").read_bytes() + b"# caf\xe9\n")
+        offset = (PROBLEMS / "cf-echo-101.yaml").stat().st_size + len(b"# caf")
+        return path, PROFILES, f"{path}: not UTF-8 at byte {offset}"
+
+    def _rules_not_a_map(tmp_path):
+        rules = tmp_path / "rules.yaml"
+        rules.write_text("other: 1\n", encoding="utf-8")
+        profiles = write_profiles(tmp_path, {"scripted": {"kind": "scripted",
+                                                          "rules_file": "rules.yaml"}})
+        return (PROBLEMS / "cf-echo-101.yaml", profiles,
+                f"rules file {rules} must be a map holding a 'rules' list")
+
+    def _rule_without_response(tmp_path):
+        rules = tmp_path / "rules.yaml"
+        rules.write_text("rules:\n- response: fine\n- contains: [x]\n", encoding="utf-8")
+        profiles = write_profiles(tmp_path, {"scripted": {"kind": "scripted",
+                                                          "rules_file": "rules.yaml"}})
+        return (PROBLEMS / "cf-echo-101.yaml", profiles,
+                f"rules file {rules}: rule 1 needs a text 'response'")
+
+    def _rule_with_bad_contains(tmp_path):
+        rules = tmp_path / "rules.yaml"
+        rules.write_text("rules:\n- response: hi\n  contains: 5\n", encoding="utf-8")
+        profiles = write_profiles(tmp_path, {"scripted": {"kind": "scripted",
+                                                          "rules_file": "rules.yaml"}})
+        return (PROBLEMS / "cf-echo-101.yaml", profiles,
+                f"rules file {rules}: rule 0 needs 'contains' to be a list of text")
+
+    def _profiles_a_list(tmp_path):
+        path = tmp_path / "profiles.yaml"
+        path.write_text("- a\n- b\n", encoding="utf-8")
+        return (PROBLEMS / "cf-echo-101.yaml", path,
+                f"profiles file {path} must be a map holding a 'profiles' map")
+
+    def _profile_not_a_map(tmp_path):
+        path = write_profiles(tmp_path, {"scripted": ["kind", "scripted"]})
+        return (PROBLEMS / "cf-echo-101.yaml", path,
+                f"profile 'scripted' in {path} must be a map")
+
     @pytest.mark.parametrize("case", [_malformed_problem, _malformed_profiles,
-                                      _malformed_rules, _missing_rules],
-                             ids=["problem", "profiles", "rules", "missing-rules"])
+                                      _malformed_rules, _missing_rules, _problem_not_utf8,
+                                      _rules_not_a_map, _rule_without_response,
+                                      _rule_with_bad_contains, _profiles_a_list,
+                                      _profile_not_a_map],
+                             ids=["problem", "profiles", "rules", "missing-rules",
+                                  "problem-not-utf8", "rules-not-a-map", "rule-without-response",
+                                  "rule-with-bad-contains", "profiles-a-list",
+                                  "profile-not-a-map"])
     def test_malformed_or_missing_yaml_is_usage_error(self, runner, tmp_path, case):
         dataset, profiles, expected = case(tmp_path)
         result = runner.invoke(main, [
@@ -394,6 +455,68 @@ class TestCmdReplay:
         result = replay(runner, run_dir, "Code")
         assert result.exit_code == 2, result.output
         assert "unsupported format version 99" in result.stderr
+
+    @staticmethod
+    def _parent_gone(events):
+        index = next(i for i, e in enumerate(events) if i > 1 and e.get("enc") == "delta")
+        events[index]["body"]["message"]["parents"][0] = "m999999"
+        return index
+
+    @staticmethod
+    def _append_to_unknown_key(events):
+        index = next(i for i, e in enumerate(events) if e.get("enc") == "conv")
+        events[index].update(enc="append", body={"key": "nothing", "value": [1]})
+        return index
+
+    @staticmethod
+    def _unknown_reference(events):
+        index = next(i for i, e in enumerate(events) if i > 1 and e["kind"] == "message_in")
+        events[index].update(enc="ref", body={"id": "m999999"})
+        return index
+
+    @staticmethod
+    def _turns_beyond_conversation(events):
+        index = next(i for i, e in enumerate(events) if e.get("enc") == "call")
+        events[index]["body"]["request"]["keep"] = 99
+        return index
+
+    @pytest.mark.parametrize("damage", [_parent_gone, _append_to_unknown_key,
+                                        _unknown_reference, _turns_beyond_conversation],
+                             ids=["delta-parent-gone", "append-to-unknown-key",
+                                  "unknown-reference", "keep-too-many"])
+    def test_damaged_trace_is_usage_error(self, runner, eval_dir, tmp_path, damage):
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        events = [json.loads(line) for line in lines]
+        index = damage.__func__(events)
+        path.write_text("\n".join([header] + [json.dumps(e) for e in events]) + "\n",
+                        encoding="utf-8")
+        result = replay(runner, run_dir, "Code_Reflection")
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"trace file {path}, line {index + 2}: " in result.stderr
+
+    def test_torn_last_line_is_usage_error(self, runner, eval_dir, tmp_path):
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:-30], encoding="utf-8")
+        result = replay(runner, run_dir, "Code_Reflection")
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"trace file {path}, line {text.count(chr(10))}: " in result.stderr
+
+    def test_format_1_trace_replays_identical(self, runner, eval_dir, tmp_path):
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
+        events = read_trace(path)
+        path.write_text("\n".join(['{"trace_format":1}'] + [e.to_line() for e in events]) + "\n",
+                        encoding="utf-8")
+        assert read_trace(path) == events
+        result = replay(runner, run_dir, "Code_Reflection")
+        assert result.exit_code == 0, result.output
+        assert f"replay identical: {len(events)} events" in result.output
 
     def test_trace_without_input_message_is_usage_error(self, runner, eval_dir, tmp_path):
         run_dir = self.copy_run(eval_dir, tmp_path)

@@ -1,9 +1,16 @@
+import datetime as dt
 import json
+import tempfile
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import settings as hyp_settings
+from hypothesis import strategies as st
 
 from nestflow.backends import ScriptedBackend
-from nestflow.ccflows import VariantSettings
+from nestflow.ccflows import DEFAULT_VARIANTS, VariantSettings
 from nestflow.core import RunContext, create_flow, package_input, run
 from nestflow.errors import NestflowError
 from nestflow.evalharness import EvalSettings, evaluate_grid, replay_pair
@@ -41,10 +48,12 @@ class TestTraceSink:
             sink.emit("flow_start", "a#1", {"note": 1})
             sink.emit("flow_end", "a#1")
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert json.loads(lines[0]) == {"trace_format": 1}
+        header = json.loads(lines[0])
+        assert header.keys() == {"t0", "trace_format"} and header["trace_format"] == 2
         events = [json.loads(line) for line in lines[1:]]
         assert [e["seq"] for e in events] == [1, 2]
         assert [e["kind"] for e in events] == ["flow_start", "flow_end"]
+        assert all(isinstance(e["t"], int) for e in events)
 
     def test_flow_end_flushes(self, tmp_path):
         path = tmp_path / "trace.log"
@@ -107,6 +116,141 @@ class TestReadTrace:
         path.write_text('{"seq": 1}\n', encoding="utf-8")
         with pytest.raises(NestflowError, match="unsupported format version None"):
             read_trace(path)
+
+
+def written_and_emitted(emits):
+    """Write ``(kind, instance_id, body)`` triples to a file; return what it reads
+    back and what ``emit`` returned."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.log"
+        with TraceSink(path) as sink:
+            emitted = [sink.emit(kind, instance_id, body) for kind, instance_id, body in emits]
+        return read_trace(path), emitted, path.read_text(encoding="utf-8")
+
+
+def message(id_, payload, parents=(), created_at=None):
+    stamp = created_at or dt.datetime.now(dt.timezone.utc).isoformat()
+    return {"message": {"id": id_, "created_at": stamp, "created_by": "f#1",
+                        "payload": payload, "parents": list(parents)}}
+
+
+def request(*turns, **extra):
+    return {"backend": "default", "fingerprint": "f" * 64,
+            "request": {"model": "m", "temperature": 0.0, "max_tokens": 8,
+                        "turns": [{"role": r, "content": c} for r, c in turns], **extra}}
+
+
+class TestFormat2:
+    def test_encodings_round_trip(self):
+        out = message("m2", {"task": "t", "out": "r"}, ["m1", "g1"])
+        emits = [
+            ("message_in", "a#1", message("g1", {"task": "t", "tests": [1, 2]})),
+            ("message_in", "b#2", message("m1", {"task": "t", "tests": [1, 2]}, ["g1"])),
+            ("backend_call", "b#2", request(("system", "s"), ("user", "u"))),
+            ("backend_response", "b#2", {"backend": "default", "cached": True,
+                                          "fingerprint": "f" * 64, "response": "r"}),
+            ("state_update", "b#2", {"key": "turns", "value": [
+                {"role": "system", "content": "s"}, {"role": "user", "content": "u"},
+                {"role": "assistant", "content": "r"}]}),
+            ("state_update", "b#2", {"key": "seen", "value": [1]}),
+            ("state_update", "b#2", {"key": "seen", "value": [1, 2]}),
+            ("backend_call", "b#2", request(("system", "s"), ("user", "u"),
+                                            ("assistant", "r"), ("user", "again"))),
+            ("message_out", "b#2", out),
+            ("message_in", "c#3", out),
+        ]
+        read, emitted, text = written_and_emitted(emits)
+        assert read == emitted
+        encodings = [json.loads(line).get("enc") for line in text.splitlines()[1:]]
+        assert encodings == ["message", "delta", None, None, "conv", None, "append",
+                             "call", "delta", "ref"]
+        assert '"cached":true' in text
+
+    def test_bodies_that_resemble_encodings_round_trip(self):
+        emits = [
+            ("message_in", "a#1", message("g1", {"x": 1}, created_at="t0")),
+            ("message_in", "a#1", message("g1", {"x": 2}, created_at="2024-01-01T00:00:00")),
+            ("message_in", "a#1", message("g2", {"x": 2}, ["g1"],
+                                          created_at="2024-01-01T00:00:00+05:00")),
+            ("message_out", "a#1", {"message": {"id": "g3"}, "extra": 1}),
+            ("message_out", "a#1", message("g4", {"x": 3}, ["g2"], created_at=5)),
+            ("backend_call", "a#1", request(("user", "u"))),
+            ("backend_call", "a#1", request(("user", "u"), keep=1)),
+            ("backend_call", "a#1", {"request": "text"}),
+            ("state_update", "a#1", {"key": "turns", "value": "text"}),
+            ("state_update", "a#1", {"key": ["k"], "value": [1]}),
+            ("state_update", "a#1", {"key": "k", "value": [], "also": 1}),
+            ("state_update", "a#1", {"key": "k", "value": [1, 2]}),
+            ("state_update", "a#1", {"key": "k", "value": [1, 3]}),
+            ("state_update", "a#1", {"key": "k", "value": [1]}),
+            ("backend_call", "a#1", request(("user", "v"))),
+            ("backend_response", "a#1", {"response": 7}),
+            ("state_update", "a#1", {"key": "turns", "value": [{"role": "user", "content": "v"}]}),
+            ("flow_start", "a#1", {"enc": "ref", "id": "g1"}),
+        ]
+        read, emitted, _ = written_and_emitted(emits)
+        assert read == emitted
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["message_in", "message_out", "backend_call", "backend_response",
+                         "state_update"]),
+        st.sampled_from(["a#1", "b#2"]),
+        st.sampled_from(["m1", "m2", "m3"]),
+        st.lists(st.sampled_from(["m1", "m2", "m3"]), max_size=2),
+        st.dictionaries(st.sampled_from("abc"), st.sampled_from([0, 1, "x", [1]]), max_size=3),
+        st.lists(st.tuples(st.sampled_from(["user", "assistant"]), st.sampled_from("pq")),
+                 max_size=3)), max_size=12))
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_random_event_sequences_round_trip(self, steps):
+        emits = []
+        for kind, instance, id_, parents, payload, turns in steps:
+            if kind.startswith("message"):
+                body = message(id_, payload, parents)
+            elif kind == "backend_call":
+                body = request(*turns)
+            elif kind == "backend_response":
+                body = {"fingerprint": "f", "response": id_, "cached": False}
+            else:
+                body = {"key": "turns" if payload else "k",
+                        "value": [{"role": r, "content": c} for r, c in turns]}
+            emits.append((kind, instance, body))
+        read, emitted, _ = written_and_emitted(emits)
+        assert read == emitted
+
+
+@pytest.fixture(scope="module")
+def recorded_grid(tmp_path_factory, problems, fixture_settings):
+    """The fixture grid written to files, and every event each file's sink emitted."""
+    out_dir = tmp_path_factory.mktemp("format-2-grid")
+    emitted = defaultdict(list)
+    original = TraceSink.emit
+
+    def recording(sink, kind, instance_id, body=None):
+        event = original(sink, kind, instance_id, body)
+        emitted[sink.path].append(event)
+        return event
+
+    settings = EvalSettings(
+        out_dir=out_dir, variant_settings=fixture_settings,
+        backend=ScriptedBackend.from_rules_file(Path(__file__).resolve().parents[1]
+                                                / "fixtures" / "scripted_responses.yaml"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TraceSink, "emit", recording)
+        evaluate_grid(problems, list(DEFAULT_VARIANTS), settings)
+    return emitted
+
+
+class TestFixtureGridTraces:
+    def test_every_file_reads_back_as_emitted(self, recorded_grid):
+        assert len(recorded_grid) == 54
+        for path, events in recorded_grid.items():
+            assert read_trace(path) == events, path
+
+    def test_files_are_at_most_half_the_full_form(self, recorded_grid):
+        written = sum(path.stat().st_size for path in recorded_grid)
+        full = sum(len(event.to_line()) + 1 for events in recorded_grid.values()
+                   for event in events)
+        assert written < 0.5 * full
 
 
 class TestNormalizeTrace:

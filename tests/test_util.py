@@ -148,3 +148,19 @@ def test_load_yaml_parses_without_libyaml(tmp_path, monkeypatch):
                                "tests": [{"input": "1", "n": 2}]}
     with pytest.raises(OSError):
         load_yaml(tmp_path / "absent.yaml")
+
+
+def test_load_yaml_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("name: café\n".encode("utf-8") + b"note: \xff\n")
+    with pytest.raises(DatasetError) as caught:
+        load_yaml(path, error=DatasetError)
+    assert str(caught.value) == f"{path}: not UTF-8 at byte 18"
+
+
+def test_load_yaml_reads_crlf_as_a_text_mode_read_would(tmp_path):
+    text = "a: |\n  one\n  two\nb: \"x\ny\"\n"
+    crlf, lf = tmp_path / "crlf.yaml", tmp_path / "lf.yaml"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    lf.write_bytes(text.encode("utf-8"))
+    assert load_yaml(crlf) == load_yaml(lf) == {"a": "one\ntwo\n", "b": "x y"}
