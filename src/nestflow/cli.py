@@ -31,9 +31,29 @@ from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
 logger = logging.getLogger(__name__)
 
 USAGE_ERRORS = (ConfigError, DatasetError)
-# Types of the sandbox limits: zero or less would lift a cap or time out every test.
+# Numeric option types. A sandbox limit of zero or less would lift a cap or
+# time out every test; click rejects such a value before any file is written.
 POSITIVE_FLOAT = click.FloatRange(min=0, min_open=True)
 POSITIVE_INT = click.IntRange(min=1)
+NON_NEGATIVE_INT = click.IntRange(min=0)
+
+# The options that `run` and `eval` share, in the order --help lists them.
+SHARED_OPTIONS = (
+    click.option("--profiles", "profiles_path", default="profiles.yaml", show_default=True,
+                 help="Backend profiles file."),
+    click.option("--backend-profile", default="scripted", show_default=True),
+    click.option("--wall-time", default=DEFAULT_WALL_TIME, show_default=True,
+                 type=POSITIVE_FLOAT, help="Sandbox wall time per test in seconds."),
+    click.option("--memory", "memory_mb", default=DEFAULT_MEMORY_BYTES // (1024 * 1024),
+                 show_default=True, type=POSITIVE_INT, help="Sandbox memory limit in MiB."),
+    click.option("--max-rounds", default=4, show_default=True, type=POSITIVE_INT),
+)
+
+
+def _shared_options(command):
+    for option in reversed(SHARED_OPTIONS):
+        command = option(command)
+    return command
 
 
 def _fail(exc: Exception) -> None:
@@ -103,17 +123,11 @@ def main(verbose: bool) -> None:
 @click.option("--problem", "problem_path", required=True, type=click.Path(exists=True),
               help="Problem YAML file.")
 @click.option("--variant", required=True, help="Variant name, e.g. Code_Debug or Plan-Code.")
-@click.option("--profiles", "profiles_path", default="profiles.yaml", show_default=True,
-              help="Backend profiles file.")
-@click.option("--backend-profile", default="scripted", show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Directory for the run trace (same layout as eval).")
 @click.option("--interactive-plan", is_flag=True,
               help="Read the Plan_Oracle plan from stdin instead of the dataset.")
-@click.option("--wall-time", default=DEFAULT_WALL_TIME, show_default=True, type=POSITIVE_FLOAT)
-@click.option("--memory", "memory_mb", default=DEFAULT_MEMORY_BYTES // (1024 * 1024),
-              show_default=True, type=POSITIVE_INT, help="Sandbox memory limit in MiB.")
-@click.option("--max-rounds", default=4, show_default=True, type=int)
+@_shared_options
 def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile: str,
             out_dir: str | None, interactive_plan: bool, wall_time: float,
             memory_mb: int, max_rounds: int) -> None:
@@ -148,18 +162,13 @@ def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile
               help="Problem directory (or one YAML file).")
 @click.option("--variants", default=",".join(DEFAULT_VARIANTS), show_default=False,
               help="Comma-separated variant names (default: the 9-variant suite).")
-@click.option("--profiles", "profiles_path", default="profiles.yaml", show_default=True)
-@click.option("--backend-profile", default="scripted", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Run directory.")
-@click.option("--workers", default=1, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--workers", default=1, show_default=True, type=POSITIVE_INT)
+@click.option("--seed", default=0, show_default=True, type=NON_NEGATIVE_INT)
 @click.option("--cutoff", default=DEFAULT_CUTOFF.isoformat(), show_default=True)
 @click.option("--resume/--no-resume", default=True, show_default=True,
               help="Keep existing records and run only missing pairs.")
-@click.option("--wall-time", default=DEFAULT_WALL_TIME, show_default=True, type=POSITIVE_FLOAT)
-@click.option("--memory", "memory_mb", default=DEFAULT_MEMORY_BYTES // (1024 * 1024),
-              show_default=True, type=POSITIVE_INT)
-@click.option("--max-rounds", default=4, show_default=True, type=int)
+@_shared_options
 def cmd_eval(dataset_path: str, variants: str, profiles_path: str, backend_profile: str,
              out_dir: str, workers: int, seed: int, cutoff: str, resume: bool,
              wall_time: float, memory_mb: int, max_rounds: int) -> None:

@@ -421,22 +421,35 @@ def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Repl
     if unknown:
         raise ConfigError(f"run_meta.json has unknown variant settings: {unknown}")
     vsettings = VariantSettings(**settings)
-    responses = {e.body["fingerprint"]: e.body["response"]
-                 for e in recorded if e.kind == "backend_response"}
+    try:
+        responses = {e.body["fingerprint"]: e.body["response"]
+                     for e in recorded if e.kind == "backend_response"}
+        message = next(e.body["message"] for e in recorded if e.kind == "message_in")
+        payload, created_by = message["payload"], message["created_by"]
+    except StopIteration:
+        raise ConfigError(f"trace at {trace_path} has no input message") from None
+    except (KeyError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"trace at {trace_path} cannot be replayed: {detail}") from exc
     ctx = RunContext(backends={vsettings.backend: _Unrecorded()}, cache=responses)
-    message = next((e.body["message"] for e in recorded if e.kind == "message_in"), None)
-    if message is None:
-        raise ConfigError(f"trace at {trace_path} has no input message")
     error = None
     try:
-        run_variant(variant_name, vsettings, message["payload"], ctx,
-                    created_by=message["created_by"])
+        run_variant(variant_name, vsettings, payload, ctx, created_by=created_by)
     except FlowError as exc:
         error = str(exc)
     return Replay(normalize_trace(recorded), normalize_trace(ctx.trace.events), error)
 
 
-def _run_meta(problems: list[Problem], variants: list[str], settings: EvalSettings) -> dict:
+def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
+                   settings: EvalSettings) -> None:
+    """Write the run directory's ``run_meta.json``, which reports and replay read.
+
+    With ``settings.resume``, an existing file is checked and extended: if
+    it holds other settings this raises ConfigError naming each of them and
+    touches no file, and otherwise every ``problems`` entry it holds is kept,
+    since its records may be in the directory. Without it, the file is
+    written afresh.
+    """
     meta = {
         "seed": settings.seed,
         "cutoff": settings.cutoff.isoformat(),
@@ -453,20 +466,27 @@ def _run_meta(problems: list[Problem], variants: list[str], settings: EvalSettin
             for p in problems
         },
     }
-    return json.loads(json.dumps(meta))  # as read back from the file
-
-
-def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
-                   settings: EvalSettings) -> None:
-    """Write the run directory's ``run_meta.json``, which reports and replay read."""
-    meta = _run_meta(problems, variants, settings)
+    meta = json.loads(json.dumps(meta))  # as read back from the file
+    path = out_dir / "run_meta.json"
+    if settings.resume and path.exists():
+        try:
+            old = read_run_meta(out_dir)
+        except ValueError as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        changes = _settings_changes(old, meta)
+        if changes:
+            raise ConfigError(f"cannot resume {out_dir} with other settings "
+                              f"(eval --no-resume starts over): {'; '.join(changes)}")
+        meta["problems"] = {**old.get("problems", {}), **meta["problems"]}
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                                           encoding="utf-8")
+    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_run_meta(out_dir: str | Path) -> dict:
-    meta = json.loads((Path(out_dir) / "run_meta.json").read_text(encoding="utf-8"))
+    path = Path(out_dir) / "run_meta.json"
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
     # Run directories written while the judge had a language knob record
     # it, and it always held "python".
     if meta.get("variant_settings", {}).get("language_tag") == "python":
@@ -496,17 +516,11 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
     note, while an environment error aborts the grid. Record order on disk is
     completion order; aggregation always re-sorts. Resuming a run directory
     whose ``run_meta.json`` holds other settings is a ConfigError, and
-    leaves every file as it was.
+    leaves every file as it was (see ``write_run_meta``).
     """
     for variant in variants:
         parse_variant(variant)
     out_dir = Path(settings.out_dir)
-    if settings.resume and (out_dir / "run_meta.json").exists():
-        changes = _settings_changes(read_run_meta(out_dir),
-                                    _run_meta(problems, variants, settings))
-        if changes:
-            raise ConfigError(f"cannot resume {out_dir} with other settings "
-                              f"(start over with --no-resume): {'; '.join(changes)}")
     write_run_meta(out_dir, problems, variants, settings)
     records_path = out_dir / "records.jsonl"
     if not settings.resume and records_path.exists():

@@ -3,11 +3,12 @@
 A trace is a JSONL file whose first line is a header and whose remaining
 lines are events, one per line, in the order they were recorded. Format 2
 writes each event against what the file already holds: a message as the
-keys it changes from its first parent, a message seen before as its id, a
-conversation as the turns it adds, and times as microsecond offsets from
-the header's ``t0``. ``read_trace`` rebuilds the full events, message
-payloads and backend request/response bodies included, so that a run can
-be re-executed from its trace alone (see ``evalharness.replay_pair``).
+keys it changes from its first parent, a request as the turns it adds to
+its flow's conversation, a state equal to that conversation by name, and
+times as microsecond offsets from the header's ``t0``. ``read_trace``
+rebuilds the full events, message payloads and backend request/response
+bodies included, so that a run can be re-executed from its trace alone
+(see ``evalharness.replay_pair``).
 Format-1 traces, which hold every event in full, still read.
 """
 from __future__ import annotations
@@ -37,7 +38,7 @@ EVENT_KINDS = frozenset({
 
 # Body keys holding identifiers that get renumbered during normalization.
 _ID_KEYS = ("id", "created_by", "instance_id")
-_TIME_KEYS = ("timestamp", "created_at", "stored_at")
+_TIME_KEYS = ("timestamp", "created_at")
 # Body keys, per event kind, that describe the run's environment rather
 # than its behaviour: a replay serves every response from the cache.
 _ENVIRONMENT_KEYS = {"backend_response": ("cached",)}
@@ -54,16 +55,6 @@ class TraceEvent:
     instance_id: str
     kind: str
     body: dict = field(default_factory=dict)
-
-    def to_line(self) -> str:
-        """The event as one line of a format-1 trace."""
-        return canonical_json({
-            "seq": self.seq,
-            "timestamp": self.timestamp,
-            "instance_id": self.instance_id,
-            "kind": self.kind,
-            "body": self.body,
-        })
 
 
 def _is_message(node) -> bool:
@@ -96,7 +87,6 @@ class _Held:
         self.messages: dict[str, dict] = {}
         # Per instance: its last request's turns, plus the response once it came.
         self.conversations: dict[str, list] = {}
-        self.state: dict[tuple[str, str], object] = {}
 
     def observe(self, kind: str, instance_id: str, body: dict) -> None:
         if kind in _MESSAGE_KINDS:
@@ -112,8 +102,6 @@ class _Held:
             if turns is not None and isinstance(body.get("response"), str):
                 self.conversations[instance_id] = [
                     *turns, {"role": "assistant", "content": body["response"]}]
-        elif kind == "state_update" and isinstance(body.get("key"), str) and "value" in body:
-            self.state[instance_id, body["key"]] = body["value"]
 
     def stamp(self, offset) -> str:
         if type(offset) is not int:
@@ -137,13 +125,12 @@ class _Held:
         if kind == "backend_call":
             return self._encode_call(instance_id, body)
         if (kind == "state_update" and body.keys() == {"key", "value"}
-                and isinstance(body["key"], str) and isinstance(body["value"], list)):
-            return self._encode_state(instance_id, body["key"], body["value"])
+                and isinstance(body["key"], str) and isinstance(body["value"], list)
+                and body["value"] == self.conversations.get(instance_id)):
+            return "conv", {"key": body["key"]}
         return None, body
 
     def _encode_message(self, message: dict) -> tuple[str, dict]:
-        if self.messages.get(message["id"]) == message:
-            return "ref", {"id": message["id"]}
         out = {key: message[key] for key in ("id", "created_by", "parents")}
         out["created_at"] = self.offset(message["created_at"])
         parents, payload = message["parents"], message["payload"]
@@ -172,25 +159,11 @@ class _Held:
             return None, body
         return "call", {**body, "request": {**request, "keep": keep, "turns": turns[keep:]}}
 
-    def _encode_state(self, instance_id: str, key: str, value: list) -> tuple[str | None, dict]:
-        if value == self.conversations.get(instance_id):
-            return "conv", {"key": key}
-        before = self.state.get((instance_id, key))
-        if isinstance(before, list) and before and value[:len(before)] == before:
-            return "append", {"key": key, "value": value[len(before):]}
-        return None, {"key": key, "value": value}
-
     # -- reading ------------------------------------------------------------
 
     def decode(self, encoding: str | None, instance_id: str, body: dict) -> dict:
         if encoding is None:
             return body
-        if encoding == "ref":
-            message = self.messages.get(body["id"])
-            if message is None:
-                raise ValueError(f"reference to message {body['id']!r}, "
-                                 f"which the trace does not hold")
-            return {"message": message}
         if encoding in ("message", "delta"):
             return {"message": self._decode_message(encoding, body["message"])}
         if encoding == "call":
@@ -200,12 +173,6 @@ class _Held:
             if conversation is None:
                 raise ValueError(f"state of {instance_id} refers to a conversation it never had")
             return {"key": body["key"], "value": list(conversation)}
-        if encoding == "append":
-            before = self.state.get((instance_id, body["key"]))
-            if not isinstance(before, list):
-                raise ValueError(f"append to state key {body['key']!r} of {instance_id}, "
-                                 f"which holds no list")
-            return {"key": body["key"], "value": before + body["value"]}
         raise ValueError(f"unknown encoding {encoding!r}")
 
     def _decode_message(self, encoding: str, written: dict) -> dict:

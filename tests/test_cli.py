@@ -2,12 +2,14 @@ import functools
 import json
 import shutil
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from nestflow._util import canonical_json
 from nestflow.backends import (
     BackendRequest,
     ChatTurn,
@@ -28,6 +30,12 @@ PROBLEMS = FIXTURES / "problems"
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def snapshot(directory):
+    """Each file under ``directory`` with its bytes and modification time."""
+    return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in directory.rglob("*") if path.is_file()}
 
 
 def write_profiles(tmp_path, profiles):
@@ -144,12 +152,44 @@ class TestCmdRun:
         assert "did you mean 'Code'" in result.stderr
 
     @pytest.mark.parametrize("limit", [["--wall-time", "-1"], ["--wall-time", "0"],
-                                       ["--memory", "-5"], ["--memory", "0"]])
+                                       ["--memory", "-5"], ["--memory", "0"],
+                                       ["--max-rounds", "-3"], ["--max-rounds", "0"]])
     def test_limit_that_is_not_positive_is_usage_error(self, runner, tmp_path, limit):
         result = runner.invoke(main, self.run_args("cf-echo-101", "Code", out=tmp_path / "one")
                                + limit)
         assert result.exit_code == 2, result.output
         assert not (tmp_path / "one").exists()
+
+    def test_out_dir_with_other_settings_is_usage_error(self, runner, eval_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(eval_dir[0], run_dir)
+        table = (run_dir / "results_table.txt").read_text(encoding="utf-8")
+        files = snapshot(run_dir)
+        result = runner.invoke(main, ["run", "--problem", str(PROBLEMS / "cf-echo-101.yaml"),
+                                      "--variant", "Plan-Code", "--profiles", str(PROFILES),
+                                      "--out", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert 'variants: ["Code", "Code_Reflection"] -> ["Plan-Code"]' in result.stderr
+        assert "variant_settings.wall_time: 2.0 -> 10.0" in result.stderr
+        assert snapshot(run_dir) == files
+        result = runner.invoke(main, ["report", "--run-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        assert result.output == table
+
+    @pytest.mark.parametrize("text", ["{torn", "[]"])
+    def test_out_dir_with_corrupt_run_meta_is_usage_error(self, runner, tmp_path, text):
+        (tmp_path / "one").mkdir()
+        (tmp_path / "one" / "run_meta.json").write_text(text, encoding="utf-8")
+        result = runner.invoke(main, self.run_args("cf-echo-101", "Code", out=tmp_path / "one"))
+        assert result.exit_code == 2, result.output
+        assert f"cannot read {tmp_path / 'one' / 'run_meta.json'}" in result.stderr
+        assert (tmp_path / "one" / "run_meta.json").read_text(encoding="utf-8") == text
+
+    def test_out_dir_keeps_the_problems_it_holds(self, runner, tmp_path):
+        for problem in ("cf-echo-101", "cf-pairsum-202"):
+            runner.invoke(main, self.run_args(problem, "Code", out=tmp_path / "one"))
+        meta = json.loads((tmp_path / "one" / "run_meta.json").read_text(encoding="utf-8"))
+        assert sorted(meta["problems"]) == ["cf-echo-101", "cf-pairsum-202"]
 
     def test_missing_problem_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["run", "--problem", "no-such.yaml",
@@ -350,14 +390,39 @@ class TestCmdEval:
             "--out", str(tmp_path)])
         assert result.exit_code == 2
 
+    # The seed may be 0; every other option here must be positive.
     @pytest.mark.parametrize("limit", [["--wall-time", "-1"], ["--wall-time", "0"],
-                                       ["--memory", "-5"], ["--memory", "0"]])
+                                       ["--memory", "-5"], ["--memory", "0"],
+                                       ["--max-rounds", "-3"], ["--max-rounds", "0"],
+                                       ["--workers", "-4"], ["--workers", "0"],
+                                       ["--seed", "-1"]])
     def test_limit_that_is_not_positive_is_usage_error(self, runner, tmp_path, limit):
         result = runner.invoke(main, [
             "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--variants", "Code",
             "--profiles", str(PROFILES), "--out", str(tmp_path / "run"), *limit])
         assert result.exit_code == 2, result.output
         assert not (tmp_path / "run").exists()
+
+    def test_resume_on_fewer_problems_keeps_their_records(self, runner, tmp_path):
+        dataset = tmp_path / "problems"
+        dataset.mkdir()
+        for name in ("cf-echo-101", "cf-pairsum-202"):
+            shutil.copy(PROBLEMS / f"{name}.yaml", dataset)
+
+        def eval_on(path):
+            return runner.invoke(main, [
+                "eval", "--dataset", str(path), "--variants", "Code", "--profiles",
+                str(PROFILES), "--out", str(tmp_path / "run"), "--wall-time", "2.0"])
+
+        result = eval_on(dataset)
+        assert result.exit_code == 0, result.output
+        table = (tmp_path / "run" / "results_table.txt").read_text(encoding="utf-8")
+        result = eval_on(dataset / "cf-echo-101.yaml")
+        assert result.exit_code == 0, result.output
+        assert "2 records (0 new runs)" in result.output
+        result = runner.invoke(main, ["report", "--run-dir", str(tmp_path / "run")])
+        assert result.exit_code == 0, result.output
+        assert result.output == table
 
     def test_resume_with_other_settings_is_usage_error(self, runner, tmp_path):
         def eval_rounds(rounds: int, *extra: str):
@@ -393,6 +458,17 @@ class TestCmdReport:
         result = runner.invoke(main, ["report", "--run-dir", str(tmp_path)])
         assert result.exit_code == 2
         assert "run directory is incomplete" in result.stderr
+
+    def test_run_meta_not_a_map_is_usage_error(self, runner, eval_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(eval_dir[0], run_dir)
+        (run_dir / "run_meta.json").write_text("[]", encoding="utf-8")
+        result = runner.invoke(main, ["report", "--run-dir", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert "does not hold a JSON object" in result.stderr
+        result = replay(runner, run_dir, "Code")
+        assert result.exit_code == 2, result.output
+        assert "does not hold a JSON object" in result.stderr
 
     def test_corrupt_records_are_usage_error(self, runner, eval_dir, tmp_path):
         run_dir = tmp_path / "run"
@@ -462,6 +538,8 @@ class TestCmdReplay:
         events[index]["body"]["message"]["parents"][0] = "m999999"
         return index
 
+    # Format 2 has no "append" or "ref" encoding: such a line is refused like
+    # any other unknown encoding.
     @staticmethod
     def _append_to_unknown_key(events):
         index = next(i for i, e in enumerate(events) if e.get("enc") == "conv")
@@ -497,6 +575,29 @@ class TestCmdReplay:
         assert isinstance(result.exception, SystemExit)
         assert f"trace file {path}, line {index + 2}: " in result.stderr
 
+    @pytest.mark.parametrize("trace_format, key", [(2, "fingerprint"), (1, "fingerprint"),
+                                                   (1, "payload"), (1, "created_by")])
+    def test_trace_without_a_replayed_key_is_usage_error(self, runner, eval_dir, tmp_path,
+                                                         trace_format, key):
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        path = run_dir / "cf-echo-101" / "Code" / "trace.log"
+        if trace_format == 1:
+            header, events = '{"trace_format":1}', [asdict(event) for event in read_trace(path)]
+        else:
+            header, *lines = path.read_text(encoding="utf-8").splitlines()
+            events = [json.loads(line) for line in lines]
+        for event in events:
+            if key == "fingerprint" and event["kind"] == "backend_response":
+                del event["body"][key]
+            elif key != "fingerprint" and event["kind"] == "message_in":
+                del event["body"]["message"][key]
+        path.write_text("\n".join([header] + [json.dumps(e) for e in events]) + "\n",
+                        encoding="utf-8")
+        result = replay(runner, run_dir, "Code")
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"trace at {path} cannot be replayed: missing key '{key}'" in result.stderr
+
     def test_torn_last_line_is_usage_error(self, runner, eval_dir, tmp_path):
         run_dir = self.copy_run(eval_dir, tmp_path)
         path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
@@ -511,8 +612,8 @@ class TestCmdReplay:
         run_dir = self.copy_run(eval_dir, tmp_path)
         path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
         events = read_trace(path)
-        path.write_text("\n".join(['{"trace_format":1}'] + [e.to_line() for e in events]) + "\n",
-                        encoding="utf-8")
+        lines = [canonical_json(asdict(event)) for event in events]
+        path.write_text("\n".join(['{"trace_format":1}'] + lines) + "\n", encoding="utf-8")
         assert read_trace(path) == events
         result = replay(runner, run_dir, "Code_Reflection")
         assert result.exit_code == 0, result.output

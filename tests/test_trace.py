@@ -1,7 +1,9 @@
 import datetime as dt
 import json
+import re
 import tempfile
 from collections import defaultdict
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
+from nestflow._util import canonical_json
 from nestflow.backends import ScriptedBackend
 from nestflow.ccflows import DEFAULT_VARIANTS, VariantSettings
 from nestflow.core import RunContext, create_flow, package_input, run
@@ -162,9 +165,26 @@ class TestFormat2:
         read, emitted, text = written_and_emitted(emits)
         assert read == emitted
         encodings = [json.loads(line).get("enc") for line in text.splitlines()[1:]]
-        assert encodings == ["message", "delta", None, None, "conv", None, "append",
-                             "call", "delta", "ref"]
+        assert encodings == ["message", "delta", None, None, "conv", None, None,
+                             "call", "delta", "delta"]
         assert '"cached":true' in text
+
+    @pytest.mark.parametrize("line", [
+        {"enc": "ref", "body": {"id": "g1"}},
+        {"enc": "append", "body": {"key": "seen", "value": [2]}},
+        {"enc": "gzip", "body": {}},
+    ], ids=["ref", "append", "gzip"])
+    def test_unknown_encoding_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "trace.log"
+        with TraceSink(path) as sink:
+            sink.emit("message_in", "a#1", message("g1", {"task": "t"}))
+            sink.emit("state_update", "a#1", {"key": "seen", "value": [1]})
+        event = {"seq": 3, "t": 0, "instance_id": "a#1", "kind": "state_update", **line}
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(event) + "\n")
+        expected = f"trace file {path}, line 4: unknown encoding '{line['enc']}'"
+        with pytest.raises(NestflowError, match=re.escape(expected)):
+            read_trace(path)
 
     def test_bodies_that_resemble_encodings_round_trip(self):
         emits = [
@@ -248,7 +268,7 @@ class TestFixtureGridTraces:
 
     def test_files_are_at_most_half_the_full_form(self, recorded_grid):
         written = sum(path.stat().st_size for path in recorded_grid)
-        full = sum(len(event.to_line()) + 1 for events in recorded_grid.values()
+        full = sum(len(canonical_json(asdict(event))) + 1 for events in recorded_grid.values()
                    for event in events)
         assert written < 0.5 * full
 
