@@ -242,12 +242,12 @@ class ResponseCache:
     The file holds a small JSON header line (fingerprint, the sha256 of
     the body, stored_at) followed by the response text in UTF-8. Writes
     go through a temp file and atomic replace. Cache failures must never
-    fail a run; callers treat them as misses (see cached_complete).
+    fail a run; callers treat them as misses (see cached_complete). The
+    directory is made when the first response is stored.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
@@ -287,6 +287,7 @@ class ResponseCache:
         data = response.encode("utf-8")
         header = canonical_bytes({"fingerprint": key, "sha256": sha256_hex(data),
                                   "stored_at": utc_now_iso()})
+        self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:

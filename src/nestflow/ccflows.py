@@ -18,7 +18,6 @@ from . import templates as T
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
 from .dataset import Problem
 from .errors import ConfigError, DatasetError, FlowError
-from .llm import detect_final_answer, extract_code, extract_plan
 from .sandbox import DEFAULT_ISSUE_TITLE, DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
 
 logger = logging.getLogger(__name__)
@@ -45,21 +44,6 @@ PROBLEM_KEYS = (
     "output_description",
     "io_examples_and_explanation",
 )
-
-__all__ = [
-    "CODE_PARTS",
-    "DEFAULT_VARIANTS",
-    "FlowVariant",
-    "PLAN_PARTS",
-    "VariantSettings",
-    "build_prompt_vars",
-    "build_variant",
-    "detect_final_answer",
-    "extract_code",
-    "oracle_plan",
-    "parse_variant",
-    "problem_payload",
-]
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,7 @@ def cmd_cache() -> None:
 
 
 @cmd_cache.command("stats")
-@click.option("--cache-dir", required=True, type=click.Path())
+@click.option("--cache-dir", required=True, type=click.Path(exists=True, file_okay=False))
 def cache_stats(cache_dir: str) -> None:
     stats = ResponseCache(cache_dir).stats()
     click.echo(f"entries: {stats['entries']}")
@@ -249,7 +249,7 @@ def cache_stats(cache_dir: str) -> None:
 
 
 @cmd_cache.command("clear")
-@click.option("--cache-dir", required=True, type=click.Path())
+@click.option("--cache-dir", required=True, type=click.Path(exists=True, file_okay=False))
 def cache_clear(cache_dir: str) -> None:
     removed = ResponseCache(cache_dir).clear()
     click.echo(f"removed: {removed}")

@@ -516,10 +516,15 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
     note, while an environment error aborts the grid. Record order on disk is
     completion order; aggregation always re-sorts. Resuming a run directory
     whose ``run_meta.json`` holds other settings is a ConfigError, and
-    leaves every file as it was (see ``write_run_meta``).
+    leaves every file as it was (see ``write_run_meta``). So is an empty
+    variant list, or one that names a variant twice.
     """
-    for variant in variants:
+    if not variants:
+        raise ConfigError("the variant list is empty")
+    for index, variant in enumerate(variants):
         parse_variant(variant)
+        if variant in variants[:index]:
+            raise ConfigError(f"variant {variant!r} is listed more than once")
     out_dir = Path(settings.out_dir)
     write_run_meta(out_dir, problems, variants, settings)
     records_path = out_dir / "records.jsonl"

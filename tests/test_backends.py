@@ -272,6 +272,14 @@ class TestResponseCache:
         assert set(seen) <= set(bodies)
         assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["shared.resp"]
 
+    def test_directory_is_made_by_the_first_put(self, tmp_path):
+        cache = ResponseCache(tmp_path / "runs" / "cache")
+        assert cache.get("k") is None
+        assert cache.stats()["entries"] == 0 and cache.clear() == 0
+        assert not (tmp_path / "runs").exists()
+        cache.put("k", "body")
+        assert cache.get("k") == "body"
+
     def test_stats_and_clear(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         cache.put("a", "x")

@@ -73,6 +73,12 @@ class TestLoadBackendProfile:
         assert isinstance(backend, RemoteBackend)
         assert cache is not None and model == "m"
 
+    def test_loading_a_cached_profile_makes_no_directory(self, tmp_path):
+        shutil.copy(PROFILES, tmp_path / "profiles.yaml")
+        _, cache, _ = load_backend_profile(tmp_path / "profiles.yaml", "remote")
+        assert cache.directory == tmp_path / "response_cache"
+        assert not cache.directory.exists()
+
     def test_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read profiles file"):
             load_backend_profile(tmp_path / "none.yaml", "scripted")
@@ -261,6 +267,20 @@ class TestCmdEval:
             "--out", str(out_dir), "--wall-time", "2.0"])
         assert result.exit_code == 0, result.output
         assert "2 records (0 new runs)" in result.output
+
+    @pytest.mark.parametrize("variants, message", [
+        ("Code,Code", "error: variant 'Code' is listed more than once"),
+        (",", "error: the variant list is empty"),
+    ], ids=["repeated", "empty"])
+    def test_repeated_or_empty_variants_are_usage_error(self, runner, tmp_path, variants,
+                                                         message):
+        out_dir = tmp_path / "run"
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--variants", variants,
+            "--profiles", str(PROFILES), "--out", str(out_dir)])
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+        assert not out_dir.exists()
 
     def test_bad_cutoff_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -703,3 +723,21 @@ class TestCmdCache:
         result = runner.invoke(main, ["cache", "stats", "--cache-dir", str(cache_dir)])
         assert "entries: 0" in result.output
         assert "bytes: 0" in result.output
+
+    @pytest.mark.parametrize("command", ["stats", "clear"])
+    def test_missing_directory_is_usage_error(self, runner, tmp_path, command):
+        path = tmp_path / "cahce"
+        result = runner.invoke(main, ["cache", command, "--cache-dir", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"'{path}' does not exist" in result.stderr
+        assert "entries:" not in result.output
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["stats", "clear"])
+    def test_file_is_usage_error(self, runner, tmp_path, command):
+        path = tmp_path / "cache"
+        path.write_text("not a cache", encoding="utf-8")
+        result = runner.invoke(main, ["cache", command, "--cache-dir", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"'{path}' is a file" in result.stderr
+        assert path.read_text(encoding="utf-8") == "not a cache"

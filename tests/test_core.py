@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,6 +110,23 @@ class TestRegistry:
         for kind in ("fixed_reply", "transform", "sequential", "circular",
                      "generator_critic", "llm", "code_testing", "human_plan"):
             assert kind in kinds
+
+    def test_runtime_import_registers_every_kind_without_the_harness(self):
+        """`import nestflow.core` in a fresh interpreter registers the eight
+        built-in kinds and loads neither the evaluation harness nor numpy."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import json, sys\nimport nestflow.core as core\n"
+                "print(json.dumps([core.registered_kinds(), [m for m in "
+                "('numpy', 'nestflow.evalharness', 'nestflow.cli') if m in sys.modules]]))\n")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        kinds, loaded = json.loads(done.stdout)
+        assert kinds == ["circular", "code_testing", "fixed_reply", "generator_critic",
+                         "human_plan", "llm", "sequential", "transform"]
+        assert loaded == []
 
     def test_unknown_kind_lists_registered(self):
         with pytest.raises(ConfigError, match="fixed_reply"):

@@ -355,6 +355,19 @@ class TestEvaluateGrid:
         with pytest.raises(ConfigError):
             evaluate_grid(problems, ["Telepathy-Code"], settings)
 
+    @pytest.mark.parametrize("variants, message", [
+        (["Code", "Code"], "variant 'Code' is listed more than once"),
+        (["Plan-Code", "Code", "Plan-Code"], "variant 'Plan-Code' is listed more than once"),
+        ([], "the variant list is empty"),
+    ], ids=["repeated", "repeated-apart", "empty"])
+    def test_repeated_or_empty_variants_rejected_upfront(self, tmp_path, problems_by_id,
+                                                         variants, message):
+        settings = EvalSettings(out_dir=tmp_path / "run", backend=ScriptedBackend(responses=[]),
+                                variant_settings=VariantSettings(wall_time=2.0))
+        with pytest.raises(ConfigError, match=message):
+            evaluate_grid([problems_by_id["cf-echo-101"]], variants, settings)
+        assert not settings.out_dir.exists()
+
     def test_resume_after_a_torn_append_reruns_that_pair(self, tmp_path, problems_by_id):
         settings = EvalSettings(
             out_dir=tmp_path,

@@ -3,8 +3,7 @@ import pytest
 from nestflow.backends import ScriptedBackend
 from nestflow.core import RunContext, create_flow, package_input, run
 from nestflow.errors import ConfigError, FlowError, MalformedCompletionError
-from nestflow.llm import extract_code, extract_plan
-from nestflow.ccflows import detect_final_answer
+from nestflow.llm import detect_final_answer, extract_code, extract_plan
 from nestflow.trace import TraceSink
 
 
