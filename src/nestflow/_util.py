@@ -5,6 +5,8 @@ import calendar
 import datetime as dt
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import yaml
@@ -34,6 +36,24 @@ def sha256_hex(data: bytes) -> str:
 
 def fingerprint(obj) -> str:
     return sha256_hex(canonical_bytes(obj))
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``. A reader sees the old file or the new one, never a
+    torn mix, and concurrent writers each replace it whole. A failed write
+    removes its temporary file.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_yaml(path, *, error: type[Exception] = ConfigError):

@@ -10,13 +10,12 @@ import json
 import logging
 import os
 import re
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._util import canonical_bytes, fingerprint, load_yaml, sha256_hex, utc_now_iso
+from ._util import canonical_bytes, fingerprint, load_yaml, replace_file, sha256_hex, utc_now_iso
 from .errors import (
     AuthError,
     BackendError,
@@ -288,14 +287,7 @@ class ResponseCache:
         header = canonical_bytes({"fingerprint": key, "sha256": sha256_hex(data),
                                   "stored_at": utc_now_iso()})
         self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(header + b"\n" + data)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+        replace_file(self._path(key), header + b"\n" + data)
 
     def stats(self) -> dict:
         entries = list(self.directory.glob("*.resp"))

@@ -20,9 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
-from ._util import add_months, month_floor
+from ._util import add_months, month_floor, replace_file
 from .ccflows import VariantSettings, build_variant, parse_variant, problem_payload
 from .core import ROUNDS_USED_KEY, Message, RunContext, create_flow, package_input, run
 from .dataset import BUCKET_LABELS, BUCKET_ORDER, DEFAULT_CUTOFF, Problem, bucket_key
@@ -142,6 +140,10 @@ def bootstrap_ci(outcomes: list[bool], resamples: int = DEFAULT_RESAMPLES,
         raise ValueError("resamples must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
+    # numpy is imported here, its only use, so that commands which compute
+    # no interval (run, replay, cache, --help) never load it.
+    import numpy as np
+
     values = np.asarray(outcomes, dtype=float)
     n = values.size
     rng = np.random.default_rng(seed)
@@ -448,7 +450,8 @@ def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
     it holds other settings this raises ConfigError naming each of them and
     touches no file, and otherwise every ``problems`` entry it holds is kept,
     since its records may be in the directory. Without it, the file is
-    written afresh.
+    written afresh. The file is replaced whole, so a write cut short leaves
+    the old one.
     """
     meta = {
         "seed": settings.seed,
@@ -479,7 +482,7 @@ def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
                               f"(eval --no-resume starts over): {'; '.join(changes)}")
         meta["problems"] = {**old.get("problems", {}), **meta["problems"]}
     out_dir.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    replace_file(path, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_run_meta(out_dir: str | Path) -> dict:

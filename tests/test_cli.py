@@ -1,5 +1,8 @@
+import errno
 import functools
+import io
 import json
+import os
 import shutil
 import sys
 from dataclasses import asdict
@@ -267,6 +270,53 @@ class TestCmdEval:
             "--out", str(out_dir), "--wall-time", "2.0"])
         assert result.exit_code == 0, result.output
         assert "2 records (0 new runs)" in result.output
+
+    def test_run_meta_write_cut_short_keeps_the_old_file(self, runner, eval_dir, tmp_path,
+                                                         monkeypatch):
+        """A ``run_meta.json`` write that fails part-way, as on a full disk,
+        leaves the old file whole: eval then resumes and report regenerates."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(eval_dir[0], run_dir)
+        meta = (run_dir / "run_meta.json").read_bytes()
+        table = (run_dir / "results_table.txt").read_bytes()
+        args = ["eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"),
+                "--variants", "Code,Code_Reflection", "--profiles", str(PROFILES),
+                "--out", str(run_dir), "--wall-time", "2.0"]
+
+        class TornFile:
+            """Writes half of what it is given, then fails."""
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        real_open = io.open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return TornFile(fh) if "w" in mode else fh
+
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "open", torn_open)
+            result = runner.invoke(main, args)
+        assert result.exit_code != 0
+        assert (run_dir / "run_meta.json").read_bytes() == meta
+        assert not list(run_dir.glob("*.tmp"))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "2 records (0 new runs)" in result.output
+        result = runner.invoke(main, ["report", "--run-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        assert (run_dir / "results_table.txt").read_bytes() == table
 
     @pytest.mark.parametrize("variants, message", [
         ("Code,Code", "error: variant 'Code' is listed more than once"),

@@ -111,22 +111,42 @@ class TestRegistry:
                      "generator_critic", "llm", "code_testing", "human_plan"):
             assert kind in kinds
 
-    def test_runtime_import_registers_every_kind_without_the_harness(self):
-        """`import nestflow.core` in a fresh interpreter registers the eight
-        built-in kinds and loads neither the evaluation harness nor numpy."""
+    @staticmethod
+    def fresh_interpreter(code):
+        """The JSON that ``code`` prints, run in a new interpreter on this checkout."""
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = ("import json, sys\nimport nestflow.core as core\n"
-                "print(json.dumps([core.registered_kinds(), [m for m in "
-                "('numpy', 'nestflow.evalharness', 'nestflow.cli') if m in sys.modules]]))\n")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert done.returncode == 0, done.stderr
-        kinds, loaded = json.loads(done.stdout)
+        return json.loads(done.stdout)
+
+    def test_runtime_import_registers_every_kind_without_the_harness(self):
+        """`import nestflow.core` in a fresh interpreter registers the eight
+        built-in kinds and loads neither the evaluation harness nor numpy."""
+        kinds, loaded = self.fresh_interpreter(
+            "import json, sys\nimport nestflow.core as core\n"
+            "print(json.dumps([core.registered_kinds(), [m for m in "
+            "('numpy', 'nestflow.evalharness', 'nestflow.cli') if m in sys.modules]]))\n")
         assert kinds == ["circular", "code_testing", "fixed_reply", "generator_critic",
                          "human_plan", "llm", "sequential", "transform"]
         assert loaded == []
+
+    def test_cli_import_loads_numpy_only_at_the_first_bootstrap(self):
+        """`import nestflow.cli` loads the harness but not numpy; the first
+        bootstrap interval loads it and equals the one computed after it."""
+        before, after, first, second = self.fresh_interpreter(
+            "import json, sys\nimport nestflow.cli, nestflow.evalharness as eh\n"
+            "loaded = lambda: [m for m in ('numpy', 'nestflow.evalharness') if m in sys.modules]\n"
+            "before = loaded()\n"
+            "outcomes = [True, False, True, True, False, False, True]\n"
+            "first = eh.bootstrap_ci(outcomes, resamples=500, seed=3)\n"
+            "print(json.dumps([before, loaded(), first, eh.bootstrap_ci(outcomes, resamples=500, "
+            "seed=3)]))\n")
+        assert before == ["nestflow.evalharness"]
+        assert after == ["numpy", "nestflow.evalharness"]
+        assert first == second
 
     def test_unknown_kind_lists_registered(self):
         with pytest.raises(ConfigError, match="fixed_reply"):
