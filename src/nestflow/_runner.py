@@ -4,25 +4,37 @@
 judgement, with the interpreter's default flags and pipes as its
 standard streams. It stays single-threaded and imports only the
 standard library, never nestflow. It reads requests from stdin and
-writes replies to stdout, one marshalled tuple each, back to back
+writes replies to stdout, one marshalled value each, back to back
 (``marshal`` reads exactly one value and raises ``EOFError`` at end
-of input):
+of input). A request is one judgement: a header and then the input of
+each of its ``n`` tests,
 
-    (scratch, memory bytes, wall time, stdin bytes)
-    -> (exit status or None on timeout, stdout bytes, stderr bytes)
+    (scratch, memory bytes, wall time, n), stdin bytes 1, ..., stdin bytes n
 
-Each child starts its own session under an address-space and file-size
-limit, and compiles and runs ``solution.py`` as a fresh ``__main__`` in
-the scratch directory, as ``python solution.py`` would, on the standard
-streams the interpreter built on the runner's pipes. Under them lie
-anonymous in-memory files: the runner writes the input before the fork
-and reads the output back after the child is reaped, so no stream can
-block either side. It drops the request before the fork and each reply
-once it is written, so neither a test's input nor the previous test's
-output counts against the child's memory cap. When the child exits, or
-is killed when its wall time runs out, the runner kills every process it
-left behind, in whatever session: the runner is a child subreaper, so
-these all become its children. It exits itself at end of input.
+and the runner replies once per test, in order, as each test ends:
+
+    (exit status or None on a timeout, stdout bytes, stderr bytes)
+
+It stops after the first reply whose status is not 0, as the judge
+does, so the judge reads exactly the replies that are sent.
+
+What every test of every judgement shares is set in the runner: before
+it serves, it drops the modules it imported itself, so that only those
+the interpreter loads at start-up are left, and sets ``sys.argv`` and the
+recursion limit; for each judgement it enters the scratch directory and
+puts it first on ``sys.path``. Each child then only starts its own
+session under an address-space and file-size limit, and compiles and
+runs ``solution.py`` as a fresh ``__main__``, as ``python solution.py``
+would, on the standard streams the interpreter built on the runner's
+pipes. Under them lie anonymous in-memory files: the runner moves each
+input into its own stdin file before the first fork, holding one input
+at a time, and reads the output back after the child is reaped, so no
+stream can block either side, and no child starts with an input, or the
+previous test's output, counting against its memory cap. When the child
+exits, or is killed when its wall time runs out, the runner kills every
+process it left behind, in whatever session: the runner is a child
+subreaper, so these all become its children. It exits itself at end of
+input.
 """
 import sys
 
@@ -43,7 +55,7 @@ import _frozen_importlib_external
 _PR_SET_CHILD_SUBREAPER = 36  # from <linux/prctl.h>
 
 
-def _child(scratch, memory, files, inherited):
+def _child(path, memory, files, inherited):
     """Become ``python solution.py`` and run; never returns."""
     os.setsid()
     for fd in inherited:
@@ -53,10 +65,6 @@ def _child(scratch, memory, files, inherited):
         os.close(fd)
     for limit in (resource.RLIMIT_AS, resource.RLIMIT_FSIZE):
         resource.setrlimit(limit, (memory, memory))
-    os.chdir(scratch)
-    for name in set(sys.modules) - _FRESH:
-        del sys.modules[name]
-    path = os.path.join(os.getcwd(), "solution.py")
     main = types.ModuleType("__main__")
     main.__annotations__ = {}
     main.__builtins__ = builtins
@@ -64,16 +72,6 @@ def _child(scratch, memory, files, inherited):
     main.__cached__ = None
     main.__loader__ = _frozen_importlib_external.SourceFileLoader("__main__", path)
     sys.modules["__main__"] = main
-    sys.argv = ["solution.py"]
-    sys.orig_argv = sys.orig_argv[:1] + sys.argv
-    if not getattr(sys.flags, "safe_path", False):  # else neither puts its directory first
-        sys.path[0] = os.path.dirname(path)  # was this file's, holding nestflow's modules
-    # The frames below the program's count towards the recursion limit; a
-    # program run as a script starts with none.
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    sys.setrecursionlimit(sys.getrecursionlimit() + depth)
     try:
         with open(path, "rb") as source:
             code = compile(source.read(), path, "exec", dont_inherit=True)
@@ -130,13 +128,13 @@ def _flush():
     return ok
 
 
-def _run(channel, scratch, memory, wall_time, stdin):
+def _run(inherited, path, memory, wall_time, stdin):
     """Run one test in a forked child on the file ``stdin``, which is then
     closed; returns (status or None, stdout, stderr)."""
     files = [stdin] + [os.memfd_create(name) for name in ("stdout", "stderr")]
     pid = os.fork()
     if pid == 0:
-        _child(scratch, memory, files, channel)
+        _child(path, memory, files, inherited)
     os.close(stdin)
     exited = os.pidfd_open(pid)
     timed_out = not select.select([exited], [], [], wall_time)[0]
@@ -150,6 +148,15 @@ def _run(channel, scratch, memory, wall_time, stdin):
             os.close(fd)
         return None, b"", b""
     return status, _contents(files[1]), _contents(files[2])
+
+
+def _stdin_file(data):
+    """A new anonymous in-memory file holding ``data``, rewound."""
+    fd = os.memfd_create("stdin")
+    with open(fd, "wb", closefd=False) as file:
+        file.write(data)
+    os.lseek(fd, 0, os.SEEK_SET)
+    return fd
 
 
 def _contents(fd):
@@ -181,11 +188,34 @@ def _kill_strays():
             os.waitpid(-1, os.WNOHANG)
         except ChildProcessError:
             return
-        with open(children) as listing:
+        with open(children, "rb") as listing:
             pids = [int(pid) for pid in listing.read().split()]
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _set_shared_state():
+    """Give the runner the state that every test child starts from.
+
+    Only the modules the interpreter loaded at start-up stay in
+    ``sys.modules``; what the runner dropped is collected here, once, and
+    what is left is frozen, so that a child neither frees nor collects
+    the runner's objects. ``sys.argv`` is a script's. The frames below the
+    program's (``serve`` and its callers, then ``_run`` and ``_child``) count
+    towards the recursion limit, and a program run as a script starts
+    with none, so the limit is raised by their number.
+    """
+    for name in set(sys.modules) - _FRESH:
+        del sys.modules[name]
+    sys.argv = ["solution.py"]
+    sys.orig_argv = sys.orig_argv[:1] + sys.argv
+    depth, frame = 2, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    sys.setrecursionlimit(sys.getrecursionlimit() + depth)
+    gc.collect()
+    gc.freeze()
 
 
 def serve():
@@ -195,24 +225,34 @@ def serve():
     os.dup2(quiet, 0)
     os.dup2(quiet, 1)
     os.close(quiet)
-    channel = (requests.fileno(), replies.fileno())
-    gc.freeze()  # children then collect only what their program made
+    channel = [requests.fileno(), replies.fileno()]
+    _set_shared_state()
     while True:
         try:
-            scratch, memory, wall_time, data = marshal.load(requests)
+            scratch, memory, wall_time, count = marshal.load(requests)
+            # One input at a time is in memory, and none once the first child forks.
+            stdins = [_stdin_file(marshal.load(requests)) for _ in range(count)]
         except (EOFError, ValueError):
             return  # end of input: the parent went away
-        stdin = os.memfd_create("stdin")
-        with open(stdin, "wb", closefd=False) as file:
-            file.write(data)
-        del data  # it is in the stdin file, and the child must not start with it
-        os.lseek(stdin, 0, os.SEEK_SET)
+        os.chdir(scratch)  # entered anew each time: a directory of that name may be another
+        if not getattr(sys.flags, "safe_path", False):  # else neither puts its directory first
+            sys.path[0] = os.getcwd()  # at first this file's, holding nestflow's modules
+        path = os.path.join(os.getcwd(), "solution.py")
         try:
-            # The reply is a temporary, dropped once written.
-            marshal.dump(_run(channel, scratch, memory, wall_time, stdin), replies)
-            replies.flush()
+            while stdins:
+                # Each child closes the stdin files of the tests after its own.
+                stdin = stdins.pop(0)
+                reply = _run(channel + stdins, path, memory, wall_time, stdin)
+                marshal.dump(reply, replies)
+                replies.flush()
+                status = reply[0]
+                del reply  # so it does not count against the next child's memory cap
+                if status != 0:
+                    break  # the judge's own stop rule: a timeout or a runtime error
         except BrokenPipeError:
             return  # the parent went away
+        for fd in stdins:
+            os.close(fd)
 
 
 if __name__ == "__main__":

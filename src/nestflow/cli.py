@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (problem solved / traces identical), 1 completed
 but negative (unsolved, replay divergence), 2 usage or config errors,
-3 environment errors (missing interpreter, missing credential).
+3 environment errors (missing interpreter, missing credential, a run
+directory that cannot be written).
 """
 from __future__ import annotations
 
@@ -61,6 +62,13 @@ def _fail(exc: Exception) -> None:
     if isinstance(exc, ENVIRONMENT_ERRORS):
         sys.exit(3)
     sys.exit(2)
+
+
+def _fail_to_write(out_dir: str, exc: OSError) -> None:
+    """A run directory that cannot be written (a full disk, say) is an
+    environment error: the run itself decided nothing."""
+    click.echo(f"error: cannot write run directory {out_dir}: {exc}", err=True)
+    sys.exit(3)
 
 
 def load_backend_profile(profiles_path: str | Path, name: str):
@@ -145,6 +153,10 @@ def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile
         record, code = run_pair(problem, variant, settings)
     except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
         _fail(exc)
+    except OSError as exc:
+        if out_dir is None:
+            raise
+        _fail_to_write(out_dir, exc)
     click.echo(f"problem: {problem.id}")
     click.echo(f"variant: {variant}")
     click.echo(f"rounds_used: {record.rounds_used}")
@@ -188,6 +200,8 @@ def cmd_eval(dataset_path: str, variants: str, profiles_path: str, backend_profi
         _fail(exc)
     except ValueError as exc:
         _fail(ConfigError(str(exc)))
+    except OSError as exc:
+        _fail_to_write(out_dir, exc)
     click.echo(f"{len(result.records)} records ({result.new_runs} new runs)")
     click.echo((Path(out_dir) / "records.jsonl").as_posix())
     click.echo(paths["table"].read_text(encoding="utf-8"), nl=False)

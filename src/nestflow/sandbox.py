@@ -4,12 +4,14 @@ A program is written to a fresh scratch directory and compiled
 in-process, which is its syntax check. A warm runner process
 (``_runner.py``) then runs the program once per test, each run a child
 forked into its own session with a wall-time limit and an address-space
-cap, which compiles and runs it as ``python solution.py`` would. Runners
-wait in a process-wide pool, one per concurrent judgement. Results
-collapse to one of five verdicts and render to fixed report text that
-feedback loops embed in prompts, so the wording here is load-bearing and
-must not drift. A process-wide memo judges each distinct program, test
-list and limit set once.
+cap, which compiles and runs it as ``python solution.py`` would. A
+judgement is one request to the runner, which replies once per test as
+each ends and stops, as the judge does, at the first timeout or runtime
+error. Runners wait in a process-wide pool, one per concurrent
+judgement. Results collapse to one of five verdicts and render to fixed
+report text that feedback loops embed in prompts, so the wording here is
+load-bearing and must not drift. A process-wide memo judges each
+distinct program, test list and limit set once.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import tempfile
 import threading
 import warnings
 from collections import OrderedDict
+from collections.abc import Iterator
 from concurrent.futures import Future
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
@@ -261,18 +264,20 @@ def _judge(program: str, tests: list[TestCase], limits: ExecutionLimits) -> Test
         failures: list[Failure] = []
         verdict = Verdict.ALL_PASSED
         with _lease() if tests else nullcontext() as runner:
-            for position, test in enumerate(tests, start=1):
-                status, stdout, stderr = runner.run_test(job, test.input.encode())
+            # The replies end with the first timeout or runtime error.
+            replies = runner.run(job, [test.input for test in tests]) if tests else ()
+            for position, (test, (status, stdout, stderr)) in enumerate(zip(tests, replies),
+                                                                         start=1):
                 if status is None:
                     verdict = Verdict.TIMEOUT
                     failures = [Failure(position, test.input, test.expected_output,
                                         f"wall time limit of {limits.wall_time}s exceeded")]
-                    break
+                    continue
                 if status != 0:
                     verdict = Verdict.RUNTIME_ERROR
                     error = _strip_scratch(stderr.decode(errors="replace").strip(), scratch)
                     failures = [Failure(position, test.input, test.expected_output, error)]
-                    break
+                    continue
                 produced = stdout.decode(errors="replace")
                 if not compare_output(test.expected_output, produced):
                     verdict = Verdict.WRONG_ANSWER
@@ -304,14 +309,29 @@ class _Runner:
         except OSError as exc:
             raise SandboxEnvironmentError(f"failed to spawn interpreter: {exc}") from exc
 
-    def run_test(self, job: tuple, stdin: bytes) -> tuple[int | None, bytes, bytes]:
-        """Run the job's program on one input: its exit status (None on a
-        timeout), stdout and stderr. A runner that went away raises OSError."""
+    def run(self, job: tuple, inputs: list[str]) -> Iterator[tuple[int | None, bytes, bytes]]:
+        """Run the job's program on each input in turn, in one request.
+
+        Yields each test's reply as it ends: its exit status (None on a
+        timeout), stdout and stderr. Like the runner, it stops after the
+        first status that is not 0, so a caller that takes every reply
+        leaves none unread. A runner that went away raises OSError.
+        """
         try:
-            marshal.dump((*job, stdin), self.process.stdin)
+            marshal.dump((*job, len(inputs)), self.process.stdin)
+            for text in inputs:
+                marshal.dump(text.encode(), self.process.stdin)
             self.process.stdin.flush()
         except BrokenPipeError:
             pass  # it went away: its reply below ends early
+        for _ in inputs:
+            reply = self.reply()
+            yield reply
+            if reply[0] != 0:
+                return
+
+    def reply(self) -> tuple[int | None, bytes, bytes]:
+        """The reply to the next test of the request in progress."""
         try:
             return marshal.load(self.process.stdout)
         except (EOFError, ValueError):

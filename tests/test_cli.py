@@ -41,6 +41,18 @@ def snapshot(directory):
             for path in directory.rglob("*") if path.is_file()}
 
 
+def full_disk(monkeypatch, modes="wa"):
+    """Make every file opened in one of ``modes`` fail as on a full disk."""
+    real_open = io.open
+
+    def open_on_full_disk(file, mode="r", *args, **kwargs):
+        if any(m in mode for m in modes):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", open_on_full_disk)
+
+
 def write_profiles(tmp_path, profiles):
     path = tmp_path / "profiles.yaml"
     path.write_text(yaml.safe_dump({"profiles": profiles}), encoding="utf-8")
@@ -200,6 +212,15 @@ class TestCmdRun:
         meta = json.loads((tmp_path / "one" / "run_meta.json").read_text(encoding="utf-8"))
         assert sorted(meta["problems"]) == ["cf-echo-101", "cf-pairsum-202"]
 
+    def test_unwritable_out_dir_is_environment_error(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "one"
+        full_disk(monkeypatch)
+        result = runner.invoke(main, self.run_args("cf-echo-101", "Code", out=out))
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == (f"error: cannot write run directory {out}: "
+                                 "[Errno 28] No space left on device\n")
+
     def test_missing_problem_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["run", "--problem", "no-such.yaml",
                                       "--variant", "Code"])
@@ -317,6 +338,20 @@ class TestCmdEval:
         result = runner.invoke(main, ["report", "--run-dir", str(run_dir)])
         assert result.exit_code == 0, result.output
         assert (run_dir / "results_table.txt").read_bytes() == table
+
+    @pytest.mark.parametrize("modes", ["wa", "a"], ids=["every-write", "records"])
+    def test_unwritable_run_dir_is_environment_error(self, runner, tmp_path, monkeypatch,
+                                                     modes):
+        run_dir = tmp_path / "run"
+        full_disk(monkeypatch, modes)
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--variants", "Code",
+            "--profiles", str(PROFILES), "--out", str(run_dir), "--wall-time", "2.0"])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == (f"error: cannot write run directory {run_dir}: "
+                                 "[Errno 28] No space left on device\n")
+        assert not (run_dir / "records.jsonl").exists()
 
     @pytest.mark.parametrize("variants, message", [
         ("Code,Code", "error: variant 'Code' is listed more than once"),

@@ -288,6 +288,20 @@ RUN_CASES = {
                                     ExecutionLimits(wall_time=10.0, memory_bytes=64 * 1024 * 1024)),
     "stream_kinds": ("import sys\nfor s in (sys.stdin, sys.stdout, sys.stderr):\n"
                      "    print(s.seekable(), s.isatty(), s.line_buffering)\n", [IOCase("", "")]),
+    # What the runner sets once for every test: a test that changes it
+    # leaves the next one as a fresh process finds it.
+    "state_left_by_the_previous_test": ("import os, sys\n"
+                                        "def depth(n=1):\n    try:\n        return depth(n + 1)\n"
+                                        "    except RecursionError:\n        return n\n"
+                                        "if input() == 'change':\n    os.chdir('..')\n"
+                                        "    sys.argv[:] = ['other.py', 'x']\n"
+                                        "    sys.path[0] = os.getcwd()\n"
+                                        "    sys.setrecursionlimit(100)\n    print('changed')\n"
+                                        "else:\n    print(os.listdir('.'), sys.argv, sys.orig_argv[1:],"
+                                        " sys.path[0] == os.getcwd(), depth())\n",
+                                        [IOCase("change\n", ""), IOCase("print\n", "")]),
+    "open_files": ("import os\nprint(input(), sorted(os.listdir('/proc/self/fd'), key=int))\n",
+                   [IOCase("1\n", ""), IOCase("2\n", ""), IOCase("3\n", "")]),
     # A test's input and the previous test's output must not count against
     # a run's memory cap.
     "input_over_30mb_unread": ("data = bytearray(30_000_000)\nprint('ok')\n",
@@ -423,7 +437,8 @@ class TestCompileCheck:
 class Work:
     """What run_tests started, one log entry per test run ("spawn") or compile.
 
-    A test run waits ``delay`` seconds first, then raises ``error`` if set.
+    A test run's reply is read after ``delay`` seconds, or ``error`` is
+    raised in its place if set.
     """
 
     def __init__(self):
@@ -437,20 +452,20 @@ def work(monkeypatch):
     """An empty memo, with every test run and compile counted."""
     monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
     work = Work()
-    run_test = sandbox._Runner.run_test
+    reply = sandbox._Runner.reply
 
-    def counted_run(*args, **kwargs):
+    def counted_reply(*args, **kwargs):
         work.log.append("spawn")
         time.sleep(work.delay)
         if work.error is not None:
             raise work.error
-        return run_test(*args, **kwargs)
+        return reply(*args, **kwargs)
 
     def counted_compile(*args, **kwargs):
         work.log.append("compile")
         return builtins.compile(*args, **kwargs)
 
-    monkeypatch.setattr(sandbox._Runner, "run_test", counted_run)
+    monkeypatch.setattr(sandbox._Runner, "reply", counted_reply)
     monkeypatch.setattr(sandbox, "compile", counted_compile, raising=False)
     return work
 
@@ -788,6 +803,38 @@ class TestRunnerPool:
         assert all(isinstance(e, SandboxEnvironmentError)
                    and "failed to spawn interpreter" in str(e) for e in errors), errors
         assert len(attempts) == 1 and runners == []
+
+    @pytest.mark.parametrize("stop, verdict", [
+        ("raise ValueError(n)", Verdict.RUNTIME_ERROR),
+        ("import time\n    time.sleep(10)", Verdict.TIMEOUT),
+    ], ids=["runtime-error", "timeout"])
+    def test_judgement_stops_at_the_first_failed_run(self, runners, tmp_path, stop, verdict):
+        program = ("import pathlib\nn = input()\n"
+                   f"pathlib.Path({str(tmp_path)!r}, n).touch()\n"
+                   f"if n == '2':\n    {stop}\nprint(n)\n")
+        tests = [IOCase(f"{n}\n", f"{n}\n") for n in range(1, 5)]
+        report = run_tests(program, tests, limits=ExecutionLimits(wall_time=0.5))
+        assert (report.verdict, [f.index for f in report.failures]) == (verdict, [2])
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["1", "2"]
+        # The next judgements on the same runner read their own replies, and
+        # one that fails on every test reads all of them.
+        wrong = run_tests("print(input().strip() * 2)\n", tests, limits=FAST)
+        assert [f.actual for f in wrong.failures] == ["11", "22", "33", "44"]
+        tripled = [IOCase(f"{n}\n", f"{n * 3}\n") for n in range(5, 8)]
+        assert run_tests("print(int(input()) * 3)\n", tripled, limits=FAST).verdict \
+            == Verdict.ALL_PASSED
+        assert len(runners) == 1 and sandbox._IDLE == runners
+
+    def test_large_inputs_of_one_judgement_leave_each_test_its_memory(self, runners):
+        # The runner holds one input of a judgement at a time, and none once
+        # a test runs. The runner is new and the allocation larger than an
+        # input, so no free memory left in the runner's heap can serve it.
+        program = "data = bytearray(40_000_000)\nprint('ok')\n"
+        tests = [IOCase(HUGE_TEXT, "ok\n")] * 3
+        report = run_tests(program, tests, limits=CAP_64_MIB)
+        assert report == spawn_judge(program, tests, CAP_64_MIB)
+        assert report.verdict == Verdict.ALL_PASSED
+        assert len(runners) == 1
 
     def test_runner_imports_only_the_standard_library(self):
         tree = ast.parse(Path(sandbox._RUNNER_SCRIPT).read_text(encoding="utf-8"))
