@@ -150,7 +150,7 @@ def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile
                                                interactive_plan))
         if settings.out_dir is not None:
             write_run_meta(settings.out_dir, [problem], [variant], settings)
-        record, code = run_pair(problem, variant, settings)
+        record, code = run_pair(problem, variant, settings).judge()
     except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
         _fail(exc)
     except OSError as exc:

@@ -326,22 +326,69 @@ def _remove_trace(path: Path) -> None:
             return
 
 
-def run_pair(problem: Problem, variant_name: str,
-             settings: EvalSettings) -> tuple[RunRecord, str | None]:
-    """Run one (problem, variant) pair and judge it on the hidden tests.
+@dataclass(frozen=True)
+class PendingPair:
+    """A pair whose flow has ended and whose hidden-test judgement is to come."""
 
-    Returns the record and the final program. The trace goes to
-    ``<out_dir>/<trace_ref>``, or stays in memory when ``out_dir`` is None.
-    An environment error aborts the pair and removes its trace.
+    problem: Problem
+    variant: str
+    variant_settings: VariantSettings
+    trace_path: Path | None
+    code: str | None
+    rounds: int
+    error: str | None
+    flow_s: float
+
+    def judge(self) -> tuple[RunRecord, str | None]:
+        """Judge the final program on the hidden tests: the record and the program.
+
+        The record's ``wall_time`` is the pair's own work, its flow's time
+        plus this judgement's, not any time it waited in between. An
+        environment error removes the pair's trace.
+        """
+        started = time.perf_counter()
+        verdict = None
+        if self.error is None:
+            limits = ExecutionLimits(wall_time=self.variant_settings.wall_time,
+                                     memory_bytes=self.variant_settings.memory_bytes)
+            try:
+                verdict = run_tests(self.code, list(self.problem.hidden_tests),
+                                    limits=limits).verdict.value
+            except ENVIRONMENT_ERRORS:
+                if self.trace_path is not None:
+                    _remove_trace(self.trace_path)
+                raise
+        record = RunRecord(
+            problem_id=self.problem.id,
+            variant=self.variant,
+            solved=verdict == Verdict.ALL_PASSED.value,
+            rounds_used=self.rounds,
+            release_date=self.problem.release_date.isoformat(),
+            trace_ref=_trace_ref(self.problem.id, self.variant),
+            wall_time=round(self.flow_s + time.perf_counter() - started, 3),
+            verdict=verdict,
+            error=self.error,
+        )
+        return record, self.code
+
+
+def run_pair(problem: Problem, variant_name: str, settings: EvalSettings) -> PendingPair:
+    """Run one (problem, variant) pair's flow, the first of its two stages.
+
+    The returned pair's ``judge()`` is the second: the hidden-test
+    judgement, which gives the record and the final program. ``eval`` runs
+    it beside the next pair's flow, ``run`` right after this one. The
+    trace goes to ``<out_dir>/<trace_ref>``, or stays in memory when
+    ``out_dir`` is None. An environment error aborts the pair and removes
+    its trace.
     """
     started = time.perf_counter()
-    trace_ref = _trace_ref(problem.id, variant_name)
-    trace_path = settings.out_dir / trace_ref if settings.out_dir is not None else None
+    trace_path = (settings.out_dir / _trace_ref(problem.id, variant_name)
+                  if settings.out_dir is not None else None)
     vsettings = settings.variant_settings
     error = None
     code = None
     rounds = 0
-    verdict = None
     try:
         with TraceSink(trace_path) as sink:
             ctx = RunContext(trace=sink, backends={vsettings.backend: settings.backend},
@@ -354,27 +401,14 @@ def run_pair(problem: Problem, variant_name: str,
             else:
                 code = output.payload.get("code")
                 rounds = output.payload.get(ROUNDS_USED_KEY, 0)
-        if error is None and code is None:
-            error = "no program extracted"
-        elif error is None:
-            limits = ExecutionLimits(wall_time=vsettings.wall_time, memory_bytes=vsettings.memory_bytes)
-            verdict = run_tests(code, list(problem.hidden_tests), limits=limits).verdict.value
     except ENVIRONMENT_ERRORS:
         if trace_path is not None:
             _remove_trace(trace_path)
         raise
-    record = RunRecord(
-        problem_id=problem.id,
-        variant=variant_name,
-        solved=verdict == Verdict.ALL_PASSED.value,
-        rounds_used=rounds,
-        release_date=problem.release_date.isoformat(),
-        trace_ref=trace_ref,
-        wall_time=round(time.perf_counter() - started, 3),
-        verdict=verdict,
-        error=error,
-    )
-    return record, code
+    if error is None and code is None:
+        error = "no program extracted"
+    return PendingPair(problem, variant_name, vsettings, trace_path, code, rounds, error,
+                       time.perf_counter() - started)
 
 
 class _Unrecorded:
@@ -514,13 +548,24 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
                   settings: EvalSettings) -> GridResult:
     """Run every (problem, variant) pair not already recorded.
 
-    Pairs run on a thread pool; results append to records.jsonl as they
-    finish. A failing pair becomes a solved=false record with an error
-    note, while an environment error aborts the grid. Record order on disk is
-    completion order; aggregation always re-sorts. Resuming a run directory
-    whose ``run_meta.json`` holds other settings is a ConfigError, and
-    leaves every file as it was (see ``write_run_meta``). So is an empty
-    variant list, or one that names a variant twice.
+    A pair's flow (``run_pair``) runs on one of ``settings.workers`` flow
+    workers: the calling thread and ``workers - 1`` more. When it ends, its
+    hidden-test judgement (``PendingPair.judge``) is queued, first in first
+    out, for a pool of ``workers`` judge threads, which append the records,
+    and the flow worker goes on to the next pair. So ``workers`` bounds the
+    flows, and the backend calls, in flight, and up to twice as many
+    judgements can run at once. Record order on disk is completion order,
+    which with one worker is the order the pairs run in.
+
+    A failing pair becomes a solved=false record with an error note. Any
+    other error in either stage (an environment error, an ``OSError``, an
+    interrupt) fails the grid: no flow starts after it is seen, queued
+    judgements are dropped, each pair left without a record loses its
+    trace, and the error is raised once the other threads have ended.
+    Resuming a run directory whose ``run_meta.json`` holds other settings
+    is a ConfigError, and leaves every file as it was (see
+    ``write_run_meta``). So is an empty variant list, or one that names a
+    variant twice.
     """
     if not variants:
         raise ConfigError("the variant list is empty")
@@ -538,24 +583,66 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
     by_id = {p.id: p for p in problems}
     todo = [(pid, variant) for pid in sorted(by_id) for variant in variants
             if (pid, variant) not in existing]
-    write_lock = threading.Lock()
+    lock = threading.Lock()
     results: dict[tuple[str, str], RunRecord] = dict(existing)
+    queue = iter(todo)
+    started: list[tuple[str, str]] = []
+    errors: list[BaseException] = []
+    failed = threading.Event()
 
-    def one(task: tuple[str, str]) -> None:
-        pid, variant = task
-        record, _ = run_pair(by_id[pid], variant, settings)
-        with write_lock:
+    def stage(work, *args) -> None:
+        """One stage of a pair, unless the grid has failed; an error fails it."""
+        if failed.is_set():
+            return
+        try:
+            work(*args)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+            failed.set()
+
+    def judge(pending: PendingPair) -> None:
+        record, _ = pending.judge()
+        with lock:
             append_record(records_path, record)
-            results[(pid, variant)] = record
+            results[(record.problem_id, record.variant)] = record
 
-    if todo:
-        workers = max(1, settings.workers)
-        if workers == 1:
-            for task in todo:
-                one(task)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(one, todo))
+    def flow(key: tuple[str, str]) -> None:
+        judges.submit(stage, judge, run_pair(by_id[key[0]], key[1], settings))
+
+    def flows() -> None:
+        """A flow worker: it takes the next pair until none is left or the grid fails."""
+        while not failed.is_set():
+            with lock:
+                key = next(queue, None)
+                if key is None:
+                    return
+                started.append(key)
+            stage(flow, key)
+
+    workers = max(1, settings.workers)
+    judges = ThreadPoolExecutor(workers, thread_name_prefix="nestflow-judge")
+    helpers = [threading.Thread(target=flows, name=f"nestflow-flow-{n}") for n in range(1, workers)]
+    try:
+        for helper in helpers:
+            helper.start()
+        flows()  # the calling thread is the first flow worker
+        for helper in helpers:
+            helper.join()
+        judges.shutdown()  # every flow has queued its judgement by now
+    except BaseException:  # an interrupt: start nothing more
+        failed.set()
+        raise
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:
+                helper.join()
+        judges.shutdown(cancel_futures=True)
+        for key in started:
+            if key not in results:
+                _remove_trace(out_dir / _trace_ref(*key))
+    if errors:
+        raise errors[0]
     ordered = [results[key] for key in sorted(results)]
     logger.info("grid complete: %d records (%d new)", len(ordered), len(todo))
     return GridResult(records=ordered, new_runs=len(todo))

@@ -237,11 +237,27 @@ def _report_chars(report: TestReport) -> int:
                                      for f in report.failures)
 
 
+def _scratch(data: bytes) -> tempfile.TemporaryDirectory:
+    """A fresh scratch directory holding the program as ``solution.py``.
+
+    Failing to make it (a full ``/tmp``, say) says nothing of the program,
+    so the ``OSError`` is raised as ``SandboxEnvironmentError``.
+    """
+    scratch = None
+    try:
+        scratch = tempfile.TemporaryDirectory(prefix="nestflow-sandbox-")
+        Path(scratch.name, "solution.py").write_bytes(data)
+    except OSError as exc:
+        if scratch is not None:
+            scratch.cleanup()
+        raise SandboxEnvironmentError(f"judge cannot set up its scratch directory: {exc}") from exc
+    return scratch
+
+
 def _judge(program: str, tests: list[TestCase], limits: ExecutionLimits) -> TestReport:
-    with tempfile.TemporaryDirectory(prefix="nestflow-sandbox-") as scratch:
+    data = program.encode("utf-8")
+    with _scratch(data) as scratch:
         source = os.path.join(scratch, "solution.py")
-        data = program.encode("utf-8")
-        Path(source).write_bytes(data)
         # Compiling under the absolute path lets the compiler quote the
         # offending line from the file; no bytecode file is written. Each test
         # child compiles it again and prints its warnings, so here they are

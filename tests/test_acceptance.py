@@ -7,6 +7,7 @@ force re-implementation, report cell grammar, determinism and state
 isolation, temporal windowing, and the CLI round trip.
 """
 import datetime as dt
+import json
 import math
 import random
 import threading
@@ -51,6 +52,9 @@ from nestflow.trace import TraceSink, read_trace
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SNAPSHOTS = FIXTURES / "sandbox_corpus" / "snapshots"
+# The serial fixture grid's records.jsonl as written when each pair's hidden
+# judgement ran on its flow's thread, with wall_time left out.
+SERIAL_RECORDS = Path(__file__).resolve().parent / "serial_fixture_grid_records.jsonl"
 
 CHILD_COLUMNS = {
     "code_generator_calls": "code_generator",
@@ -135,6 +139,17 @@ class TestFixtureGrid:
 
     def test_grid_completes_quickly(self, serial_grid):
         assert serial_grid[2] < 60.0
+
+    def test_serial_records_keep_their_order(self, serial_grid):
+        """One worker appends the records in the order its pairs run, line
+        for line as before the hidden judgement moved off the flow's thread."""
+        out_dir = serial_grid[0]
+        lines = []
+        for line in (out_dir / "records.jsonl").read_text(encoding="utf-8").splitlines():
+            doc = json.loads(line)
+            del doc["wall_time"]
+            lines.append(json.dumps(doc, sort_keys=True))
+        assert lines == SERIAL_RECORDS.read_text(encoding="utf-8").splitlines()
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import sys
+from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from nestflow import sandbox
 from nestflow._util import canonical_json
 from nestflow.backends import (
     BackendRequest,
@@ -51,6 +53,21 @@ def full_disk(monkeypatch, modes="wa"):
         return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(io, "open", open_on_full_disk)
+
+
+# What run and eval print when the judge cannot make its scratch directory.
+FULL_SCRATCH = ("error: judge cannot set up its scratch directory: [Errno 28] "
+                "No space left on device: '/tmp/nestflow-sandbox-x'\n")
+
+
+def full_scratch(monkeypatch):
+    """Make the judge's scratch directory fail as on a full ``/tmp``, with an
+    empty verdict memo, so that the next judgement needs one."""
+    def mkdtemp(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "/tmp/nestflow-sandbox-x")
+
+    monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
+    monkeypatch.setattr(sandbox.tempfile, "mkdtemp", mkdtemp)
 
 
 def write_profiles(tmp_path, profiles):
@@ -221,6 +238,15 @@ class TestCmdRun:
         assert result.stderr == (f"error: cannot write run directory {out}: "
                                  "[Errno 28] No space left on device\n")
 
+    def test_full_scratch_directory_is_environment_error(self, runner, tmp_path, monkeypatch):
+        full_scratch(monkeypatch)
+        for extra in ({}, {"out": tmp_path / "one"}):
+            result = runner.invoke(main, self.run_args("cf-echo-101", "Code", **extra))
+            assert result.exit_code == 3, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr == FULL_SCRATCH
+        assert not list(tmp_path.rglob("trace.log"))
+
     def test_missing_problem_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["run", "--problem", "no-such.yaml",
                                       "--variant", "Code"])
@@ -352,6 +378,18 @@ class TestCmdEval:
         assert result.stderr == (f"error: cannot write run directory {run_dir}: "
                                  "[Errno 28] No space left on device\n")
         assert not (run_dir / "records.jsonl").exists()
+
+    def test_full_scratch_directory_is_environment_error(self, runner, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        full_scratch(monkeypatch)
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--variants", "Code",
+            "--profiles", str(PROFILES), "--out", str(run_dir), "--wall-time", "2.0"])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == FULL_SCRATCH
+        assert not (run_dir / "records.jsonl").exists()
+        assert not list(run_dir.rglob("trace.log"))
 
     @pytest.mark.parametrize("variants, message", [
         ("Code,Code", "error: variant 'Code' is listed more than once"),

@@ -2,6 +2,10 @@ import csv
 import datetime as dt
 import json
 import random
+import sys
+import threading
+import time
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nestflow import evalharness, sandbox
 from nestflow.backends import RemoteBackend, ScriptedBackend
 from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
-from nestflow.errors import ConfigError, RetryBudgetExhaustedError
+from nestflow.errors import ConfigError, RetryBudgetExhaustedError, SandboxEnvironmentError
 from nestflow.evalharness import (
     EvalSettings,
     RunRecord,
@@ -495,6 +500,105 @@ class TestEvaluateGrid:
         assert not record.solved
         assert record.verdict is None
         assert record.error and "code" in record.error
+
+
+class TestPipeline:
+    """eval judges each pair's hidden tests beside the next pairs' flows."""
+
+    def test_a_hidden_judgement_overlaps_a_later_flow(self, tmp_path, problems_by_id,
+                                                      monkeypatch):
+        """lc-countdown-505's Code program loops forever. Its hidden-test
+        judgement waits out the wall time while Code_Debug, two pairs later,
+        waits out the same wall time on the public tests."""
+        monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())  # every judgement runs
+        calls = []
+        judge = sandbox.run_tests
+
+        def timed(stage):
+            def run_tests(*args, **kwargs):
+                start = time.monotonic()
+                report = judge(*args, **kwargs)
+                calls.append((stage, report.verdict, start, time.monotonic()))
+                return report
+            return run_tests
+
+        monkeypatch.setattr(sandbox, "run_tests", timed("public"))
+        monkeypatch.setattr(evalharness, "run_tests", timed("hidden"))
+        settings = EvalSettings(
+            out_dir=tmp_path,
+            backend=ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml"),
+            variant_settings=VariantSettings(wall_time=1.0, model="scripted"))
+        threads = threading.active_count()
+        result = evaluate_grid([problems_by_id["lc-countdown-505"]],
+                               ["Code", "Code_Reflection", "Code_Debug"], settings)
+        assert threading.active_count() == threads
+        assert {r.variant: r.verdict for r in result.records} == {
+            "Code": "Timeout", "Code_Reflection": "Timeout", "Code_Debug": "AllPassed"}
+        (_, start_a, end_a), (_, start_b, end_b) = [
+            next((stage, start, end) for stage, verdict, start, end in calls
+                 if stage == name and verdict == sandbox.Verdict.TIMEOUT)
+            for name in ("hidden", "public")]
+        assert max(start_a, start_b) < min(end_a, end_b), calls
+
+    def test_more_workers_than_cores_record_each_pair_once(self, tmp_path, problems):
+        settings = EvalSettings(
+            out_dir=tmp_path,
+            backend=ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml"),
+            variant_settings=VariantSettings(wall_time=1.0, model="scripted"), workers=4)
+        variants = ["Code", "Code_Reflection", "Code_Debug"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = evaluate_grid(problems, variants, settings)
+        finally:
+            sys.setswitchinterval(interval)
+        pairs = sorted((p.id, v) for p in problems for v in variants)
+        assert result.new_runs == len(pairs)
+        assert [(r.problem_id, r.variant) for r in result.records] == pairs
+        records = read_records(tmp_path / "records.jsonl")
+        assert sorted((r.problem_id, r.variant) for r in records) == pairs
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("trace.log")) \
+            == sorted(r.trace_ref for r in records)
+
+    def test_an_error_in_a_judgement_fails_the_grid_fast(self, tmp_path, problems,
+                                                          monkeypatch):
+        settings = EvalSettings(
+            out_dir=tmp_path,
+            backend=ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml"),
+            variant_settings=VariantSettings(wall_time=1.0, model="scripted"))
+        completions = []
+        complete = ScriptedBackend.complete
+
+        def slow_complete(self, request):
+            time.sleep(0.02)  # a flow takes longer than the failing judgement
+            completions.append(request)
+            return complete(self, request)
+
+        seen_at = []
+
+        def broken_judge(*args, **kwargs):
+            seen_at.append(len(completions))
+            raise SandboxEnvironmentError("judge runner failed: stub")
+
+        threads = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(ScriptedBackend, "complete", slow_complete)
+            patch.setattr(evalharness, "run_tests", broken_judge)
+            with pytest.raises(SandboxEnvironmentError, match="stub"):
+                evaluate_grid(problems, ["Code"], settings)
+        assert threading.active_count() == threads
+        # The first pair's judgement failed and the queued ones never ran.
+        assert len(seen_at) == 1
+        # A Code flow makes one backend call. Only the flow that was running
+        # when the judgement failed (one worker) may have made one since.
+        assert len(completions) <= seen_at[0] + settings.workers < len(problems)
+        records = read_records(tmp_path / "records.jsonl")
+        assert records == []
+        assert not list(tmp_path.rglob("trace.log"))
+        resumed = evaluate_grid(problems, ["Code"], settings)
+        assert resumed.new_runs == len(problems)
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("trace.log")) \
+            == sorted(r.trace_ref for r in read_records(tmp_path / "records.jsonl"))
 
 
 class TestWriteReport:
