@@ -3,8 +3,8 @@
 # A generator_critic flow alternates two children: the generator
 # proposes, the critic responds, and the critic's output is mapped back
 # into the generator's next input. The loop stops when the generator's
-# output satisfies stop_on or when max_rounds is reached; the final
-# round never runs the critic, so over a whole run
+# completion contains "Final answer." or when max_rounds is reached; the
+# final round never runs the critic, so over a whole run
 #
 #     generator calls = rounds used
 #     critic calls    = rounds used - 1
@@ -20,8 +20,6 @@ loop_config = {
     "output_keys": ["completion"],
     "params": {
         "max_rounds": 4,
-        # The default stop predicate looks for "Final answer." in the
-        # generator's completion.
         "feedback_mapping": {"reply": "feedback"},
         "children": [
             {"name": "writer", "kind": "llm",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import difflib
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import templates as T
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
@@ -330,20 +330,18 @@ class HumanPlanFlow(FlowInstance):
     """Plan source that bypasses the model: dataset plan or interactive entry."""
 
     kind = "human_plan"
-    accepted_params = ("interactive", "plan_key")
+    accepted_params = ("interactive",)
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
         self.interactive = bool(config.params.get("interactive", False))
-        self.plan_key = config.params.get("plan_key", "human_plan")
 
     def _step(self, message: Message, ctx: RunContext) -> dict:
         if self.interactive:
             plan = oracle_plan(message.payload)
         else:
-            plan = message.payload.get(self.plan_key)
+            plan = message.payload.get("human_plan")
             if not isinstance(plan, str) or not plan.strip():
-                raise FlowError(
-                    f"payload key {self.plan_key!r} must carry the human-authored plan",
-                    instance_id=self.instance_id)
+                raise FlowError("payload key 'human_plan' must carry the human-authored plan",
+                                instance_id=self.instance_id)
         return {"plan": plan}

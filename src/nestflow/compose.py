@@ -1,9 +1,10 @@
-"""Composite flow kinds: sequential, circular, generator-critic.
+"""Composite flow kinds: sequential and generator-critic.
 
-Composites own their children and translate payloads between them with
-key mappings. A running payload threads through the topology: each child
-receives the running payload (with mapped keys overlaid) and its output
-is overlaid back, so later steps see everything earlier steps produced.
+Composites own their children. A sequential flow threads a running
+payload through its children: each child receives it and its output is
+overlaid back, so later steps see everything earlier steps produced. A
+generator-critic loop carries the critic's feedback into the next
+generator input with a key mapping.
 """
 from __future__ import annotations
 
@@ -81,6 +82,10 @@ class TerminationPredicate:
         return self.needle in value if self.mode == "contains" else value == self.needle
 
 
+# The generator's stop rule: its completion says it is done.
+_FINAL_ANSWER = TerminationPredicate(key="completion", needle=FINAL_ANSWER_NEEDLE)
+
+
 def _child_configs(config: FlowConfig, *, exactly: int | None = None) -> list[FlowConfig]:
     raw = config.params.get("children")
     if not isinstance(raw, list) or not raw:
@@ -88,15 +93,6 @@ def _child_configs(config: FlowConfig, *, exactly: int | None = None) -> list[Fl
     if exactly is not None and len(raw) != exactly:
         raise ConfigError(f"flow {config.name!r} needs exactly {exactly} children, got {len(raw)}")
     return [c if isinstance(c, FlowConfig) else FlowConfig.from_dict(c) for c in raw]
-
-
-def _step_mappings(config: FlowConfig, count: int) -> list[KeyMapping]:
-    raw = config.params.get("step_mappings", [])
-    if len(raw) > count:
-        raise ConfigError(f"flow {config.name!r} has more step_mappings than children")
-    mappings = [KeyMapping.from_dict(m) for m in raw]
-    mappings.extend(KeyMapping() for _ in range(count - len(mappings)))
-    return mappings
 
 
 def _max_rounds(config: FlowConfig) -> int:
@@ -123,56 +119,21 @@ class SequentialFlow(FlowInstance):
     """Run children once each, in order, threading the running payload."""
 
     kind = "sequential"
-    accepted_params = ("children", "step_mappings")
+    accepted_params = ("children",)
 
     def __init__(self, config: FlowConfig):
-        children = [create_flow(c) for c in _child_configs(config)]
-        super().__init__(config, children)
-        self.mappings = _step_mappings(config, len(children))
+        super().__init__(config, [create_flow(c) for c in _child_configs(config)])
 
-    def _round(self, running: dict, parents: tuple[str, ...], ctx: RunContext, **context):
-        """Run every child once; returns the running payload and, as the new
-        parents, the id of the last child's output.
-
-        ``context`` (the round number, for circular flows) goes first into
-        the annotations of a child's error, ahead of the step.
-        """
-        for index, (child, mapping) in enumerate(zip(self.children, self.mappings)):
+    def _step(self, message: Message, ctx: RunContext):
+        """Returns the running payload and, as an extra parent, the id of the
+        last child's output."""
+        running, parents = message.payload, (message.id,)
+        for index, child in enumerate(self.children):
             # A flow's output payload is its input payload with its updates overlaid.
-            child_out = _deliver(self, child, {**running, **mapping.apply(running)}, parents, ctx,
-                                 **context, step=index, step_name=child.config.name)
+            child_out = _deliver(self, child, running, parents, ctx,
+                                 step=index, step_name=child.config.name)
             running, parents = child_out.payload, (child_out.id,)
         return running, parents
-
-    def _step(self, message: Message, ctx: RunContext):
-        return self._round(dict(message.payload), (message.id,), ctx)
-
-
-@register_flow_kind
-class CircularFlow(SequentialFlow):
-    """Repeat the child sequence up to max_rounds, with an optional exit check.
-
-    The exit predicate is evaluated on the running payload after each
-    full round; the output is the final running payload annotated with
-    the number of rounds executed.
-    """
-
-    kind = "circular"
-    accepted_params = SequentialFlow.accepted_params + ("max_rounds", "exit")
-
-    def __init__(self, config: FlowConfig):
-        super().__init__(config)
-        self.max_rounds = _max_rounds(config)
-        exit_doc = config.params.get("exit")
-        self.exit_predicate = TerminationPredicate.from_dict(exit_doc) if exit_doc else None
-
-    def _step(self, message: Message, ctx: RunContext):
-        running, parents = dict(message.payload), (message.id,)
-        for round_no in range(1, self.max_rounds + 1):
-            running, parents = self._round(running, parents, ctx, round=round_no)
-            if self.exit_predicate and self.exit_predicate.matches(running):
-                break
-        return {**running, ROUNDS_USED_KEY: round_no}, parents
 
 
 @register_flow_kind
@@ -180,35 +141,29 @@ class GeneratorCriticFlow(FlowInstance):
     """Alternate a generator and a critic until termination.
 
     Round r: the generator runs on the composite input overlaid with the
-    previous round's feedback; if its output satisfies ``stop_on`` (or the
-    round cap is reached) the loop ends and the critic is skipped.
-    Otherwise the critic runs on the generator's output; if the critic
-    output satisfies ``critic_stop_on`` the loop ends, else the feedback
-    mapping projects critic keys into the next generator input.
+    previous round's feedback; if its ``completion`` contains
+    ``FINAL_ANSWER_NEEDLE`` (or the round cap is reached) the loop ends and
+    the critic is skipped. Otherwise the critic runs on the generator's
+    output; if the critic output satisfies ``critic_stop_on`` the loop ends,
+    else the feedback mapping projects critic keys into the next generator
+    input.
 
     Output: the last generator output annotated with ``_rounds_used``.
-    Under stop_on or round-cap termination the critic runs exactly
+    Under final-answer or round-cap termination the critic runs exactly
     rounds_used - 1 times; a critic_stop_on exit adds one more.
     """
 
     kind = "generator_critic"
-    accepted_params = ("children", "max_rounds", "stop_on", "critic_stop_on", "feedback_mapping")
+    accepted_params = ("children", "max_rounds", "critic_stop_on", "feedback_mapping")
 
     def __init__(self, config: FlowConfig):
         generator_cfg, critic_cfg = _child_configs(config, exactly=2)
         children = [create_flow(generator_cfg), create_flow(critic_cfg)]
         super().__init__(config, children)
         self.max_rounds = _max_rounds(config)
-        params = config.params
-        if "stop_on" in params and params["stop_on"] is None:
-            self.stop_on = None
-        elif "stop_on" in params:
-            self.stop_on = TerminationPredicate.from_dict(params["stop_on"])
-        else:
-            self.stop_on = TerminationPredicate(key="completion", needle=FINAL_ANSWER_NEEDLE)
-        critic_doc = params.get("critic_stop_on")
+        critic_doc = config.params.get("critic_stop_on")
         self.critic_stop_on = TerminationPredicate.from_dict(critic_doc) if critic_doc else None
-        self.feedback_mapping = KeyMapping.from_dict(params.get("feedback_mapping"))
+        self.feedback_mapping = KeyMapping.from_dict(config.params.get("feedback_mapping"))
 
     @property
     def generator(self) -> FlowInstance:
@@ -224,9 +179,7 @@ class GeneratorCriticFlow(FlowInstance):
         for round_no in range(1, self.max_rounds + 1):
             gen_out = _deliver(self, self.generator, {**message.payload, **feedback}, parents, ctx,
                                round=round_no, role="generator")
-            if self.stop_on and self.stop_on.matches(gen_out.payload):
-                break
-            if round_no == self.max_rounds:
+            if _FINAL_ANSWER.matches(gen_out.payload) or round_no == self.max_rounds:
                 break
             critic_out = _deliver(self, self.critic, gen_out.payload, (gen_out.id,), ctx,
                                   round=round_no, role="critic")

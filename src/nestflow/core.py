@@ -18,11 +18,8 @@ import copy
 import itertools
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
-import yaml
-
-from ._util import canonical_bytes, load_yaml, utc_now_iso, validate_payload
+from ._util import canonical_bytes, utc_now_iso, validate_payload
 from .backends import BackendRequest, cached_complete
 from .errors import ENVIRONMENT_ERRORS, ConfigError, FlowError, MissingInputKeysError, NestflowError
 from .trace import TraceSink
@@ -138,14 +135,6 @@ class FlowConfig:
             "output_keys": list(self.output_keys),
             "params": copy.deepcopy(self.params),
         }
-
-
-def load_flow_config(path: str | Path) -> FlowConfig:
-    return FlowConfig.from_dict(load_yaml(path))
-
-
-def save_flow_config(config: FlowConfig, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(config.to_dict(), sort_keys=False), encoding="utf-8")
 
 
 class FlowState:
@@ -345,32 +334,3 @@ class FixedReplyFlow(FlowInstance):
 
     def _step(self, message: Message, ctx: RunContext) -> dict:
         return {self.output_key: self.reply}
-
-
-@register_flow_kind
-class TransformFlow(FlowInstance):
-    """Atomic flow applying deterministic payload edits: rename, set, template."""
-
-    kind = "transform"
-    accepted_params = ("rename", "set", "template", "output_key")
-
-    def __init__(self, config: FlowConfig):
-        super().__init__(config)
-        params = config.params
-        self.rename = dict(params.get("rename", {}))
-        self.assign = dict(params.get("set", {}))
-        self.template = params.get("template")
-        self.output_key = params.get("output_key", "text")
-
-    def _step(self, message: Message, ctx: RunContext) -> dict:
-        from .backends import render_template
-
-        updates = {}
-        for source, target in self.rename.items():
-            if source in message.payload:
-                updates[target] = message.payload[source]
-        updates.update(self.assign)
-        if self.template is not None:
-            updates[self.output_key] = render_template(self.template,
-                                                       {**message.payload, **updates})
-        return updates

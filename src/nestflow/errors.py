@@ -83,7 +83,8 @@ class ReplayDivergenceError(BackendError):
 
 
 class SandboxEnvironmentError(NestflowError):
-    """The sandbox cannot run at all: missing interpreter."""
+    """The sandbox cannot run at all: its interpreter cannot be started, its
+    runner failed mid-request, or its scratch directory cannot be made."""
 
 
 class DatasetError(NestflowError):

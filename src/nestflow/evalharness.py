@@ -69,9 +69,15 @@ class RunRecord:
         return {key: value for key, value in asdict(self).items() if value is not None}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunRecord":
-        return cls(**{f.name: doc[f.name] if f.default is MISSING else doc.get(f.name)
-                      for f in fields(cls)})
+    def from_dict(cls, doc) -> "RunRecord":
+        """The record in ``doc``; ValueError unless it is a map holding every
+        required field."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a record must be a JSON object, got {type(doc).__name__}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise ValueError(f"a record lacks required fields: {missing}")
+        return cls(**{f.name: doc.get(f.name) for f in fields(cls)})
 
 
 def append_record(path: str | Path, record: RunRecord) -> None:
@@ -82,21 +88,26 @@ def append_record(path: str | Path, record: RunRecord) -> None:
 def read_records(path: str | Path) -> list[RunRecord]:
     """The records in a records file.
 
-    A last line without its newline that does not parse was torn by an
-    interrupted append: it is dropped with a warning. Any other line that
-    does not parse raises.
+    A last line without its newline that is not a whole record was torn
+    by an interrupted append: it is dropped with a warning. Any other line
+    that is not a record raises ValueError.
     """
     path = Path(path)
     if not path.exists():
         return []
     body, _, tail = path.read_text(encoding="utf-8").rpartition("\n")
-    records = [RunRecord.from_dict(json.loads(line)) for line in body.splitlines() if line.strip()]
+    records = [_parse_record(line) for line in body.splitlines() if line.strip()]
     if tail.strip():
         try:
-            records.append(RunRecord.from_dict(json.loads(tail)))
+            records.append(_parse_record(tail))
         except ValueError as exc:
             logger.warning("%s: dropping a torn last record (%s)", path, exc)
     return records
+
+
+def _parse_record(line: str | bytes) -> RunRecord:
+    """One line of a records file; ValueError if it is not a whole record."""
+    return RunRecord.from_dict(json.loads(line))
 
 
 def _end_last_line(path: Path) -> None:
@@ -110,7 +121,7 @@ def _end_last_line(path: Path) -> None:
             return
         start = data.rfind(b"\n") + 1
         try:
-            json.loads(data[start:])
+            _parse_record(data[start:])
             fh.write(b"\n")
         except ValueError:
             fh.truncate(start)
@@ -524,10 +535,6 @@ def read_run_meta(out_dir: str | Path) -> dict:
     meta = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(meta, dict):
         raise ValueError(f"{path} does not hold a JSON object")
-    # Run directories written while the judge had a language knob record
-    # it, and it always held "python".
-    if meta.get("variant_settings", {}).get("language_tag") == "python":
-        del meta["variant_settings"]["language_tag"]
     return meta
 
 

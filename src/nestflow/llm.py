@@ -71,7 +71,7 @@ class LlmFlow(FlowInstance):
 
     kind = "llm"
     accepted_params = ("system_message", "query_message", "human_message", "backend", "model",
-                       "temperature", "max_tokens", "output_key", "postprocess", "stateless")
+                       "temperature", "max_tokens", "postprocess", "stateless")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
@@ -83,7 +83,6 @@ class LlmFlow(FlowInstance):
         self.model = params.get("model", "default")
         self.temperature = float(params.get("temperature", 0.0))
         self.max_tokens = int(params.get("max_tokens", 2048))
-        self.output_key = params.get("output_key", "completion")
         self.postprocess = params.get("postprocess")
         self.stateless = bool(params.get("stateless", False))
         if not isinstance(self.system_message, str) or not isinstance(self.query_message, str):
@@ -119,7 +118,7 @@ class LlmFlow(FlowInstance):
             record.append({"role": "assistant", "content": completion})
             self.state.set("turns", record)
             ctx.trace.emit("state_update", self.instance_id, {"key": "turns", "value": record})
-        updates = {self.output_key: completion}
+        updates = {"completion": completion}
         if self.postprocess == "code":
             updates["code"] = self._postprocess_code(completion, ctx)
         elif self.postprocess == "plan":

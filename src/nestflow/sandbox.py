@@ -300,8 +300,6 @@ def _judge(program: str, tests: list[TestCase], limits: ExecutionLimits) -> Test
                     failures.append(Failure(position, test.input,
                                             test.expected_output.rstrip("\n"),
                                             produced.rstrip("\n")))
-        if verdict == Verdict.ALL_PASSED and failures:
-            verdict = Verdict.WRONG_ANSWER
         report = TestReport(verdict, failures)
         report.summary = format_report(report)
         return report
@@ -312,8 +310,10 @@ class _Runner:
 
     It is started by path with this interpreter's default flags, in its
     own session so that a terminal's interrupt does not reach it, and with
-    pipes as its standard streams, which its test children keep. It exits
-    when its stdin closes.
+    pipes as its standard streams: requests come on stdin, replies go on
+    stdout, and it writes to stderr only when it fails. Each test child
+    closes these pipes and puts its own in-memory files over fds 0-2. It
+    exits when its stdin closes.
     """
 
     def __init__(self):
@@ -451,7 +451,7 @@ class CodeTestingFlow(FlowInstance):
     """
 
     kind = "code_testing"
-    accepted_params = ("wall_time", "memory_bytes", "issue_title", "tests_key", "code_key")
+    accepted_params = ("wall_time", "memory_bytes", "issue_title")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
@@ -460,22 +460,20 @@ class CodeTestingFlow(FlowInstance):
             wall_time=float(params.get("wall_time", DEFAULT_WALL_TIME)),
             memory_bytes=int(params.get("memory_bytes", DEFAULT_MEMORY_BYTES)))
         self.issue_title = params.get("issue_title", DEFAULT_ISSUE_TITLE)
-        self.tests_key = params.get("tests_key", "public_tests")
-        self.code_key = params.get("code_key", "code")
 
     def _step(self, message: Message, ctx: RunContext) -> dict:
-        raw_tests = message.payload[self.tests_key]
+        raw_tests = message.payload["public_tests"]
         if not isinstance(raw_tests, list):
-            raise FlowError(f"payload key {self.tests_key!r} must be a list of tests",
+            raise FlowError("payload key 'public_tests' must be a list of tests",
                             instance_id=self.instance_id)
         tests = []
         for i, entry in enumerate(raw_tests):
             if not isinstance(entry, dict) or "input" not in entry:
-                raise FlowError(f"test #{i + 1} under {self.tests_key!r} needs an 'input' field",
+                raise FlowError(f"test #{i + 1} under 'public_tests' needs an 'input' field",
                                 instance_id=self.instance_id)
             tests.append(TestCase(input=entry["input"],
                                   expected_output=entry.get("expected_output", "")))
-        report = run_tests(message.payload[self.code_key], tests, limits=self.limits)
+        report = run_tests(message.payload["code"], tests, limits=self.limits)
         return {
             "verdict": report.verdict.value,
             "testing_results_summary": format_report(report, self.issue_title),

@@ -1,5 +1,6 @@
 import datetime as dt
 import io
+import re
 
 import pytest
 
@@ -254,11 +255,10 @@ class TestHumanPlanFlow:
             run(create_flow(self.config()), package_input({"human_plan": "   "}))
 
     def test_custom_plan_key(self):
-        flow = create_flow({"name": "oracle", "kind": "human_plan",
-                            "input_keys": ["notes"], "output_keys": ["plan"],
-                            "params": {"plan_key": "notes"}})
-        out = run(flow, package_input({"notes": "Scan once."}))
-        assert out.payload["plan"] == "Scan once."
+        # Every variant reads the plan from "human_plan", so the key is no param.
+        with pytest.raises(ConfigError, match=re.escape(
+                "human_plan flow 'oracle' has unknown params: ['plan_key']")):
+            create_flow(self.config(plan_key="notes"))
 
     def test_unknown_params_rejected(self):
         with pytest.raises(ConfigError, match="unknown params"):

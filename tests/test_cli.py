@@ -280,6 +280,11 @@ class TestCmdRun:
         assert "solved: true" in result.output
 
 
+# Lines of records.jsonl that are not records: torn JSON, and whole JSON
+# values that are not an object holding every required field.
+CORRUPT_RECORD_LINES = ["{torn", "[1, 2]", '"x"', '{"a": 1}']
+
+
 @pytest.fixture(scope="module")
 def eval_dir(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("eval")
@@ -317,6 +322,22 @@ class TestCmdEval:
             "--out", str(out_dir), "--wall-time", "2.0"])
         assert result.exit_code == 0, result.output
         assert "2 records (0 new runs)" in result.output
+
+    @pytest.mark.parametrize("line", CORRUPT_RECORD_LINES)
+    def test_corrupt_records_are_usage_error(self, runner, eval_dir, tmp_path, line):
+        run_dir = tmp_path / "run"
+        shutil.copytree(eval_dir[0], run_dir)
+        path = run_dir / "records.jsonl"
+        records = path.read_text(encoding="utf-8")
+        path.write_text(line + "\n" + records, encoding="utf-8")
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"),
+            "--variants", "Code,Code_Reflection", "--profiles", str(PROFILES),
+            "--out", str(run_dir), "--wall-time", "2.0"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert path.read_text(encoding="utf-8") == line + "\n" + records
 
     def test_run_meta_write_cut_short_keeps_the_old_file(self, runner, eval_dir, tmp_path,
                                                          monkeypatch):
@@ -614,13 +635,15 @@ class TestCmdReport:
         assert "does not hold a JSON object" in result.stderr
 
     def test_corrupt_records_are_usage_error(self, runner, eval_dir, tmp_path):
-        run_dir = tmp_path / "run"
-        shutil.copytree(eval_dir[0], run_dir)
-        path = run_dir / "records.jsonl"
-        path.write_text("{torn\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
-        result = runner.invoke(main, ["report", "--run-dir", str(run_dir)])
-        assert result.exit_code == 2, result.output
-        assert "run directory is corrupt" in result.stderr
+        for index, line in enumerate(CORRUPT_RECORD_LINES):
+            run_dir = tmp_path / str(index)
+            shutil.copytree(eval_dir[0], run_dir)
+            path = run_dir / "records.jsonl"
+            path.write_text(line + "\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+            result = runner.invoke(main, ["report", "--run-dir", str(run_dir)])
+            assert result.exit_code == 2, (line, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "error: run directory is corrupt" in result.stderr, line
 
 
 def replay(runner, run_dir, variant, problem_id="cf-echo-101"):
@@ -772,22 +795,14 @@ class TestCmdReplay:
         assert "has no input message" in result.stderr
 
     def test_unknown_variant_setting_is_usage_error(self, runner, eval_dir, tmp_path):
-        run_dir = self.copy_run(eval_dir, tmp_path)
-        self.set_variant_settings(run_dir, sandbox="docker")
-        result = replay(runner, run_dir, "Code")
-        assert result.exit_code == 2, result.output
-        assert "unknown variant settings: ['sandbox']" in result.stderr
-
-    def test_meta_with_python_language_tag_replays(self, runner, eval_dir, tmp_path):
-        run_dir = self.copy_run(eval_dir, tmp_path)
-        self.set_variant_settings(run_dir, language_tag="python")
-        result = replay(runner, run_dir, "Code")
-        assert result.exit_code == 0, result.output
-        assert "replay identical:" in result.output
-        self.set_variant_settings(run_dir, language_tag="cpp")
-        result = replay(runner, run_dir, "Code")
-        assert result.exit_code == 2, result.output
-        assert "unknown variant settings: ['language_tag']" in result.stderr
+        # language_tag="python" is in run directories from when the judge had a
+        # language setting.
+        for name, value in (("sandbox", "docker"), ("language_tag", "python")):
+            run_dir = self.copy_run(eval_dir, tmp_path / name)
+            self.set_variant_settings(run_dir, **{name: value})
+            result = replay(runner, run_dir, "Code")
+            assert result.exit_code == 2, result.output
+            assert f"unknown variant settings: ['{name}']" in result.stderr
 
     def test_cache_served_pairs_replay_identical(self, runner, tmp_path):
         profiles = write_profiles(tmp_path, {"cached": {

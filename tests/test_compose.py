@@ -19,18 +19,6 @@ from nestflow.trace import TraceSink
 
 
 @register_flow_kind
-class CounterProbeFlow(FlowInstance):
-    """Test-only flow that counts its own invocations into the payload."""
-
-    kind = "counter_probe"
-
-    def _step(self, message, ctx):
-        n = self.state.get("n", 0) + 1
-        self.state.set("n", n)
-        return {"count": str(n)}
-
-
-@register_flow_kind
 class AlwaysFailsProbeFlow(FlowInstance):
     kind = "always_fails_probe"
 
@@ -103,16 +91,18 @@ class TestSequential:
     def test_threads_payload_through_children(self):
         flow = create_flow({
             "name": "pipeline", "kind": "sequential",
-            "params": {"children": [
-                fixed("first", "alpha", output_key="word"),
-                {"name": "second", "kind": "transform",
-                 "params": {"template": "<{{word}}>", "output_key": "wrapped"}},
-            ]},
+            "params": {"children": [fixed("first", "alpha", output_key="word"),
+                                    fixed("second", "beta", output_key="other")]},
         })
-        out = run(flow, package_input({"keep": True}))
-        assert out.payload["word"] == "alpha"
-        assert out.payload["wrapped"] == "<alpha>"
-        assert out.payload["keep"] is True
+        sink = TraceSink()
+        out = run(flow, package_input({"keep": True}), RunContext(trace=sink))
+        second_in = [e.body["message"] for e in sink.events
+                     if e.kind == "message_in" and e.instance_id.startswith("second#")]
+        assert [m["payload"] for m in second_in] == [{"keep": True, "word": "alpha"}]
+        assert out.payload == {"keep": True, "word": "alpha", "other": "beta"}
+        assert out.parents[1] == next(e.body["message"]["id"] for e in sink.events
+                                      if e.kind == "message_out"
+                                      and e.instance_id.startswith("second#"))
 
     def test_single_child_is_payload_identical_to_child(self):
         child = fixed("only", "r")
@@ -123,22 +113,10 @@ class TestSequential:
         assert run(wrapped, package_input(payload)).payload == \
                run(bare, package_input(payload)).payload
 
-    def test_step_mappings_alias_keys(self):
-        flow = create_flow({
-            "name": "pipeline", "kind": "sequential",
-            "params": {
-                "children": [
-                    fixed("first", "alpha", output_key="word"),
-                    {"name": "second", "kind": "transform",
-                     "params": {"template": "{{text}}", "output_key": "out"}},
-                ],
-                "step_mappings": [{}, {"word": "text"}],
-            },
-        })
-        assert run(flow, package_input({})).payload["out"] == "alpha"
-
     def test_too_many_step_mappings(self):
-        with pytest.raises(ConfigError, match="step_mappings"):
+        # No variant maps keys between steps, so step_mappings is no param.
+        with pytest.raises(ConfigError, match=re.escape(
+                "sequential flow 'seq' has unknown params: ['step_mappings']")):
             create_flow({"name": "seq", "kind": "sequential",
                          "params": {"children": [fixed("a", "r")],
                                     "step_mappings": [{}, {}]}})
@@ -162,50 +140,6 @@ class TestSequential:
         with pytest.raises(FlowError) as exc_info:
             run(flow, package_input({}))
         assert exc_info.value.details == {"step": 1, "step_name": "bad"}
-
-
-class TestCircular:
-    def test_exit_predicate_stops_loop(self):
-        flow = create_flow({
-            "name": "loop", "kind": "circular",
-            "params": {"children": [{"name": "tick", "kind": "counter_probe"}],
-                       "max_rounds": 10,
-                       "exit": {"key": "count", "needle": "3", "mode": "equals"}},
-        })
-        out = run(flow, package_input({}))
-        assert out.payload[ROUNDS_USED_KEY] == 3
-        assert out.payload["count"] == "3"
-
-    def test_round_cap_without_exit(self):
-        flow = create_flow({
-            "name": "loop", "kind": "circular",
-            "params": {"children": [{"name": "tick", "kind": "counter_probe"}],
-                       "max_rounds": 4},
-        })
-        assert run(flow, package_input({})).payload[ROUNDS_USED_KEY] == 4
-
-    def test_failure_annotated_with_round(self):
-        flow = create_flow({
-            "name": "loop", "kind": "circular",
-            "params": {"children": [{"name": "bad", "kind": "always_fails_probe"}],
-                       "max_rounds": 2},
-        })
-        with pytest.raises(FlowError) as exc_info:
-            run(flow, package_input({}))
-        assert list(exc_info.value.details.items()) == [
-            ("round", 1), ("step", 0), ("step_name", "bad")]
-
-    def test_invalid_max_rounds(self):
-        with pytest.raises(ConfigError, match="max_rounds"):
-            create_flow({"name": "loop", "kind": "circular",
-                         "params": {"children": [fixed("a", "r")], "max_rounds": 0}})
-
-    def test_unknown_params_rejected(self):
-        # A misspelt max_rounds would otherwise run the default number of rounds.
-        with pytest.raises(ConfigError, match=re.escape(
-                "circular flow 'loop' has unknown params: ['max_round']")):
-            create_flow({"name": "loop", "kind": "circular",
-                         "params": {"children": [fixed("a", "r")], "max_round": 2}})
 
 
 def generator_critic(responses, *, max_rounds=5, critic=None, **params):
@@ -239,11 +173,6 @@ class TestGeneratorCritic:
         assert out.payload[ROUNDS_USED_KEY] == 3
         assert start_counts(sink) == {"refine": 1, "gen": 3, "critic": 2}
 
-    def test_stop_on_none_disables_default(self):
-        out, sink, _ = generator_critic(
-            ["done. Final answer.", "x", "y"], max_rounds=3, stop_on=None)
-        assert out.payload[ROUNDS_USED_KEY] == 3
-
     def test_feedback_mapping_feeds_next_round(self):
         _, _, backend = generator_critic(["draft", "final. Final answer."])
         follow_up = backend.requests[1]
@@ -267,11 +196,20 @@ class TestGeneratorCritic:
         assert out.payload["feedback"] == "try again"
 
     def test_unknown_params_rejected(self):
+        # A misspelt max_rounds would otherwise run the default number of rounds;
+        # stop_on is no param, since every loop stops on the final-answer needle.
         with pytest.raises(ConfigError, match=re.escape(
-                "generator_critic flow 'gc' has unknown params: ['max_round', 'stop']")):
+                "generator_critic flow 'gc' has unknown params: ['max_round', 'stop', 'stop_on']")):
             create_flow({"name": "gc", "kind": "generator_critic",
                          "params": {"children": [llm_config(), fixed("critic", "r")],
-                                    "max_round": 2, "stop": None}})
+                                    "max_round": 2, "stop": None, "stop_on": None}})
+
+    def test_invalid_max_rounds(self):
+        for max_rounds in (0, -1, 2.0, "4"):
+            with pytest.raises(ConfigError, match="needs integer max_rounds >= 1"):
+                create_flow({"name": "gc", "kind": "generator_critic",
+                             "params": {"children": [llm_config(), fixed("critic", "r")],
+                                        "max_rounds": max_rounds}})
 
     def test_needs_exactly_two_children(self):
         with pytest.raises(ConfigError, match="exactly 2"):

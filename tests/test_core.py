@@ -15,12 +15,10 @@ from nestflow.core import (
     Message,
     RunContext,
     create_flow,
-    load_flow_config,
     package_input,
     registered_kinds,
     reset_state,
     run,
-    save_flow_config,
     snapshot_states,
 )
 from nestflow.backends import RemoteBackend
@@ -97,18 +95,12 @@ class TestFlowConfig:
         doc["params"]["reply"] = "changed"
         assert config.params["reply"] == "hello"
 
-    def test_yaml_round_trip(self, tmp_path):
-        config = fixed_reply_config()
-        path = tmp_path / "flow.yaml"
-        save_flow_config(config, path)
-        assert load_flow_config(path) == config
-
 
 class TestRegistry:
     def test_builtin_kinds_registered(self):
         kinds = registered_kinds()
-        for kind in ("fixed_reply", "transform", "sequential", "circular",
-                     "generator_critic", "llm", "code_testing", "human_plan"):
+        for kind in ("fixed_reply", "sequential", "generator_critic", "llm", "code_testing",
+                     "human_plan"):
             assert kind in kinds
 
     @staticmethod
@@ -123,15 +115,28 @@ class TestRegistry:
         return json.loads(done.stdout)
 
     def test_runtime_import_registers_every_kind_without_the_harness(self):
-        """`import nestflow.core` in a fresh interpreter registers the eight
+        """`import nestflow.core` in a fresh interpreter registers the six
         built-in kinds and loads neither the evaluation harness nor numpy."""
         kinds, loaded = self.fresh_interpreter(
             "import json, sys\nimport nestflow.core as core\n"
             "print(json.dumps([core.registered_kinds(), [m for m in "
             "('numpy', 'nestflow.evalharness', 'nestflow.cli') if m in sys.modules]]))\n")
-        assert kinds == ["circular", "code_testing", "fixed_reply", "generator_critic",
-                         "human_plan", "llm", "sequential", "transform"]
+        assert kinds == ["code_testing", "fixed_reply", "generator_critic", "human_plan", "llm",
+                         "sequential"]
         assert loaded == []
+
+    def test_every_registered_kind_is_used_by_a_variant(self):
+        """The kinds in the 25 variants' flow trees are the registered ones,
+        counted in a fresh interpreter, where no test kind is registered."""
+        registered, used, variants = self.fresh_interpreter(
+            "import json\nfrom nestflow import ccflows, core\n"
+            "names = [*ccflows.CODE_PARTS, *(f'{p}-{c}' for p in ccflows.PLAN_PARTS\n"
+            "                                for c in ccflows.CODE_PARTS)]\n"
+            "flows = [core.create_flow(ccflows.build_variant(name)) for name in names]\n"
+            "used = {node.config.kind for flow in flows for node in core.walk_instances(flow)}\n"
+            "print(json.dumps([core.registered_kinds(), sorted(used), len(set(names))]))\n")
+        assert variants == 25
+        assert used == registered
 
     def test_cli_import_loads_numpy_only_at_the_first_bootstrap(self):
         """`import nestflow.cli` loads the harness but not numpy; the first
@@ -149,8 +154,10 @@ class TestRegistry:
         assert first == second
 
     def test_unknown_kind_lists_registered(self):
-        with pytest.raises(ConfigError, match="fixed_reply"):
-            create_flow({"name": "x", "kind": "no_such_kind"})
+        # circular and transform were kinds once; no variant used them.
+        for kind in ("no_such_kind", "circular", "transform"):
+            with pytest.raises(ConfigError, match=f"unknown flow kind '{kind}'.*fixed_reply"):
+                create_flow({"name": "x", "kind": kind})
 
     def test_instances_are_independent(self):
         config = fixed_reply_config()
@@ -287,23 +294,6 @@ class TestBuiltinAtoms:
         flow = create_flow({"name": "x", "kind": "fixed_reply",
                             "params": {"reply": "r", "output_key": "note"}})
         assert run(flow, package_input({})).payload == {"note": "r"}
-
-    def test_transform_rename_set_template(self):
-        flow = create_flow({
-            "name": "shape", "kind": "transform",
-            "params": {"rename": {"q": "question"},
-                       "set": {"lang": "python"},
-                       "template": "{{question}} in {{lang}}",
-                       "output_key": "prompt"},
-        })
-        out = run(flow, package_input({"q": "sort a list"}))
-        assert out.payload["question"] == "sort a list"
-        assert out.payload["prompt"] == "sort a list in python"
-
-    def test_transform_rename_skips_absent_source(self):
-        flow = create_flow({"name": "shape", "kind": "transform",
-                            "params": {"rename": {"missing": "target"}}})
-        assert "target" not in run(flow, package_input({})).payload
 
     def test_fixed_reply_ignores_isolated_instances(self):
         # Same config, two instances: runs never share conversation state.

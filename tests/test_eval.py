@@ -394,6 +394,23 @@ class TestEvaluateGrid:
         assert sorted(r.variant for r in records) == sorted(variants)
         assert [r.variant for r in records][-1] == torn
 
+    def test_last_line_that_is_no_record_counts_as_torn(self, tmp_path, problems_by_id):
+        """A last line that parses as JSON but is no record is torn for both
+        reading and resuming: it is dropped, then cut off before appending."""
+        settings = EvalSettings(
+            out_dir=tmp_path,
+            backend=ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml"),
+            variant_settings=VariantSettings(wall_time=2.0, model="scripted"),
+        )
+        problems = [problems_by_id["cf-echo-101"]]
+        evaluate_grid(problems, ["Code"], settings)
+        path = tmp_path / "records.jsonl"
+        whole = path.read_text(encoding="utf-8")
+        path.write_text(whole + '{"a": 1}', encoding="utf-8")
+        assert [r.variant for r in read_records(path)] == ["Code"]
+        assert evaluate_grid(problems, ["Code"], settings).new_runs == 0
+        assert path.read_text(encoding="utf-8") == whole
+
     @pytest.mark.parametrize("change, named", [
         ({"seed": 1}, "seed: 0 -> 1"),
         ({"cutoff": dt.date(2022, 1, 1)}, 'cutoff: "2021-09-01" -> "2022-01-01"'),
@@ -424,20 +441,6 @@ class TestEvaluateGrid:
         assert evaluate_grid(problems, variants, other).new_runs == len(variants)
         other.resume = True
         assert evaluate_grid(problems, variants, other).new_runs == 0
-
-    def test_resume_accepts_the_old_python_language_tag(self, tmp_path, problems_by_id):
-        settings = EvalSettings(
-            out_dir=tmp_path,
-            backend=ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml"),
-            variant_settings=VariantSettings(wall_time=2.0, model="scripted"),
-        )
-        problems = [problems_by_id["cf-echo-101"]]
-        evaluate_grid(problems, ["Code"], settings)
-        path = tmp_path / "run_meta.json"
-        meta = json.loads(path.read_text(encoding="utf-8"))
-        meta["variant_settings"]["language_tag"] = "python"
-        path.write_text(json.dumps(meta), encoding="utf-8")
-        assert evaluate_grid(problems, ["Code"], settings).new_runs == 0
 
     def test_fresh_start_discards_records(self, tmp_path, problems_by_id):
         settings = EvalSettings(

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nestflow.backends import ScriptedBackend
@@ -74,8 +76,10 @@ def context(responses):
 
 class TestLlmFlowConfig:
     def test_unknown_params_rejected(self):
-        with pytest.raises(ConfigError, match="unknown params"):
-            llm_flow(mystery=1)
+        # output_key is no param: every variant reads the completion as "completion".
+        with pytest.raises(ConfigError, match=re.escape(
+                "llm flow 'speaker' has unknown params: ['mystery', 'output_key']")):
+            llm_flow(mystery=1, output_key="text")
 
     def test_requires_system_and_query(self):
         with pytest.raises(ConfigError, match="system_message"):

@@ -2,6 +2,7 @@ import ast
 import builtins
 import functools
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -916,6 +917,12 @@ class TestCodeTestingFlow:
         }))
         assert out.payload["verdict"] == "WrongAnswer"
         assert out.payload["testing_results_summary"].startswith("# Judge notes\n")
+
+    def test_key_params_are_refused(self):
+        # Every variant judges "code" on "public_tests", so neither key is a param.
+        with pytest.raises(ConfigError, match=re.escape(
+                "code_testing flow 'judge' has unknown params: ['code_key', 'tests_key']")):
+            self.flow(tests_key="tests", code_key="program")
 
     def test_malformed_tests_rejected(self):
         with pytest.raises(FlowError, match="list of tests"):
