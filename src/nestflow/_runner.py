@@ -9,32 +9,27 @@ writes replies to stdout, one marshalled value each, back to back
 of input). A request is one judgement: a header and then the input of
 each of its ``n`` tests,
 
-    (scratch, memory bytes, wall time, n), stdin bytes 1, ..., stdin bytes n
+    (program bytes, memory bytes, wall time, n), stdin bytes 1, ..., stdin bytes n
 
-and the runner replies once per test, in order, as each test ends:
+and the runner replies once per test, in order, as each test ends,
 
     (exit status or None on a timeout, stdout bytes, stderr bytes)
 
-It stops after the first reply whose status is not 0, as the judge
-does, so the judge reads exactly the replies that are sent.
+and stops after the first reply whose status is not 0, as the judge
+does. A program that compiles under the memory cap compiles without it,
+so only a test run that ended before its program compiled (a compile
+error, or a timeout or memory error while compiling), or a judgement
+without tests, has its syntax checked; if that fails, ("syntax", b"",
+py_compile's message) takes that reply's place. A judgement without
+tests otherwise gets (0, b"", b""), and one whose scratch directory
+cannot be set up gets ("scratch", b"", the error) alone.
 
-What every test of every judgement shares is set in the runner: before
-it serves, it drops the modules it imported itself, so that only those
-the interpreter loads at start-up are left, and sets ``sys.argv`` and the
-recursion limit; for each judgement it enters the scratch directory and
-puts it first on ``sys.path``. Each child then only starts its own
-session under an address-space and file-size limit, and compiles and
-runs ``solution.py`` as a fresh ``__main__``, as ``python solution.py``
-would, on the standard streams the interpreter built on the runner's
-pipes. Under them lie anonymous in-memory files: the runner moves each
-input into its own stdin file before the first fork, holding one input
-at a time, and reads the output back after the child is reaped, so no
-stream can block either side, and no child starts with an input, or the
-previous test's output, counting against its memory cap. When the child
-exits, or is killed when its wall time runs out, the runner kills every
-process it left behind, in whatever session: the runner is a child
-subreaper, so these all become its children. It exits itself at end of
-input.
+Each judgement has a scratch directory of its own, removed before the
+last reply or when the reply pipe breaks. Each test child runs
+``solution.py`` there as ``python solution.py`` would, in a session of
+its own under an address-space and file-size limit, on in-memory files.
+When it ends, the runner, a child subreaper, kills every process it
+left behind, in whatever session. It exits itself at end of input.
 """
 import sys
 
@@ -46,17 +41,22 @@ import ctypes
 import gc
 import marshal
 import os
+import py_compile
 import resource
 import select
+import shutil
 import signal
+import tempfile
 import types
+import warnings
 import _frozen_importlib_external
 
 _PR_SET_CHILD_SUBREAPER = 36  # from <linux/prctl.h>
 
 
-def _child(path, memory, files, inherited):
-    """Become ``python solution.py`` and run; never returns."""
+def _child(path, memory, files, inherited, compiled):
+    """Become ``python solution.py`` and run, writing to the file
+    ``compiled`` once the program has compiled; never returns."""
     os.setsid()
     for fd in inherited:
         os.close(fd)
@@ -75,6 +75,8 @@ def _child(path, memory, files, inherited):
     try:
         with open(path, "rb") as source:
             code = compile(source.read(), path, "exec", dont_inherit=True)
+        os.write(compiled, b"1")
+        os.close(compiled)
         exec(code, main.__dict__)
         status = 0
     except SystemExit as exc:
@@ -130,11 +132,12 @@ def _flush():
 
 def _run(inherited, path, memory, wall_time, stdin):
     """Run one test in a forked child on the file ``stdin``, which is then
-    closed; returns (status or None, stdout, stderr)."""
+    closed; returns (status or None, stdout, stderr, whether it compiled)."""
     files = [stdin] + [os.memfd_create(name) for name in ("stdout", "stderr")]
+    compiled = os.memfd_create("compiled")
     pid = os.fork()
     if pid == 0:
-        _child(path, memory, files, inherited)
+        _child(path, memory, files, inherited, compiled)
     os.close(stdin)
     exited = os.pidfd_open(pid)
     timed_out = not select.select([exited], [], [], wall_time)[0]
@@ -143,11 +146,12 @@ def _run(inherited, path, memory, wall_time, stdin):
         os.kill(pid, signal.SIGKILL)
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     _kill_strays()
+    compiled = bool(_contents(compiled))
     if timed_out:
         for fd in files[1:]:
             os.close(fd)
-        return None, b"", b""
-    return status, _contents(files[1]), _contents(files[2])
+        return None, b"", b"", compiled
+    return status, _contents(files[1]), _contents(files[2]), compiled
 
 
 def _stdin_file(data):
@@ -202,7 +206,7 @@ def _set_shared_state():
     ``sys.modules``; what the runner dropped is collected here, once, and
     what is left is frozen, so that a child neither frees nor collects
     the runner's objects. ``sys.argv`` is a script's. The frames below the
-    program's (``serve`` and its callers, then ``_run`` and ``_child``) count
+    program's (``serve`` and its callers, then ``_judge``, ``_run`` and ``_child``) count
     towards the recursion limit, and a program run as a script starts
     with none, so the limit is raised by their number.
     """
@@ -210,12 +214,83 @@ def _set_shared_state():
         del sys.modules[name]
     sys.argv = ["solution.py"]
     sys.orig_argv = sys.orig_argv[:1] + sys.argv
-    depth, frame = 2, sys._getframe(1)
+    depth, frame = 3, sys._getframe(1)
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     sys.setrecursionlimit(sys.getrecursionlimit() + depth)
     gc.collect()
     gc.freeze()
+
+
+def _check(inherited):
+    """py_compile's message when ``solution.py`` does not compile, else None.
+
+    A child compiles it without limits, warnings ignored, so that what the
+    compiler takes stays out of the runner, whose address space every test
+    child inherits under its cap. The runner imports py_compile: importing
+    it in each check child took longer than the check itself."""
+    message = os.memfd_create("check")
+    pid = os.fork()
+    if pid == 0:
+        try:
+            for fd in inherited:
+                os.close(fd)
+            warnings.simplefilter("ignore")
+            try:
+                with open("solution.py", "rb") as source:
+                    compile(source.read(), "solution.py", "exec", dont_inherit=True)
+            except Exception as exc:  # what py_compile.compile(doraise=True) wraps
+                error = py_compile.PyCompileError(type(exc), exc, "solution.py").msg
+                with open(message, "wb", closefd=False) as file:
+                    marshal.dump(error.strip(), file)
+        finally:
+            os._exit(0)
+    os.waitpid(pid, 0)
+    return marshal.loads(data) if (data := _contents(message)) else None
+
+
+def _judge(requests, replies, channel):
+    """Read one request and judge it in a scratch directory of its own; send
+    every reply but the last, returned once the directory is removed."""
+    try:
+        program, memory, wall_time, count = marshal.load(requests)
+        # One input at a time is in memory, and none once the first child forks.
+        stdins = [_stdin_file(marshal.load(requests)) for _ in range(count)]
+    except (EOFError, ValueError):
+        return None  # end of input: the parent went away
+    directory = None
+    try:
+        try:
+            # Its one name, real, is the one the runs see and their errors lose.
+            directory = os.path.realpath(tempfile.mkdtemp(prefix="nestflow-sandbox-"))
+            with open(os.path.join(directory, "solution.py"), "wb") as source:
+                source.write(program)
+        except OSError as exc:
+            return "scratch", b"", str(exc)
+        del program  # so it does not count against any child's memory cap
+        os.chdir(directory)
+        if not getattr(sys.flags, "safe_path", False):  # else neither puts its directory first
+            sys.path[0] = directory  # at first this file's, holding nestflow's modules
+        if not stdins:
+            return ("syntax", b"", error) if (error := _check(channel)) else (0, b"", b"")
+        path, prefix = os.path.join(directory, "solution.py"), os.fsencode(directory + os.sep)
+        while stdins:
+            stdin = stdins.pop(0)  # each child closes the stdin files of the tests after its own
+            status, stdout, stderr, compiled = _run(channel + stdins, path, memory, wall_time, stdin)
+            # What compiles under the cap compiles without it: only a run that did not needs the check.
+            if not compiled and (error := _check(channel + stdins)):
+                return "syntax", b"", error
+            reply = status, stdout, stderr.replace(prefix, b"")
+            if status != 0 or not stdins:
+                return reply  # the last: the judge's own stop rule, or the last test
+            marshal.dump(reply, replies)
+            replies.flush()
+            del reply, stdout, stderr  # so it does not count against the next child's memory cap
+    finally:
+        for fd in stdins:
+            os.close(fd)
+        if directory is not None:
+            shutil.rmtree(directory, ignore_errors=True)
 
 
 def serve():
@@ -227,32 +302,13 @@ def serve():
     os.close(quiet)
     channel = [requests.fileno(), replies.fileno()]
     _set_shared_state()
-    while True:
-        try:
-            scratch, memory, wall_time, count = marshal.load(requests)
-            # One input at a time is in memory, and none once the first child forks.
-            stdins = [_stdin_file(marshal.load(requests)) for _ in range(count)]
-        except (EOFError, ValueError):
-            return  # end of input: the parent went away
-        os.chdir(scratch)  # entered anew each time: a directory of that name may be another
-        if not getattr(sys.flags, "safe_path", False):  # else neither puts its directory first
-            sys.path[0] = os.getcwd()  # at first this file's, holding nestflow's modules
-        path = os.path.join(os.getcwd(), "solution.py")
-        try:
-            while stdins:
-                # Each child closes the stdin files of the tests after its own.
-                stdin = stdins.pop(0)
-                reply = _run(channel + stdins, path, memory, wall_time, stdin)
-                marshal.dump(reply, replies)
-                replies.flush()
-                status = reply[0]
-                del reply  # so it does not count against the next child's memory cap
-                if status != 0:
-                    break  # the judge's own stop rule: a timeout or a runtime error
-        except BrokenPipeError:
-            return  # the parent went away
-        for fd in stdins:
-            os.close(fd)
+    try:
+        while (last := _judge(requests, replies, channel)) is not None:
+            marshal.dump(last, replies)
+            replies.flush()
+            del last  # so it does not count against the next child's memory cap
+    except BrokenPipeError:
+        pass  # the parent went away, and the scratch directory with the judgement
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ plan.
 from __future__ import annotations
 
 import difflib
-import logging
 import sys
 from dataclasses import dataclass
 
@@ -19,8 +18,6 @@ from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_k
 from .dataset import Problem
 from .errors import ConfigError, DatasetError, FlowError
 from .sandbox import DEFAULT_ISSUE_TITLE, DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
-
-logger = logging.getLogger(__name__)
 
 PLAN_PARTS = ("Plan", "Plan_Reflection", "Plan_Collaboration", "Plan_Oracle")
 CODE_PARTS = ("Code", "Code_Reflection", "Code_Collaboration", "Code_Debug", "Code_Debug_Collab")
@@ -259,7 +256,7 @@ def build_variant(variant: FlowVariant | str,
         "kind": "sequential",
         "input_keys": input_keys,
         "output_keys": ["plan", "completion", "code"],
-        "params": {"children": [plan_cfg, code_cfg]},
+        "params": {"children": [plan_cfg.to_dict(), code_cfg.to_dict()]},
     })
 
 

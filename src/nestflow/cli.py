@@ -3,12 +3,13 @@
 Exit codes: 0 success (problem solved / traces identical), 1 completed
 but negative (unsolved, replay divergence), 2 usage or config errors,
 3 environment errors (missing interpreter, missing credential, a run
-directory that cannot be written).
+directory that cannot be written), 130 on SIGINT and 143 on SIGTERM.
 """
 from __future__ import annotations
 
 import datetime as dt
 import logging
+import signal
 import sys
 from pathlib import Path
 
@@ -28,8 +29,6 @@ from .evalharness import (
     write_run_meta,
 )
 from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
-
-logger = logging.getLogger(__name__)
 
 USAGE_ERRORS = (ConfigError, DatasetError)
 # Numeric option types. A sandbox limit of zero or less would lift a cap or
@@ -269,5 +268,25 @@ def cache_clear(cache_dir: str) -> None:
     click.echo(f"removed: {removed}")
 
 
+class Interrupted(BaseException):
+    """SIGINT or SIGTERM, raised in the main thread; click lets it through."""
+
+
+def _interrupt(signum: int, frame) -> None:
+    raise Interrupted(signum)
+
+
+def run() -> None:
+    """The ``nestflow`` console script: ``main``, where SIGINT and SIGTERM unwind
+    the command through its ``finally`` blocks and exit 128 plus the signal."""
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, _interrupt)
+    try:
+        main()
+    except Interrupted as interrupt:
+        click.echo(f"error: interrupted by {signal.Signals(interrupt.args[0]).name}", err=True)
+        sys.exit(128 + interrupt.args[0])
+
+
 if __name__ == "__main__":
-    main()
+    run()

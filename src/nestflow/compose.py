@@ -8,7 +8,6 @@ generator input with a key mapping.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .core import (
@@ -22,8 +21,6 @@ from .core import (
     run,
 )
 from .errors import ConfigError, FlowError
-
-logger = logging.getLogger(__name__)
 
 MODES = ("contains", "equals")
 DEFAULT_MAX_ROUNDS = 4
@@ -92,7 +89,7 @@ def _child_configs(config: FlowConfig, *, exactly: int | None = None) -> list[Fl
         raise ConfigError(f"composite flow {config.name!r} needs params.children")
     if exactly is not None and len(raw) != exactly:
         raise ConfigError(f"flow {config.name!r} needs exactly {exactly} children, got {len(raw)}")
-    return [c if isinstance(c, FlowConfig) else FlowConfig.from_dict(c) for c in raw]
+    return [FlowConfig.from_dict(c) for c in raw]
 
 
 def _max_rounds(config: FlowConfig) -> int:

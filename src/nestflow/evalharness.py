@@ -15,7 +15,7 @@ import json
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -615,7 +615,7 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
             results[(record.problem_id, record.variant)] = record
 
     def flow(key: tuple[str, str]) -> None:
-        judges.submit(stage, judge, run_pair(by_id[key[0]], key[1], settings))
+        judged.append(judges.submit(stage, judge, run_pair(by_id[key[0]], key[1], settings)))
 
     def flows() -> None:
         """A flow worker: it takes the next pair until none is left or the grid fails."""
@@ -629,21 +629,19 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
 
     workers = max(1, settings.workers)
     judges = ThreadPoolExecutor(workers, thread_name_prefix="nestflow-judge")
-    helpers = [threading.Thread(target=flows, name=f"nestflow-flow-{n}") for n in range(1, workers)]
+    helpers = ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="nestflow-flow")
+    judged: list[Future] = []
     try:
-        for helper in helpers:
-            helper.start()
+        flowing = [helpers.submit(flows) for _ in range(workers - 1)]
         flows()  # the calling thread is the first flow worker
-        for helper in helpers:
-            helper.join()
-        judges.shutdown()  # every flow has queued its judgement by now
+        # Not joins: on Python 3.11 an interrupted join marks a running thread as ended.
+        wait(flowing)
+        wait(judged)  # every flow has queued its judgement by now
     except BaseException:  # an interrupt: start nothing more
         failed.set()
         raise
     finally:
-        for helper in helpers:
-            if helper.ident is not None:
-                helper.join()
+        helpers.shutdown()
         judges.shutdown(cancel_futures=True)
         for key in started:
             if key not in results:

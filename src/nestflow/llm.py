@@ -6,15 +6,12 @@ extracted program or plan when configured) into the output payload.
 """
 from __future__ import annotations
 
-import logging
 import re
 
 from .backends import BackendRequest, ChatTurn, render_template
 from .compose import FINAL_ANSWER_NEEDLE
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
 from .errors import ConfigError, FlowError, MalformedCompletionError
-
-logger = logging.getLogger(__name__)
 
 # Reply-format placeholders that must reach the model verbatim. When the
 # input payload does not bind them, they render as their own literal text.

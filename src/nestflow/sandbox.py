@@ -1,35 +1,26 @@
 """Local code-testing sandbox: judge Python programs against test cases.
 
-A program is written to a fresh scratch directory and compiled
-in-process, which is its syntax check. A warm runner process
-(``_runner.py``) then runs the program once per test, each run a child
-forked into its own session with a wall-time limit and an address-space
-cap, which compiles and runs it as ``python solution.py`` would. A
-judgement is one request to the runner, which replies once per test as
-each ends and stops, as the judge does, at the first timeout or runtime
-error. Runners wait in a process-wide pool, one per concurrent
-judgement. Results collapse to one of five verdicts and render to fixed
-report text that feedback loops embed in prompts, so the wording here is
-load-bearing and must not drift. A process-wide memo judges each
-distinct program, test list and limit set once.
+A judgement is one request to a warm runner process (``_runner.py``),
+which owns its scratch directory and syntax check, and runs the program
+once per test in a forked child, under a wall-time limit and an
+address-space cap. Runners wait in a process-wide pool, one per
+concurrent judgement. Results collapse to one of five verdicts and
+render to fixed report text that feedback loops embed in prompts, so
+the wording is load-bearing. A process-wide memo judges each distinct
+program, test list and limit set once.
 """
 from __future__ import annotations
 
 import atexit
 import enum
-import logging
 import marshal
-import os
-import py_compile
 import subprocess
 import sys
-import tempfile
 import threading
-import warnings
 from collections import OrderedDict
 from collections.abc import Iterator
 from concurrent.futures import Future
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -37,8 +28,6 @@ from ._util import fingerprint
 from .backends import render_template
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
 from .errors import ConfigError, FlowError, SandboxEnvironmentError
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_ISSUE_TITLE = "# Issue with the last proposed solution"
 DEFAULT_WALL_TIME = 10.0
@@ -52,7 +41,6 @@ DEFAULT_MEMORY_BYTES = 256 * 1024 * 1024
 MEMO_ENTRIES = 256
 MEMO_REPORT_CHARS = 16 * 1024
 
-_COMPILE_LOCK = threading.Lock()
 _MEMO: OrderedDict[str, Future] = OrderedDict()
 _MEMO_LOCK = threading.Lock()
 _RUNNER_SCRIPT = str(Path(__file__).with_name("_runner.py"))
@@ -180,21 +168,13 @@ def _normalize(text: str) -> list[str]:
     return lines
 
 
-def _strip_scratch(text: str, scratch: str) -> str:
-    """Drop the scratch directory (as given and as realpath, longest first)
-    from diagnostics, so they name the program "solution.py" on every run."""
-    for prefix in sorted({scratch, os.path.realpath(scratch)}, key=len, reverse=True):
-        text = text.replace(prefix + os.sep, "")
-    return text
-
-
 def run_tests(program: str, tests: list[TestCase],
               limits: ExecutionLimits = ExecutionLimits()) -> TestReport:
-    """Syntax-check a program in-process, then run it against each test in order.
+    """Run a program against each test in order, and check its syntax.
 
-    The first timeout or runtime error stops the loop and is reported
-    alone; wrong answers accumulate across all tests. The returned
-    report carries a summary rendered with the default issue title.
+    A compile error, or the first timeout or runtime error, which stops the
+    loop, is reported alone; wrong answers accumulate across all tests. The
+    returned report carries a summary rendered with the default issue title.
 
     Reports are memoized on the program, the tests, the limits and the
     interpreter, so a repeated judgement starts no process; a caller
@@ -237,72 +217,33 @@ def _report_chars(report: TestReport) -> int:
                                      for f in report.failures)
 
 
-def _scratch(data: bytes) -> tempfile.TemporaryDirectory:
-    """A fresh scratch directory holding the program as ``solution.py``.
-
-    Failing to make it (a full ``/tmp``, say) says nothing of the program,
-    so the ``OSError`` is raised as ``SandboxEnvironmentError``.
-    """
-    scratch = None
-    try:
-        scratch = tempfile.TemporaryDirectory(prefix="nestflow-sandbox-")
-        Path(scratch.name, "solution.py").write_bytes(data)
-    except OSError as exc:
-        if scratch is not None:
-            scratch.cleanup()
-        raise SandboxEnvironmentError(f"judge cannot set up its scratch directory: {exc}") from exc
-    return scratch
-
-
 def _judge(program: str, tests: list[TestCase], limits: ExecutionLimits) -> TestReport:
-    data = program.encode("utf-8")
-    with _scratch(data) as scratch:
-        source = os.path.join(scratch, "solution.py")
-        # Compiling under the absolute path lets the compiler quote the
-        # offending line from the file; no bytecode file is written. Each test
-        # child compiles it again and prints its warnings, so here they are
-        # ignored, one compile at a time: catch_warnings swaps process-wide state.
-        with _COMPILE_LOCK, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                compile(data, source, "exec", dont_inherit=True)
-                error = None
-            except Exception as exc:  # what py_compile.compile(doraise=True) wraps
-                error = py_compile.PyCompileError(type(exc), exc, source).msg
-                error = _strip_scratch(error.strip(), scratch)
-        if error is not None:
-            report = TestReport(Verdict.COMPILATION_ERROR,
-                                [Failure(index=0, input="", expected=None, actual=error)])
-            report.summary = format_report(report)
-            return report
-
-        job = (scratch, limits.memory_bytes, limits.wall_time)
-        failures: list[Failure] = []
-        verdict = Verdict.ALL_PASSED
-        with _lease() if tests else nullcontext() as runner:
-            # The replies end with the first timeout or runtime error.
-            replies = runner.run(job, [test.input for test in tests]) if tests else ()
-            for position, (test, (status, stdout, stderr)) in enumerate(zip(tests, replies),
-                                                                         start=1):
-                if status is None:
-                    verdict = Verdict.TIMEOUT
-                    failures = [Failure(position, test.input, test.expected_output,
-                                        f"wall time limit of {limits.wall_time}s exceeded")]
-                    continue
-                if status != 0:
-                    verdict = Verdict.RUNTIME_ERROR
-                    error = _strip_scratch(stderr.decode(errors="replace").strip(), scratch)
-                    failures = [Failure(position, test.input, test.expected_output, error)]
-                    continue
-                produced = stdout.decode(errors="replace")
-                if not compare_output(test.expected_output, produced):
-                    verdict = Verdict.WRONG_ANSWER
-                    failures.append(Failure(position, test.input,
-                                            test.expected_output.rstrip("\n"),
-                                            produced.rstrip("\n")))
-        report = TestReport(verdict, failures)
-        report.summary = format_report(report)
-        return report
+    verdict, failures = Verdict.ALL_PASSED, []
+    with _lease() as runner:
+        replies = runner.run((program.encode("utf-8"), limits.memory_bytes, limits.wall_time),
+                             [test.input for test in tests])
+        # A judgement without tests gets one reply, passing a blank test if it compiles.
+        for position, (test, (status, stdout, stderr)) in enumerate(
+                zip(tests or [TestCase("")], replies), start=1):
+            if status == "scratch":
+                raise SandboxEnvironmentError(f"judge cannot set up its scratch directory: {stderr}")
+            if status == "syntax":
+                verdict, failures = Verdict.COMPILATION_ERROR, [Failure(0, "", None, stderr)]
+                continue
+            if status != 0:  # a timeout (None) or a runtime error, the last reply
+                verdict = Verdict.TIMEOUT if status is None else Verdict.RUNTIME_ERROR
+                error = (f"wall time limit of {limits.wall_time}s exceeded" if status is None
+                         else stderr.decode(errors="replace").strip())
+                failures = [Failure(position, test.input, test.expected_output, error)]
+                continue
+            produced = stdout.decode(errors="replace")
+            if not compare_output(test.expected_output, produced):
+                verdict = Verdict.WRONG_ANSWER
+                failures.append(Failure(position, test.input, test.expected_output.rstrip("\n"),
+                                        produced.rstrip("\n")))
+    report = TestReport(verdict, failures)
+    report.summary = format_report(report)
+    return report
 
 
 class _Runner:
@@ -311,9 +252,8 @@ class _Runner:
     It is started by path with this interpreter's default flags, in its
     own session so that a terminal's interrupt does not reach it, and with
     pipes as its standard streams: requests come on stdin, replies go on
-    stdout, and it writes to stderr only when it fails. Each test child
-    closes these pipes and puts its own in-memory files over fds 0-2. It
-    exits when its stdin closes.
+    stdout, and it writes to stderr only when it fails. It exits when its
+    stdin closes.
     """
 
     def __init__(self):
@@ -325,14 +265,10 @@ class _Runner:
         except OSError as exc:
             raise SandboxEnvironmentError(f"failed to spawn interpreter: {exc}") from exc
 
-    def run(self, job: tuple, inputs: list[str]) -> Iterator[tuple[int | None, bytes, bytes]]:
-        """Run the job's program on each input in turn, in one request.
-
-        Yields each test's reply as it ends: its exit status (None on a
-        timeout), stdout and stderr. Like the runner, it stops after the
-        first status that is not 0, so a caller that takes every reply
-        leaves none unread. A runner that went away raises OSError.
-        """
+    def run(self, job: tuple, inputs: list[str]) -> Iterator[tuple]:
+        """Send the job's program and inputs as one request; yield each reply
+        (see ``_runner.py``) up to the first whose status is not 0, as the
+        runner does. A runner that went away raises OSError."""
         try:
             marshal.dump((*job, len(inputs)), self.process.stdin)
             for text in inputs:
@@ -340,14 +276,14 @@ class _Runner:
             self.process.stdin.flush()
         except BrokenPipeError:
             pass  # it went away: its reply below ends early
-        for _ in inputs:
+        for _ in range(max(len(inputs), 1)):
             reply = self.reply()
             yield reply
             if reply[0] != 0:
                 return
 
-    def reply(self) -> tuple[int | None, bytes, bytes]:
-        """The reply to the next test of the request in progress."""
+    def reply(self) -> tuple:
+        """The next reply to the request in progress."""
         try:
             return marshal.load(self.process.stdout)
         except (EOFError, ValueError):
@@ -357,21 +293,22 @@ class _Runner:
             raise OSError(": ".join(["judge runner exited mid-request", *cause[-1:]]))
 
     def close(self) -> None:
-        """Close its pipes; it exits once any test run in progress ends."""
+        """Close its pipes and wait for it to end its test in progress and exit."""
         for pipe in (self.process.stdin, self.process.stdout, self.process.stderr):
             try:
                 pipe.close()
             except OSError:
                 pass
+        self.process.wait()
 
 
 @contextmanager
 def _lease():
     """An idle runner of this interpreter, or a new one, given back when done.
 
-    A runner that failed mid-request is dropped, and its ``OSError`` is
-    raised as ``SandboxEnvironmentError``. So there are at most as many
-    runners as judgements that ever ran at once.
+    A runner whose request is cut short (it failed, or an interrupt came)
+    is dropped, and its ``OSError`` is raised as ``SandboxEnvironmentError``.
+    So there are at most as many runners as judgements that ever ran at once.
     """
     runner = _take_idle() or _Runner()
     try:
@@ -395,7 +332,6 @@ def _take_idle() -> _Runner | None:
         if runner.process.poll() is None and runner.executable == sys.executable:
             return runner
         runner.close()
-        runner.process.wait()
 
 
 @atexit.register
@@ -404,7 +340,6 @@ def _close_idle() -> None:
         runners, _IDLE[:] = list(_IDLE), []
     for runner in runners:
         runner.close()
-        runner.process.wait()
 
 
 # Value fields shown inside code fences; trailing newlines would render

@@ -1,5 +1,6 @@
 import datetime as dt
 import io
+import json
 import re
 
 import pytest
@@ -17,6 +18,7 @@ from nestflow.ccflows import (
     parse_variant,
     problem_payload,
 )
+from nestflow._util import canonical_json
 from nestflow.core import FlowConfig, create_flow, package_input, run
 from nestflow.dataset import Problem
 from nestflow.errors import ConfigError, DatasetError, FlowError
@@ -41,6 +43,11 @@ def small_problem(**overrides):
 
 def children(config):
     return config.params["children"]
+
+
+def parts(config):
+    """A plan variant's two parts, read back from their plain-data configs."""
+    return [FlowConfig.from_dict(child) for child in children(config)]
 
 
 class TestParseVariant:
@@ -136,7 +143,7 @@ class TestBuildVariant:
     def test_plan_code_sequences_two_loops(self):
         config = build_variant("Plan-Code")
         assert config.kind == "sequential"
-        plan_cfg, code_cfg = children(config)
+        plan_cfg, code_cfg = parts(config)
         assert plan_cfg.params["max_rounds"] == 1
         assert [c["name"] for c in children(plan_cfg)] == ["plan_generator", "plan_critic"]
         assert "plan" in code_cfg.input_keys
@@ -145,13 +152,13 @@ class TestBuildVariant:
 
     def test_plan_reflection_loops_plan_generator(self):
         config = build_variant("Plan_Reflection-Code", VariantSettings(max_rounds=2))
-        plan_cfg = children(config)[0]
+        plan_cfg = parts(config)[0]
         assert plan_cfg.params["max_rounds"] == 2
         assert plan_cfg.params["feedback_mapping"] == {"reply": "query"}
 
     def test_plan_oracle_reads_dataset_plan(self):
         config = build_variant("Plan_Oracle-Code")
-        plan_cfg = children(config)[0]
+        plan_cfg = parts(config)[0]
         assert plan_cfg.kind == "human_plan"
         assert plan_cfg.params["interactive"] is False
         assert "human_plan" in plan_cfg.input_keys
@@ -159,9 +166,16 @@ class TestBuildVariant:
 
     def test_plan_oracle_interactive_drops_dataset_key(self):
         config = build_variant("Plan_Oracle-Code", VariantSettings(interactive_plan=True))
-        plan_cfg = children(config)[0]
+        plan_cfg = parts(config)[0]
         assert plan_cfg.params["interactive"] is True
         assert "human_plan" not in plan_cfg.input_keys
+
+    def test_every_variant_config_is_plain_data(self):
+        names = list(CODE_PARTS) + [f"{plan}-{code}" for plan in PLAN_PARTS for code in CODE_PARTS]
+        for name in names:
+            config = build_variant(name).to_dict()
+            assert FlowConfig.from_dict(json.loads(canonical_json(config))).to_dict() == config, name
+        assert len(names) == 25
 
     def test_settings_reach_children(self):
         settings = VariantSettings(model="m-7", temperature=0.5, wall_time=3.5,

@@ -4,7 +4,10 @@ import io
 import json
 import os
 import shutil
+import signal
+import subprocess
 import sys
+import time
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
@@ -60,14 +63,20 @@ FULL_SCRATCH = ("error: judge cannot set up its scratch directory: [Errno 28] "
                 "No space left on device: '/tmp/nestflow-sandbox-x'\n")
 
 
-def full_scratch(monkeypatch):
+def full_scratch(monkeypatch, tmp_path):
     """Make the judge's scratch directory fail as on a full ``/tmp``, with an
-    empty verdict memo, so that the next judgement needs one."""
-    def mkdtemp(*args, **kwargs):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "/tmp/nestflow-sandbox-x")
-
+    empty verdict memo and runner pool, so that the next judgement starts a
+    runner and needs one."""
+    wrapper = tmp_path / "full_scratch_runner.py"
+    wrapper.write_text(
+        "import errno, os, runpy, tempfile\n"
+        "def mkdtemp(*args, **kwargs):\n"
+        "    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), '/tmp/nestflow-sandbox-x')\n"
+        "tempfile.mkdtemp = mkdtemp\n"
+        f"runpy.run_path({sandbox._RUNNER_SCRIPT!r}, run_name='__main__')\n")
     monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
-    monkeypatch.setattr(sandbox.tempfile, "mkdtemp", mkdtemp)
+    monkeypatch.setattr(sandbox, "_IDLE", [])
+    monkeypatch.setattr(sandbox, "_RUNNER_SCRIPT", str(wrapper))
 
 
 def write_profiles(tmp_path, profiles):
@@ -239,7 +248,7 @@ class TestCmdRun:
                                  "[Errno 28] No space left on device\n")
 
     def test_full_scratch_directory_is_environment_error(self, runner, tmp_path, monkeypatch):
-        full_scratch(monkeypatch)
+        full_scratch(monkeypatch, tmp_path)
         for extra in ({}, {"out": tmp_path / "one"}):
             result = runner.invoke(main, self.run_args("cf-echo-101", "Code", **extra))
             assert result.exit_code == 3, result.output
@@ -402,7 +411,7 @@ class TestCmdEval:
 
     def test_full_scratch_directory_is_environment_error(self, runner, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"
-        full_scratch(monkeypatch)
+        full_scratch(monkeypatch, tmp_path)
         result = runner.invoke(main, [
             "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--variants", "Code",
             "--profiles", str(PROFILES), "--out", str(run_dir), "--wall-time", "2.0"])
@@ -607,6 +616,50 @@ class TestCmdEval:
         result = eval_rounds(1, "--no-resume")
         assert result.exit_code == 0, result.output
         assert "1 records (1 new runs)" in result.output
+
+
+    @pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGINT, 130)],
+                             ids=["SIGTERM", "SIGINT"])
+    def test_interrupt_leaves_no_scratch_directory_and_resumes(self, runner, tmp_path, signum,
+                                                               code):
+        dataset = tmp_path / "problems"
+        dataset.mkdir()
+        for name in ("cf-echo-101", "lc-countdown-505"):  # the second one's program loops
+            shutil.copy(PROBLEMS / f"{name}.yaml", dataset)
+        args = ["eval", "--dataset", str(dataset), "--variants", "Code",
+                "--profiles", str(PROFILES), "--wall-time", "1.0"]
+        whole = runner.invoke(main, [*args, "--out", str(tmp_path / "whole")])
+        assert whole.exit_code == 0, whole.output
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        src = str(Path(sandbox.__file__).resolve().parents[1])
+        env = {**os.environ, "TMPDIR": str(scratch),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        evaluating = subprocess.Popen(
+            [sys.executable, "-m", "nestflow.cli", *args, "--out", str(tmp_path / "cut")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        def judging_the_loop() -> bool:
+            for path in scratch.glob("nestflow-sandbox-*/solution.py"):
+                try:
+                    if "while True" in path.read_text():
+                        return True
+                except FileNotFoundError:  # a judgement that just ended
+                    pass
+            return False
+
+        deadline = time.monotonic() + 30
+        while not judging_the_loop():
+            assert time.monotonic() < deadline, "the looping program was never judged"
+            time.sleep(0.05)
+        evaluating.send_signal(signum)
+        _, stderr = evaluating.communicate(timeout=60)
+        assert evaluating.returncode == code, stderr
+        assert stderr.endswith(f"error: interrupted by {signal.Signals(signum).name}\n")
+        assert list(scratch.iterdir()) == []
+        resumed = runner.invoke(main, [*args, "--out", str(tmp_path / "cut")])
+        assert resumed.exit_code == 0, resumed.output
+        for name in ("results_table.txt", "results_table.csv", "temporal_series.csv"):
+            assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
 class TestCmdReport:

@@ -1,5 +1,4 @@
 import ast
-import builtins
 import functools
 import os
 import re
@@ -189,8 +188,9 @@ def spawn_judge(program: str, tests: list[IOCase], limits: ExecutionLimits = FAS
                 break
             if done.returncode != 0:
                 verdict = Verdict.RUNTIME_ERROR
-                error = sandbox._strip_scratch(done.stderr.decode(errors="replace").strip(),
-                                               scratch)
+                error = done.stderr.decode(errors="replace").strip()
+                # The script's path is absolute, in the scratch directory's real name.
+                error = error.replace(os.path.realpath(scratch) + os.sep, "")
                 failures = [Failure(position, test.input, test.expected_output, error)]
                 break
             produced = done.stdout.decode(errors="replace")
@@ -388,92 +388,95 @@ class TestCompileCheck:
             assert list(pool.map(judge_compile, [program + f"# {i}\n" for i in range(2)])) \
                 == [expected] * 2
 
-    def test_compile_warnings_stay_quiet(self, capfd, monkeypatch):
+    def test_compile_warnings_stay_quiet(self, runners, capfd):
         warns = 'x = 1 is 1\nassert (1, "m")\nprint("ok")\n'
-        compiled = []
-
-        def slow_compile(*args, **kwargs):
-            compiled.append(args[1])
-            time.sleep(0.002)  # lets other judging threads run mid-compile
-            return builtins.compile(*args, **kwargs)
-
-        monkeypatch.setattr(sandbox, "compile", slow_compile, raising=False)
         with warnings.catch_warnings(record=True) as shown:
             warnings.simplefilter("always")
-            filters = list(warnings.filters)
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                reports = list(pool.map(lambda program: run_tests(
-                    program, [IOCase("", "ok\n")], limits=FAST),
-                    [warns + f"# {i}\n" for i in range(2)]))
-            # Interleaved catch_warnings blocks would leave a filter behind.
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                checked = set(pool.map(judge_compile,
-                                       [warns + f"# {i}\n" for i in range(2, 66)]))
-            assert len(compiled) == 66  # each program compiled, none served by the memo
-            assert warnings.filters == filters
+            passed = run_tests(warns, [IOCase("", "ok\n")], limits=FAST)
+            checked = judge_compile(warns)
             # Unlike the py_compile process, the report leaves the warning out.
             verdict, message = judge_compile("x = 1 is 1\nreturn x\n")
-        assert [r.verdict for r in reports] == [Verdict.ALL_PASSED] * 2
-        assert checked == {(Verdict.ALL_PASSED, None)}
+        assert passed.verdict == Verdict.ALL_PASSED
+        assert checked == (Verdict.ALL_PASSED, None)
         assert verdict == Verdict.COMPILATION_ERROR
         assert message.startswith('File "solution.py", line 2\n')
         assert shown == []
         assert capfd.readouterr().err == ""
+        # Nor does the check child print it on the runner's stderr, which
+        # names why a runner failed.
+        [runner] = runners
+        runner.process.stdin.close()
+        assert runner.process.stderr.read() == b""
 
-    def test_scratch_holds_only_the_program(self, monkeypatch):
-        left = []
+    def test_check_runs_only_when_a_run_did_not_compile(self, work):
+        tests = [IOCase("1\n", "1\n"), IOCase("2\n", "3\n")]
+        program, _, memory = RUN_CASES["compile_over_the_memory_cap"]
+        cases = [("print(input())\n", FAST, Verdict.WRONG_ANSWER, ["test", "test"]),
+                 ("assert input() != '2'\n", FAST, Verdict.RUNTIME_ERROR, ["test", "test"]),
+                 ("raise SystemExit(1)\n", FAST, Verdict.RUNTIME_ERROR, ["test"]),
+                 ("import time\ntime.sleep(10)\n", MEMO_LIMITS, Verdict.TIMEOUT, ["test"]),
+                 ("def broken(:\n", FAST, Verdict.COMPILATION_ERROR, ["test", "check"]),
+                 (program, memory, Verdict.RUNTIME_ERROR, ["test", "check"])]
+        for program, limits, verdict, children in cases:
+            before = work.children()
+            assert run_tests(program, tests, limits=limits).verdict == verdict, program[:20]
+            assert work.children()[len(before):] == children, program[:20]
+        for program, verdict in (("x = 1\n", Verdict.ALL_PASSED),
+                                 ("x = (\n", Verdict.COMPILATION_ERROR)):
+            before = work.children()
+            assert run_tests(program, [], limits=FAST).verdict == verdict
+            assert work.children()[len(before):] == ["check"]
 
-        class Recording(tempfile.TemporaryDirectory):
-            def cleanup(self):
-                left.append(sorted(os.listdir(self.name)))
-                super().cleanup()
-
-        monkeypatch.setattr(sandbox.tempfile, "TemporaryDirectory", Recording)
-        monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
-        run_tests("print(input())\n", [IOCase("a\n", "a\n")], limits=FAST)
-        run_tests("def broken(:\n", [], limits=FAST)
-        assert left == [["solution.py"], ["solution.py"]]
+    def test_scratch_holds_only_the_program(self, runners):
+        lists = "import os\nprint(sorted(os.listdir('.')))\n"
+        assert run_tests(lists, [IOCase("", "['solution.py']\n")], limits=FAST).verdict \
+            == Verdict.ALL_PASSED
+        writes = "open('helper.txt', 'w').close()\nimport os\nos.mkdir('sub')\nraise SystemExit(2)\n"
+        assert run_tests(writes, [IOCase("", "")], limits=FAST).verdict == Verdict.RUNTIME_ERROR
+        assert run_tests("def broken(:\n", [], limits=FAST).verdict == Verdict.COMPILATION_ERROR
+        assert list(Path(os.environ["TMPDIR"]).iterdir()) == []
 
 
 class Work:
-    """What run_tests started, one log entry per test run ("spawn") or compile.
+    """What run_tests started: each request it sent and each test reply it
+    read, in ``log``, and each child the runner forked, in ``children()``:
+    "test" per test run and "check" per syntax check.
 
-    A test run's reply is read after ``delay`` seconds, or ``error`` is
-    raised in its place if set.
+    A test reply is read after ``delay`` seconds, or ``error`` is raised in
+    its place if set.
     """
 
-    def __init__(self):
+    def __init__(self, forks: Path):
+        self.forks = forks
         self.log = []
         self.delay = 0.0
         self.error = None
 
+    def children(self) -> list[str]:
+        return self.forks.read_text().split() if self.forks.exists() else []
 
-@pytest.fixture
-def work(monkeypatch):
-    """An empty memo, with every test run and compile counted."""
-    monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
-    work = Work()
-    reply = sandbox._Runner.reply
 
-    def counted_reply(*args, **kwargs):
-        work.log.append("spawn")
-        time.sleep(work.delay)
-        if work.error is not None:
-            raise work.error
-        return reply(*args, **kwargs)
-
-    def counted_compile(*args, **kwargs):
-        work.log.append("compile")
-        return builtins.compile(*args, **kwargs)
-
-    monkeypatch.setattr(sandbox._Runner, "reply", counted_reply)
-    monkeypatch.setattr(sandbox, "compile", counted_compile, raising=False)
-    return work
+# A runner that appends the kind of each child it forks to the file ``log``.
+COUNTING_RUNNER = """\
+import runpy
+def counted(kind, fork):
+    def call(*args):
+        with open({log!r}, "a") as log:
+            log.write(kind + "\\n")
+        return fork(*args)
+    return call
+names = runpy.run_path({script!r})["serve"].__globals__
+names["_run"] = counted("test", names["_run"])
+names["_check"] = counted("check", names["_check"])
+names["serve"]()
+"""
 
 
 @pytest.fixture
-def runners(monkeypatch):
-    """An empty memo and runner pool; lists every runner started, and stops them after."""
+def runners(monkeypatch, tmp_path_factory):
+    """An empty memo and runner pool, and a TMPDIR of their own for the
+    runners; lists every runner started, and stops them after."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path_factory.mktemp("tmpdir")))
     monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
     monkeypatch.setattr(sandbox, "_IDLE", [])
     started = []
@@ -488,6 +491,33 @@ def runners(monkeypatch):
     for runner in started:
         runner.close()
         runner.process.wait(timeout=30)
+
+
+@pytest.fixture
+def work(runners, monkeypatch, tmp_path_factory):
+    """Runners that log each child they fork, with every request and test reply counted."""
+    folder = tmp_path_factory.mktemp("work")
+    wrapper = folder / "runner.py"
+    wrapper.write_text(COUNTING_RUNNER.format(log=str(folder / "children"),
+                                              script=sandbox._RUNNER_SCRIPT))
+    monkeypatch.setattr(sandbox, "_RUNNER_SCRIPT", str(wrapper))
+    work = Work(folder / "children")
+    run, reply = sandbox._Runner.run, sandbox._Runner.reply
+
+    def counted_run(self, *args):
+        work.log.append("request")
+        return run(self, *args)
+
+    def counted_reply(self):
+        work.log.append("reply")
+        time.sleep(work.delay)
+        if work.error is not None:
+            raise work.error
+        return reply(self)
+
+    monkeypatch.setattr(sandbox._Runner, "run", counted_run)
+    monkeypatch.setattr(sandbox._Runner, "reply", counted_reply)
+    return work
 
 
 MEMO_TESTS = [IOCase("1\n", "2\n"), IOCase("2\n", "3\n")]
@@ -521,10 +551,10 @@ class TestVerdictMemo:
     def test_repeat_call_starts_nothing(self, work, verdict):
         first = run_tests(VERDICT_PROGRAMS[verdict], MEMO_TESTS, limits=MEMO_LIMITS)
         assert first.verdict == verdict
-        started = list(work.log)
-        assert started
+        started = list(work.log), work.children()
+        assert all(started)
         second = run_tests(VERDICT_PROGRAMS[verdict], MEMO_TESTS, limits=MEMO_LIMITS)
-        assert work.log == started
+        assert (work.log, work.children()) == started
         assert second == first
 
     def test_any_change_to_the_key_misses(self, work, monkeypatch):
@@ -561,7 +591,8 @@ class TestVerdictMemo:
         work.delay = 0.3  # the first caller is still judging when the others ask
         reports = judge_together(4, lambda: run_tests(
             VERDICT_PROGRAMS[Verdict.ALL_PASSED], MEMO_TESTS[:1], limits=MEMO_LIMITS))
-        assert work.log == ["compile", "spawn"]
+        assert work.log == ["request", "reply"]
+        assert work.children() == ["test"]
         assert [r.verdict for r in reports] == [Verdict.ALL_PASSED] * 4
         assert all(r == reports[0] for r in reports)
 
@@ -571,10 +602,10 @@ class TestVerdictMemo:
                                  limits=MEMO_LIMITS)
         errors = judge_together(4, call)
         assert all(isinstance(e, SandboxEnvironmentError) for e in errors), errors
-        assert work.log == ["compile", "spawn"]
+        assert work.log == ["request", "reply"]
         work.delay, work.error = 0.0, None
         assert call().verdict == Verdict.ALL_PASSED
-        assert work.log == ["compile", "spawn"] * 2
+        assert work.log == ["request", "reply"] * 2
 
     def test_changing_a_report_leaves_the_memo_alone(self, work):
         program = VERDICT_PROGRAMS[Verdict.WRONG_ANSWER]
@@ -591,21 +622,22 @@ class TestVerdictMemo:
         passed = VERDICT_PROGRAMS[Verdict.ALL_PASSED]
         run_tests(passed, MEMO_TESTS, limits=MEMO_LIMITS).failures.append(kept[0])
         assert run_tests(passed, MEMO_TESTS, limits=MEMO_LIMITS).failures == []
-        assert work.log.count("spawn") == 4
+        assert work.log.count("request") == 2
+        assert work.children() == ["test"] * 4
 
     def test_large_report_reaches_every_caller_and_is_not_kept(self, work):
         program = f"print('x' * {sandbox.MEMO_REPORT_CHARS})\n"
         work.delay = 0.3
         reports = judge_together(4, lambda: run_tests(program, MEMO_TESTS[:1],
                                                       limits=MEMO_LIMITS))
-        assert work.log == ["compile", "spawn"]
+        assert work.log == ["request", "reply"]
         assert all(r == reports[0] for r in reports)
         assert reports[0].verdict == Verdict.WRONG_ANSWER
         assert len(reports[0].failures[0].actual) == sandbox.MEMO_REPORT_CHARS
         assert not sandbox._MEMO
         work.delay = 0.0
         assert run_tests(program, MEMO_TESTS[:1], limits=MEMO_LIMITS) == reports[0]
-        assert work.log == ["compile", "spawn"] * 2
+        assert work.log == ["request", "reply"] * 2
 
     def test_oldest_entry_is_evicted_first(self, work, monkeypatch):
         monkeypatch.setattr(sandbox, "MEMO_ENTRIES", 2)
@@ -614,19 +646,13 @@ class TestVerdictMemo:
             run_tests(program, [], limits=FAST)
         run_tests(programs[2], [], limits=FAST)
         run_tests(programs[1], [], limits=FAST)
-        assert work.log == ["compile"] * 3
+        assert work.children() == ["check"] * 3
         run_tests(programs[0], [], limits=FAST)
-        assert work.log == ["compile"] * 4
+        assert work.children() == ["check"] * 4
         assert len(sandbox._MEMO) == 2
 
-    def test_threads_racing_on_few_keys_judge_each_once(self, work, monkeypatch):
-        counted = sandbox.compile
-
-        def slow_compile(*args, **kwargs):
-            time.sleep(0.001)
-            return counted(*args, **kwargs)
-
-        monkeypatch.setattr(sandbox, "compile", slow_compile)
+    def test_threads_racing_on_few_keys_judge_each_once(self, work):
+        work.delay = 0.001
         programs = [f"y = {k}\n" for k in range(4)] * 16
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -638,7 +664,8 @@ class TestVerdictMemo:
         finally:
             sys.setswitchinterval(interval)
         assert verdicts == [Verdict.ALL_PASSED] * 64
-        assert work.log == ["compile"] * 4
+        assert work.log.count("request") == 4
+        assert work.children() == ["check"] * 4
 
 
 def judge_child_writers(markers: Path, setsid: str = "", popen: str = "") -> None:
@@ -840,6 +867,46 @@ class TestRunnerPool:
         assert report.verdict == Verdict.ALL_PASSED
         assert len(runners) == 1
 
+    def test_compiling_leaves_the_runner_its_size(self, runners):
+        # Each test child inherits the runner's address space under its cap,
+        # so what a compile took in the runner would count against later runs.
+        def size() -> str:
+            [runner] = runners
+            return re.search(r"VmSize:\s*(\d+)",
+                             Path("/proc", str(runner.process.pid), "status").read_text())[1]
+
+        assert run_tests("print(1)\n", [IOCase("", "1\n")], limits=FAST).verdict \
+            == Verdict.ALL_PASSED
+        before = size()
+        program, tests, limits = RUN_CASES["compile_over_the_memory_cap"]
+        assert run_tests(program, tests, limits=limits).verdict == Verdict.RUNTIME_ERROR
+        literal = "x = [" + "0, " * 1_000_000 + "]\nprint(len(x))\n"
+        assert run_tests(literal, [IOCase("", "1000000\n")], limits=CAP_64_MIB).verdict \
+            == Verdict.RUNTIME_ERROR
+        assert size() == before
+
+    def test_runner_removes_its_directory_when_its_parent_is_killed(self, tmp_path):
+        src = str(Path(sandbox.__file__).resolve().parents[1])
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        code = ("from nestflow import sandbox\n"
+                "sandbox.run_tests('import time\\ntime.sleep(30)\\n', [sandbox.TestCase('', '')],"
+                " sandbox.ExecutionLimits(wall_time=2.0))\n")
+        env = {**os.environ, "TMPDIR": str(scratch),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        judging = subprocess.Popen([sys.executable, "-c", code], env=env)
+        deadline = time.monotonic() + 30
+        while not list(scratch.glob("nestflow-sandbox-*/solution.py")):
+            assert time.monotonic() < deadline, "no judgement started"
+            time.sleep(0.05)
+        time.sleep(0.3)  # the test sleeps
+        judging.kill()
+        judging.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while list(scratch.iterdir()):
+            assert time.monotonic() < deadline, "the runner left its scratch directory"
+            time.sleep(0.05)
+
     def test_runner_imports_only_the_standard_library(self):
         tree = ast.parse(Path(sandbox._RUNNER_SCRIPT).read_text(encoding="utf-8"))
         imported = {alias.name.partition(".")[0] for node in ast.walk(tree)
@@ -848,10 +915,6 @@ class TestRunnerPool:
                      if isinstance(node, ast.ImportFrom)}
         assert "ctypes" in imported
         assert imported <= sys.stdlib_module_names
-
-    def test_no_tests_starts_no_runner(self, runners):
-        assert run_tests("x = 1\n", [], limits=FAST).verdict == Verdict.ALL_PASSED
-        assert runners == []
 
 
 class TestFormatReport:
