@@ -51,12 +51,22 @@ import types
 import warnings
 import _frozen_importlib_external
 
-_PR_SET_CHILD_SUBREAPER = 36  # from <linux/prctl.h>
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+_PR_SET_CHILD_SUBREAPER = 36
+_RUNNER = os.getpid()
+_prctl = ctypes.CDLL(None, use_errno=True).prctl
+_prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+_prctl.restype = ctypes.c_int
 
 
 def _child(path, memory, files, inherited, compiled):
     """Become ``python solution.py`` and run, writing to the file
     ``compiled`` once the program has compiled; never returns."""
+    # Die with the runner, which alone enforces the wall time; if it died
+    # before this was set, the child has already been reparented.
+    _prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != _RUNNER:
+        os._exit(1)
     os.setsid()
     for fd in inherited:
         os.close(fd)
@@ -173,10 +183,7 @@ def _contents(fd):
 def _become_subreaper():
     """Make this process the reaper of every orphan below it, so that what a
     test child leaves behind, in any session, becomes a child of the runner."""
-    prctl = ctypes.CDLL(None, use_errno=True).prctl
-    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
-    prctl.restype = ctypes.c_int
-    if prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+    if _prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
         raise OSError(ctypes.get_errno(), "cannot become a child subreaper")
 
 

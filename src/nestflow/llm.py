@@ -114,15 +114,14 @@ class LlmFlow(FlowInstance):
             record = [{"role": t.role, "content": t.content} for t in turns]
             record.append({"role": "assistant", "content": completion})
             self.state.set("turns", record)
-            ctx.trace.emit("state_update", self.instance_id, {"key": "turns", "value": record})
         updates = {"completion": completion}
         if self.postprocess == "code":
-            updates["code"] = self._postprocess_code(completion, ctx)
+            updates["code"] = self._postprocess_code(completion)
         elif self.postprocess == "plan":
-            updates["plan"] = self._postprocess_plan(completion, ctx)
+            updates["plan"] = self._postprocess_plan(completion)
         return updates
 
-    def _postprocess_code(self, completion: str, ctx: RunContext) -> str:
+    def _postprocess_code(self, completion: str) -> str:
         try:
             code = extract_code(completion)
         except MalformedCompletionError:
@@ -131,10 +130,9 @@ class LlmFlow(FlowInstance):
                 return previous
             raise
         self.state.set("last_code", code)
-        ctx.trace.emit("state_update", self.instance_id, {"key": "last_code", "value": code})
         return code
 
-    def _postprocess_plan(self, completion: str, ctx: RunContext) -> str:
+    def _postprocess_plan(self, completion: str) -> str:
         plan = extract_plan(completion)
         if plan is None:
             previous = self.state.get("last_plan")
@@ -142,5 +140,4 @@ class LlmFlow(FlowInstance):
                 return previous
             plan = completion.strip()
         self.state.set("last_plan", plan)
-        ctx.trace.emit("state_update", self.instance_id, {"key": "last_plan", "value": plan})
         return plan

@@ -1,15 +1,17 @@
 """Append-only run tracing and trace normalization.
 
 A trace is a JSONL file whose first line is a header and whose remaining
-lines are events, one per line, in the order they were recorded. Format 2
-writes each event against what the file already holds: a message as the
-keys it changes from its first parent, a request as the turns it adds to
-its flow's conversation, a state equal to that conversation by name, and
-times as microsecond offsets from the header's ``t0``. ``read_trace``
-rebuilds the full events, message payloads and backend request/response
-bodies included, so that a run can be re-executed from its trace alone
-(see ``evalharness.replay_pair``).
-Format-1 traces, which hold every event in full, still read.
+lines are events, one per line, in the order they were recorded. Format 3
+leaves out of each line what the file already holds: a message is the
+keys it changes from its last parent (a ``message_out`` also without its
+creator, the event's own instance), a request the turns it adds to its
+flow's conversation, a response the keys of its call left out, and times
+are microsecond offsets from the header's ``t0``. A key that a line does
+carry wins over the one rebuilt. ``read_trace`` rebuilds the full events
+so that a run can be re-executed from its trace alone (see
+``evalharness.replay_pair``). Formats 2 (deltas against the first parent)
+and 1 (every event in full) still read, without their ``state_update``
+events, which repeat the conversations and messages around them.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from pathlib import Path
 from ._util import canonical_json
 from .errors import NestflowError
 
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 _FULL_FORMAT_VERSION = 1
 
 EVENT_KINDS = frozenset({
@@ -32,16 +34,19 @@ EVENT_KINDS = frozenset({
     "message_out",
     "backend_call",
     "backend_response",
-    "state_update",
     "warning",
 })
 
 # Body keys holding identifiers that get renumbered during normalization.
 _ID_KEYS = ("id", "created_by", "instance_id")
 _TIME_KEYS = ("timestamp", "created_at")
-# Body keys, per event kind, that describe the run's environment rather
-# than its behaviour: a replay serves every response from the cache.
+# Event kinds, and body keys per event kind, that describe the run's
+# environment rather than its behaviour: a replay serves every response
+# from the cache, whose failures are all that ``warning`` reports.
+_ENVIRONMENT_KINDS = frozenset({"warning"})
 _ENVIRONMENT_KEYS = {"backend_response": ("cached",)}
+# What a format-3 response leaves out: the same as in the call it answers.
+_CALL_KEYS = ("backend", "fingerprint")
 
 _MESSAGE_KEYS = frozenset({"id", "created_at", "created_by", "payload", "parents"})
 _MESSAGE_KINDS = ("message_in", "message_out")
@@ -74,19 +79,27 @@ def _shared_prefix(first: list, second: list) -> int:
     return count
 
 
+def _picked(body: dict, keys) -> dict:
+    return {key: body[key] for key in keys if key in body}
+
+
 class _Held:
-    """What a format-2 trace holds so far, kept alike by its writer and reader.
+    """What a format-2 or -3 trace holds so far, kept alike by its writer and reader.
 
     Both sides ``observe`` every full event body, so an encoding always
     refers to state that the reader has rebuilt. Bodies are held by
     reference, never copied.
     """
 
-    def __init__(self, t0: dt.datetime):
+    def __init__(self, t0: dt.datetime, base: int = -1):
         self.t0 = t0
+        # Which parent a message is a delta against: the last, or in format 2 the first.
+        self.base = base
         self.messages: dict[str, dict] = {}
         # Per instance: its last request's turns, plus the response once it came.
         self.conversations: dict[str, list] = {}
+        # Per instance: its last backend_call's body.
+        self.calls: dict[str, dict] = {}
 
     def observe(self, kind: str, instance_id: str, body: dict) -> None:
         if kind in _MESSAGE_KINDS:
@@ -94,6 +107,7 @@ class _Held:
             if _is_message(message):
                 self.messages[message["id"]] = message
         elif kind == "backend_call":
+            self.calls[instance_id] = body
             request = body.get("request")
             if isinstance(request, dict) and isinstance(request.get("turns"), list):
                 self.conversations[instance_id] = request["turns"]
@@ -121,20 +135,22 @@ class _Held:
     def encode(self, kind: str, instance_id: str, body: dict) -> tuple[str | None, dict]:
         """The encoding's name (None: the body as it is) and the body to write."""
         if kind in _MESSAGE_KINDS and body.keys() == {"message"} and _is_message(body["message"]):
-            return self._encode_message(body["message"])
+            return self._encode_message(kind, instance_id, body["message"])
         if kind == "backend_call":
             return self._encode_call(instance_id, body)
-        if (kind == "state_update" and body.keys() == {"key", "value"}
-                and isinstance(body["key"], str) and isinstance(body["value"], list)
-                and body["value"] == self.conversations.get(instance_id)):
-            return "conv", {"key": body["key"]}
+        call = self.calls.get(instance_id)
+        if (kind == "backend_response" and call is not None
+                and _picked(body, _CALL_KEYS) == _picked(call, _CALL_KEYS)):
+            return "resp", {k: v for k, v in body.items() if k not in _CALL_KEYS}
         return None, body
 
-    def _encode_message(self, message: dict) -> tuple[str, dict]:
+    def _encode_message(self, kind: str, instance_id: str, message: dict) -> tuple[str, dict]:
         out = {key: message[key] for key in ("id", "created_by", "parents")}
+        if kind == "message_out" and out["created_by"] == instance_id:
+            del out["created_by"]
         out["created_at"] = self.offset(message["created_at"])
         parents, payload = message["parents"], message["payload"]
-        base = self.messages.get(parents[0]) if parents else None
+        base = self.messages.get(parents[self.base]) if parents else None
         if base is None:
             out["payload"] = payload
             return "message", {"message": out}
@@ -161,22 +177,24 @@ class _Held:
 
     # -- reading ------------------------------------------------------------
 
-    def decode(self, encoding: str | None, instance_id: str, body: dict) -> dict:
+    def decode(self, encoding: str | None, kind: str, instance_id: str, body: dict) -> dict:
         if encoding is None:
             return body
         if encoding in ("message", "delta"):
-            return {"message": self._decode_message(encoding, body["message"])}
+            return {"message": self._decode_message(encoding, kind, instance_id, body["message"])}
         if encoding == "call":
             return self._decode_call(instance_id, body)
-        if encoding == "conv":
-            conversation = self.conversations.get(instance_id)
-            if conversation is None:
-                raise ValueError(f"state of {instance_id} refers to a conversation it never had")
-            return {"key": body["key"], "value": list(conversation)}
+        if encoding == "resp":
+            call = self.calls.get(instance_id)
+            if call is None:
+                raise ValueError(f"response of {instance_id} answers no call of its instance")
+            return {**_picked(call, _CALL_KEYS), **body}
         raise ValueError(f"unknown encoding {encoding!r}")
 
-    def _decode_message(self, encoding: str, written: dict) -> dict:
-        message = {key: written[key] for key in ("id", "created_by", "parents")}
+    def _decode_message(self, encoding: str, kind: str, instance_id: str, written: dict) -> dict:
+        message = {key: written[key] for key in ("id", "parents")}
+        message["created_by"] = (written.get("created_by", instance_id) if kind == "message_out"
+                                 else written["created_by"])
         created_at = written["created_at"]
         if not isinstance(created_at, str):
             created_at = self.stamp(created_at)
@@ -184,7 +202,7 @@ class _Held:
         if encoding == "message":
             message["payload"] = written["payload"]
         else:
-            parent = message["parents"][0]
+            parent = message["parents"][self.base]
             if parent not in self.messages:
                 raise ValueError(f"message {message['id']!r} is a delta against {parent!r}, "
                                  f"which the trace does not hold")
@@ -210,7 +228,7 @@ class _Held:
 class TraceSink:
     """Event sink. Assigns seq numbers and validates event kinds.
 
-    ``TraceSink(path)`` writes the format-2 header and then one line per
+    ``TraceSink(path)`` writes the format-3 header and then one line per
     event to ``path``, flushing on every flow_end. ``TraceSink()`` keeps
     the events in ``events`` instead.
     """
@@ -262,7 +280,7 @@ class TraceSink:
 
 
 def read_trace(path: str | Path) -> list[TraceEvent]:
-    """Load a trace file of either format, checking the version header.
+    """Load a trace file of any format that reads, checking the version header.
 
     A line that cannot be decoded raises NestflowError naming the file and
     the line.
@@ -274,19 +292,21 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
     try:
         header = json.loads(lines[0])
         version = header.get("trace_format") if isinstance(header, dict) else None
-        if version not in (_FULL_FORMAT_VERSION, TRACE_FORMAT_VERSION):
+        if version not in (_FULL_FORMAT_VERSION, 2, TRACE_FORMAT_VERSION):
             raise NestflowError(f"trace file {path} has unsupported format version {version!r}")
         held = None
-        if version == TRACE_FORMAT_VERSION:
-            held = _Held(dt.datetime.fromisoformat(header["t0"]))
+        if version != _FULL_FORMAT_VERSION:
+            held = _Held(dt.datetime.fromisoformat(header["t0"]), 0 if version == 2 else -1)
         events = []
         for number, line in enumerate(lines[1:], start=2):
             raw = json.loads(line)
+            if version < TRACE_FORMAT_VERSION and raw["kind"] == "state_update":
+                continue
             if held is None:
                 event = TraceEvent(raw["seq"], raw["timestamp"], raw["instance_id"], raw["kind"],
                                    raw["body"])
             else:
-                body = held.decode(raw.get("enc"), raw["instance_id"], raw["body"])
+                body = held.decode(raw.get("enc"), raw["kind"], raw["instance_id"], raw["body"])
                 event = TraceEvent(raw["seq"], held.stamp(raw["t"]), raw["instance_id"],
                                    raw["kind"], body)
             if not isinstance(event.body, dict):
@@ -306,11 +326,12 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
 
 
 def normalize_trace(events: list[TraceEvent]) -> list[dict]:
-    """Rewrite ids to first-occurrence ordinals; drop timestamps and ``cached``.
+    """Rewrite ids to first-occurrence ordinals; drop timestamps, ``cached`` and warnings.
 
     Two runs of the same flow on the same input are equivalent iff their
     normalized traces are equal, regardless of process-level id counters,
-    wall-clock times, or whether a response came from the cache.
+    wall-clock times, or whether a response came from the cache or the
+    cache failed.
     """
     mapping: dict[str, str] = {}
 
@@ -341,7 +362,8 @@ def normalize_trace(events: list[TraceEvent]) -> list[dict]:
         return node
 
     normalized = []
-    for position, event in enumerate(events, start=1):
+    kept = (event for event in events if event.kind not in _ENVIRONMENT_KINDS)
+    for position, event in enumerate(kept, start=1):
         dropped = _ENVIRONMENT_KEYS.get(event.kind, ())
         normalized.append({
             "seq": position,

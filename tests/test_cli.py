@@ -33,6 +33,8 @@ from nestflow.trace import read_trace
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 PROFILES = FIXTURES / "profiles.yaml"
 PROBLEMS = FIXTURES / "problems"
+# Two cf-echo-101 pairs as format 2 wrote them, before format 3.
+FORMAT_2_RUN = Path(__file__).resolve().parent / "format_2_run"
 
 
 @pytest.fixture
@@ -754,14 +756,14 @@ class TestCmdReplay:
     @staticmethod
     def _parent_gone(events):
         index = next(i for i, e in enumerate(events) if i > 1 and e.get("enc") == "delta")
-        events[index]["body"]["message"]["parents"][0] = "m999999"
+        events[index]["body"]["message"]["parents"][-1] = "m999999"
         return index
 
-    # Format 2 has no "append" or "ref" encoding: such a line is refused like
+    # Format 3 has no "append" or "ref" encoding: such a line is refused like
     # any other unknown encoding.
     @staticmethod
     def _append_to_unknown_key(events):
-        index = next(i for i, e in enumerate(events) if e.get("enc") == "conv")
+        index = next(i for i, e in enumerate(events) if e["kind"] == "flow_end")
         events[index].update(enc="append", body={"key": "nothing", "value": [1]})
         return index
 
@@ -777,10 +779,18 @@ class TestCmdReplay:
         events[index]["body"]["request"]["keep"] = 99
         return index
 
+    @staticmethod
+    def _response_without_call(events):
+        index = next(i for i, e in enumerate(events) if e.get("enc") == "resp")
+        events[index]["instance_id"] = "nobody#0"
+        return index
+
     @pytest.mark.parametrize("damage", [_parent_gone, _append_to_unknown_key,
-                                        _unknown_reference, _turns_beyond_conversation],
+                                        _unknown_reference, _turns_beyond_conversation,
+                                        _response_without_call],
                              ids=["delta-parent-gone", "append-to-unknown-key",
-                                  "unknown-reference", "keep-too-many"])
+                                  "unknown-reference", "keep-too-many",
+                                  "response-without-call"])
     def test_damaged_trace_is_usage_error(self, runner, eval_dir, tmp_path, damage):
         run_dir = self.copy_run(eval_dir, tmp_path)
         path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
@@ -794,12 +804,16 @@ class TestCmdReplay:
         assert isinstance(result.exception, SystemExit)
         assert f"trace file {path}, line {index + 2}: " in result.stderr
 
-    @pytest.mark.parametrize("trace_format, key", [(2, "fingerprint"), (1, "fingerprint"),
-                                                   (1, "payload"), (1, "created_by")])
+    @pytest.mark.parametrize("trace_format, key", [(3, "fingerprint"), (2, "fingerprint"),
+                                                   (1, "fingerprint"), (1, "payload"),
+                                                   (1, "created_by")])
     def test_trace_without_a_replayed_key_is_usage_error(self, runner, eval_dir, tmp_path,
                                                          trace_format, key):
-        run_dir = self.copy_run(eval_dir, tmp_path)
-        path = run_dir / "cf-echo-101" / "Code" / "trace.log"
+        if trace_format == 2:
+            run_dir, variant = shutil.copytree(FORMAT_2_RUN, tmp_path / "run"), "Code_Debug_Collab"
+        else:
+            run_dir, variant = self.copy_run(eval_dir, tmp_path), "Code"
+        path = run_dir / "cf-echo-101" / variant / "trace.log"
         if trace_format == 1:
             header, events = '{"trace_format":1}', [asdict(event) for event in read_trace(path)]
         else:
@@ -807,12 +821,13 @@ class TestCmdReplay:
             events = [json.loads(line) for line in lines]
         for event in events:
             if key == "fingerprint" and event["kind"] == "backend_response":
-                del event["body"][key]
+                event.pop("enc", None)  # else format 3 takes the call's fingerprint
+                event["body"].pop(key, None)
             elif key != "fingerprint" and event["kind"] == "message_in":
                 del event["body"]["message"][key]
         path.write_text("\n".join([header] + [json.dumps(e) for e in events]) + "\n",
                         encoding="utf-8")
-        result = replay(runner, run_dir, "Code")
+        result = replay(runner, run_dir, variant)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"trace at {path} cannot be replayed: missing key '{key}'" in result.stderr
@@ -837,6 +852,36 @@ class TestCmdReplay:
         result = replay(runner, run_dir, "Code_Reflection")
         assert result.exit_code == 0, result.output
         assert f"replay identical: {len(events)} events" in result.output
+
+    @pytest.mark.parametrize("variant", ["Code_Debug_Collab", "Plan_Collaboration-Code"])
+    def test_format_2_trace_replays_identical(self, runner, tmp_path, variant):
+        run_dir = shutil.copytree(FORMAT_2_RUN, tmp_path / "run")
+        lines = (run_dir / "cf-echo-101" / variant / "trace.log").read_text(encoding="utf-8")
+        events = [json.loads(line) for line in lines.splitlines()]
+        assert events[0]["trace_format"] == 2
+        result = replay(runner, run_dir, variant)
+        assert result.exit_code == 0, result.output
+        # Format 2's state_update lines repeat what the other events hold.
+        kept = [e for e in events[1:] if e["kind"] != "state_update"]
+        assert f"replay identical: {len(kept)} events" in result.output
+
+    def test_format_2_encodings_are_covered(self):
+        encodings = {json.loads(line).get("enc")
+                     for path in FORMAT_2_RUN.glob("cf-echo-101/*/trace.log")
+                     for line in path.read_text(encoding="utf-8").splitlines()[1:]}
+        assert encodings == {None, "message", "delta", "call", "conv"}
+
+    def test_cache_failures_replay_identical(self, runner, tmp_path):
+        (tmp_path / "cache").write_text("a regular file, not a directory\n", encoding="utf-8")
+        profiles = write_profiles(tmp_path, {"broken": {
+            "kind": "scripted", "model": "scripted", "cache_dir": "cache",
+            "rules_file": str(FIXTURES / "scripted_responses.yaml")}})
+        self.eval_echo(runner, profiles, "broken", tmp_path / "run", "Code")
+        events = read_trace(tmp_path / "run" / "cf-echo-101" / "Code" / "trace.log")
+        assert "warning" in [e.kind for e in events]
+        result = replay(runner, tmp_path / "run", "Code")
+        assert result.exit_code == 0, result.output
+        assert "replay identical:" in result.output
 
     def test_trace_without_input_message_is_usage_error(self, runner, eval_dir, tmp_path):
         run_dir = self.copy_run(eval_dir, tmp_path)

@@ -113,7 +113,9 @@ class TestLlmFlowConversation:
         stored = flow.state.get("turns")
         assert [t["role"] for t in stored] == [
             "system", "user", "assistant", "user", "assistant"]
-        assert [e.kind for e in sink.events].count("state_update") == 2
+        # The trace holds the conversation as the requests and responses.
+        assert [e.kind for e in sink.events if e.kind.startswith("backend")] == [
+            "backend_call", "backend_response"] * 2
 
     def test_follow_up_without_human_template_fails(self):
         ctx, _, _ = context(["draft", "revised"])
@@ -123,13 +125,12 @@ class TestLlmFlowConversation:
             run(flow, package_input({"task": "sort"}), ctx)
 
     def test_stateless_flow_always_starts_fresh(self):
-        ctx, backend, sink = context(["one", "two"])
+        ctx, backend, _ = context(["one", "two"])
         flow = llm_flow(stateless=True)
         run(flow, package_input({"task": "sort"}), ctx)
         run(flow, package_input({"task": "sort"}), ctx)
         assert all(len(r.turns) == 2 for r in backend.requests)
         assert flow.state.get("turns") is None
-        assert all(e.kind != "state_update" for e in sink.events)
 
     def test_format_placeholders_pass_through_literally(self):
         ctx, backend, _ = context(["ok"])

@@ -472,6 +472,14 @@ names["serve"]()
 """
 
 
+def running(pid: str) -> bool:
+    """Whether process ``pid`` runs; a zombie has exited and waits to be reaped."""
+    try:
+        return Path("/proc", pid, "stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 @pytest.fixture
 def runners(monkeypatch, tmp_path_factory):
     """An empty memo and runner pool, and a TMPDIR of their own for the
@@ -744,16 +752,8 @@ class TestRunnerPool:
         done = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
                               stderr=subprocess.DEVNULL, text=True, env=env, timeout=60)
         assert done.stdout.strip().isdigit(), done.stdout
-        stat = Path("/proc", done.stdout.strip(), "stat")
-
-        def running() -> bool:  # a zombie has exited and waits to be reaped
-            try:
-                return stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
-            except FileNotFoundError:
-                return False
-
         deadline = time.monotonic() + 10
-        while running():
+        while running(done.stdout.strip()):
             assert time.monotonic() < deadline, "the runner outlived its parent"
             time.sleep(0.05)
 
@@ -905,6 +905,24 @@ class TestRunnerPool:
         deadline = time.monotonic() + 10
         while list(scratch.iterdir()):
             assert time.monotonic() < deadline, "the runner left its scratch directory"
+            time.sleep(0.05)
+
+    def test_test_child_dies_with_its_runner(self, runners, tmp_path):
+        pid_file = tmp_path / "pid"
+        program = (f"import os, time\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+                   "time.sleep(20)\n")
+        with ThreadPoolExecutor(1) as pool:
+            judged = pool.submit(run_tests, program, [IOCase("", "")], FAST)
+            deadline = time.monotonic() + 30
+            while not (pid_file.exists() and pid_file.read_text()):
+                assert time.monotonic() < deadline, "the test did not start"
+                time.sleep(0.05)
+            runners[0].process.kill()
+            with pytest.raises(SandboxEnvironmentError, match="judge runner failed"):
+                judged.result(timeout=30)
+        deadline = time.monotonic() + 2
+        while running(pid_file.read_text()):
+            assert time.monotonic() < deadline, "the test child outlived its runner"
             time.sleep(0.05)
 
     def test_runner_imports_only_the_standard_library(self):

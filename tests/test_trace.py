@@ -52,7 +52,7 @@ class TestTraceSink:
             sink.emit("flow_end", "a#1")
         lines = path.read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
-        assert header.keys() == {"t0", "trace_format"} and header["trace_format"] == 2
+        assert header.keys() == {"t0", "trace_format"} and header["trace_format"] == 3
         events = [json.loads(line) for line in lines[1:]]
         assert [e["seq"] for e in events] == [1, 2]
         assert [e["kind"] for e in events] == ["flow_start", "flow_end"]
@@ -131,9 +131,9 @@ def written_and_emitted(emits):
         return read_trace(path), emitted, path.read_text(encoding="utf-8")
 
 
-def message(id_, payload, parents=(), created_at=None):
+def message(id_, payload, parents=(), created_at=None, created_by="f#1"):
     stamp = created_at or dt.datetime.now(dt.timezone.utc).isoformat()
-    return {"message": {"id": id_, "created_at": stamp, "created_by": "f#1",
+    return {"message": {"id": id_, "created_at": stamp, "created_by": created_by,
                         "payload": payload, "parents": list(parents)}}
 
 
@@ -144,30 +144,37 @@ def request(*turns, **extra):
 
 
 class TestFormat2:
+    """Encoded traces: what the writer encodes reads back as emitted. Traces
+    that format 2 wrote are replayed from ``tests/format_2_run`` in test_cli.py."""
+
     def test_encodings_round_trip(self):
-        out = message("m2", {"task": "t", "out": "r"}, ["m1", "g1"])
+        out = message("m2", {"task": "t", "tests": [1, 2], "out": "r"}, ["g1", "m1"],
+                      created_by="b#2")
         emits = [
-            ("message_in", "a#1", message("g1", {"task": "t", "tests": [1, 2]})),
+            ("message_in", "a#1", message("g1", {"task": "t"})),
             ("message_in", "b#2", message("m1", {"task": "t", "tests": [1, 2]}, ["g1"])),
             ("backend_call", "b#2", request(("system", "s"), ("user", "u"))),
+            ("warning", "b#2", {"message": "cache read failed: disk full"}),
             ("backend_response", "b#2", {"backend": "default", "cached": True,
                                           "fingerprint": "f" * 64, "response": "r"}),
-            ("state_update", "b#2", {"key": "turns", "value": [
-                {"role": "system", "content": "s"}, {"role": "user", "content": "u"},
-                {"role": "assistant", "content": "r"}]}),
-            ("state_update", "b#2", {"key": "seen", "value": [1]}),
-            ("state_update", "b#2", {"key": "seen", "value": [1, 2]}),
             ("backend_call", "b#2", request(("system", "s"), ("user", "u"),
                                             ("assistant", "r"), ("user", "again"))),
+            ("backend_response", "b#2", {"backend": "other", "cached": False,
+                                          "fingerprint": "f" * 64, "response": "r2"}),
             ("message_out", "b#2", out),
             ("message_in", "c#3", out),
         ]
         read, emitted, text = written_and_emitted(emits)
         assert read == emitted
-        encodings = [json.loads(line).get("enc") for line in text.splitlines()[1:]]
-        assert encodings == ["message", "delta", None, None, "conv", None, None,
-                             "call", "delta", "delta"]
-        assert '"cached":true' in text
+        lines = [json.loads(line) for line in text.splitlines()[1:]]
+        assert [line.get("enc") for line in lines] == [
+            "message", "delta", None, None, "resp", "call", None, "delta", "delta"]
+        # A response holds only what its call does not; a message only what
+        # its last parent does not, and a message_out not its own creator.
+        assert lines[4]["body"] == {"cached": True, "response": "r"}
+        assert lines[7]["body"]["message"].keys() == {"id", "created_at", "parents", "set"}
+        assert lines[7]["body"]["message"]["set"] == {"out": "r"}
+        assert lines[8]["body"]["message"]["created_by"] == "b#2"
 
     @pytest.mark.parametrize("line", [
         {"enc": "ref", "body": {"id": "g1"}},
@@ -178,8 +185,8 @@ class TestFormat2:
         path = tmp_path / "trace.log"
         with TraceSink(path) as sink:
             sink.emit("message_in", "a#1", message("g1", {"task": "t"}))
-            sink.emit("state_update", "a#1", {"key": "seen", "value": [1]})
-        event = {"seq": 3, "t": 0, "instance_id": "a#1", "kind": "state_update", **line}
+            sink.emit("flow_end", "a#1")
+        event = {"seq": 3, "t": 0, "instance_id": "a#1", "kind": "message_in", **line}
         with path.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(event) + "\n")
         expected = f"trace file {path}, line 4: unknown encoding '{line['enc']}'"
@@ -197,24 +204,40 @@ class TestFormat2:
             ("backend_call", "a#1", request(("user", "u"))),
             ("backend_call", "a#1", request(("user", "u"), keep=1)),
             ("backend_call", "a#1", {"request": "text"}),
-            ("state_update", "a#1", {"key": "turns", "value": "text"}),
-            ("state_update", "a#1", {"key": ["k"], "value": [1]}),
-            ("state_update", "a#1", {"key": "k", "value": [], "also": 1}),
-            ("state_update", "a#1", {"key": "k", "value": [1, 2]}),
-            ("state_update", "a#1", {"key": "k", "value": [1, 3]}),
-            ("state_update", "a#1", {"key": "k", "value": [1]}),
+            ("backend_response", "a#1", {"response": "r"}),
+            ("backend_response", "b#2", {"backend": "default", "fingerprint": "f" * 64}),
             ("backend_call", "a#1", request(("user", "v"))),
             ("backend_response", "a#1", {"response": 7}),
-            ("state_update", "a#1", {"key": "turns", "value": [{"role": "user", "content": "v"}]}),
+            ("backend_response", "a#1", {"fingerprint": "f" * 64, "response": "r"}),
+            ("backend_response", "a#1", {"backend": "default", "fingerprint": "f" * 64,
+                                         "enc": "call"}),
+            ("message_out", "f#1", message("g5", {"x": 3}, ["g4", "g2"], created_by="g#1")),
+            ("message_out", "f#1", message("g6", {}, ["g5"])),
             ("flow_start", "a#1", {"enc": "ref", "id": "g1"}),
         ]
         read, emitted, _ = written_and_emitted(emits)
         assert read == emitted
 
+    def test_written_keys_win_over_rebuilt_ones(self, tmp_path):
+        path = tmp_path / "trace.log"
+        with TraceSink(path) as sink:
+            sink.emit("backend_call", "a#1", request(("user", "u")))
+            sink.emit("backend_response", "a#1", {"backend": "default",
+                                                  "fingerprint": "f" * 64, "response": "r"})
+            sink.emit("message_out", "a#1", message("m1", {"x": 1}, created_by="a#1"))
+        header, *lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [line.get("enc") for line in lines] == [None, "resp", "message"]
+        lines[1]["body"]["fingerprint"] = "0" * 64
+        lines[2]["body"]["message"]["created_by"] = "b#2"
+        path.write_text("\n".join(json.dumps(line) for line in [header, *lines]) + "\n",
+                        encoding="utf-8")
+        _, response, out = read_trace(path)
+        assert response.body == {"backend": "default", "fingerprint": "0" * 64, "response": "r"}
+        assert out.body["message"]["created_by"] == "b#2"
+
     @given(st.lists(st.tuples(
-        st.sampled_from(["message_in", "message_out", "backend_call", "backend_response",
-                         "state_update"]),
-        st.sampled_from(["a#1", "b#2"]),
+        st.sampled_from(["message_in", "message_out", "backend_call", "backend_response"]),
+        st.sampled_from(["a#1", "b#2", "f#1"]),
         st.sampled_from(["m1", "m2", "m3"]),
         st.lists(st.sampled_from(["m1", "m2", "m3"]), max_size=2),
         st.dictionaries(st.sampled_from("abc"), st.sampled_from([0, 1, "x", [1]]), max_size=3),
@@ -228,11 +251,9 @@ class TestFormat2:
                 body = message(id_, payload, parents)
             elif kind == "backend_call":
                 body = request(*turns)
-            elif kind == "backend_response":
-                body = {"fingerprint": "f", "response": id_, "cached": False}
             else:
-                body = {"key": "turns" if payload else "k",
-                        "value": [{"role": r, "content": c} for r, c in turns]}
+                body = {"backend": "default", "fingerprint": "f" * 64 if payload else "f",
+                        "response": id_, "cached": False}
             emits.append((kind, instance, body))
         read, emitted, _ = written_and_emitted(emits)
         assert read == emitted
@@ -318,6 +339,15 @@ class TestNormalizeTrace:
         assert fresh[0] == served[0]
         assert fresh[0]["body"] == {"fingerprint": "f", "response": "r"}
         assert fresh[1] != served[1]
+
+    def test_warnings_dropped(self):
+        def events(*warned):
+            return [TraceEvent(1, "t0", "a#1", "backend_call", {"fingerprint": "f"}),
+                    *(TraceEvent(2, "t0", "a#1", "warning", {"message": m}) for m in warned),
+                    TraceEvent(3, "t0", "a#1", "backend_response", {"response": "r"})]
+
+        assert normalize_trace(events("cache read failed: x", "cache write failed: y")) \
+            == normalize_trace(events())
 
 
 class TestLlmRunTraceShape:
