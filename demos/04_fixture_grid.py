@@ -12,7 +12,13 @@ from pathlib import Path
 from nestflow.backends import ScriptedBackend
 from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
-from nestflow.evalharness import EvalSettings, evaluate_grid, render_results_table, stats_from_records
+from nestflow.evalharness import (
+    DEFAULT_RESAMPLES,
+    EvalSettings,
+    evaluate_grid,
+    render_results_table,
+    stats_from_records,
+)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -52,6 +58,6 @@ print("on resume:", again.new_runs, "new runs")
 meta = {p.id: {"source": p.source, "difficulty": p.difficulty,
                "release_date": p.release_date.isoformat()} for p in problems}
 stats = stats_from_records(result.records, meta, cutoff=settings.cutoff,
-                           resamples=settings.resamples, seed=settings.seed)
+                           resamples=DEFAULT_RESAMPLES, seed=settings.seed)
 print()
 print(render_results_table(stats, variants=variants))

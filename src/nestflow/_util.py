@@ -109,6 +109,23 @@ def _copy_value(value, where: str):
     raise ConfigError(f"{where} has unsupported value type {type(value).__name__}")
 
 
+# Field rules for the documents the package reads: what a field must hold,
+# and the check of a value.
+TEXT = ("text", lambda v: isinstance(v, str))
+TEXT_LIST = ("a list of text", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+INTEGER = ("an integer", lambda v: type(v) is int)
+NUMBER = ("a number", lambda v: type(v) in (int, float))
+
+
+def check_fields(doc: dict, rules: dict, where: str) -> None:
+    """Raise ConfigError, prefixed with ``where``, naming the first field of
+    ``doc`` that breaks its rule in ``rules``. An absent field breaks none."""
+    for key, (kind, valid) in rules.items():
+        if key in doc and not valid(doc[key]):
+            raise ConfigError(f"{where}: {key!r} must be {kind}, "
+                              f"got {json.dumps(doc[key], default=str)}")
+
+
 def utc_now_iso() -> str:
     return dt.datetime.now(dt.timezone.utc).isoformat()
 

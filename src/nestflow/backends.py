@@ -23,7 +23,6 @@ from .errors import (
     RetryBudgetExhaustedError,
     ScriptExhaustedError,
     TemplateError,
-    TransientBackendError,
 )
 
 logger = logging.getLogger(__name__)
@@ -207,18 +206,18 @@ class RemoteBackend:
             "max_tokens": request.max_tokens,
         }
         headers = {"Authorization": f"Bearer {api_key}"}
-        last_error: Exception | None = None
+        last_error = ""  # the last retryable failure: a rate limit, server or network error
         for attempt in range(1, self.max_attempts + 1):
             try:
                 resp = self._session.post(self.endpoint, json=body, headers=headers,
                                           timeout=self.request_timeout)
             except requests.RequestException as exc:
-                last_error = TransientBackendError(f"network error: {exc}")
+                last_error = f"network error: {exc}"
             else:
                 if resp.status_code in (401, 403):
                     raise AuthError(f"backend rejected credentials (HTTP {resp.status_code})")
                 if resp.status_code == 429 or resp.status_code >= 500:
-                    last_error = TransientBackendError(f"HTTP {resp.status_code}")
+                    last_error = f"HTTP {resp.status_code}"
                 elif resp.status_code >= 400:
                     # Another client error is the request's own fault (say, a
                     # prompt too long): no retry mends it, and the pair records it.

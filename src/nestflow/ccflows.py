@@ -17,7 +17,7 @@ from . import templates as T
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
 from .dataset import Problem
 from .errors import ConfigError, DatasetError, FlowError
-from .sandbox import DEFAULT_ISSUE_TITLE, DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
+from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
 
 PLAN_PARTS = ("Plan", "Plan_Reflection", "Plan_Collaboration", "Plan_Oracle")
 CODE_PARTS = ("Code", "Code_Reflection", "Code_Collaboration", "Code_Debug", "Code_Debug_Collab")
@@ -76,30 +76,19 @@ def parse_variant(name: str) -> FlowVariant:
 
 @dataclass(frozen=True)
 class VariantSettings:
-    """Knobs shared by all variants: backend, sampling, loop and sandbox limits."""
+    """Knobs shared by all variants: backend and model, loop and sandbox limits."""
 
     backend: str = "default"
     model: str = "default"
-    temperature: float = 0.0
-    max_tokens: int = 2048
     max_rounds: int = 4
     wall_time: float = DEFAULT_WALL_TIME
     memory_bytes: int = DEFAULT_MEMORY_BYTES
-    issue_title: str = DEFAULT_ISSUE_TITLE
     interactive_plan: bool = False
 
 
 def _llm_params(settings: VariantSettings, system: str, query: str, **extra) -> dict:
-    params = {
-        "system_message": system,
-        "query_message": query,
-        "backend": settings.backend,
-        "model": settings.model,
-        "temperature": settings.temperature,
-        "max_tokens": settings.max_tokens,
-    }
-    params.update(extra)
-    return params
+    return {"system_message": system, "query_message": query, "backend": settings.backend,
+            "model": settings.model, **extra}
 
 
 def _code_generator(settings: VariantSettings, human: str, with_plan: bool) -> dict:
@@ -121,11 +110,7 @@ def _sandbox_critic(settings: VariantSettings) -> dict:
         "kind": "code_testing",
         "input_keys": ["code", "public_tests"],
         "output_keys": ["verdict", "testing_results_summary"],
-        "params": {
-            "wall_time": settings.wall_time,
-            "memory_bytes": settings.memory_bytes,
-            "issue_title": settings.issue_title,
-        },
+        "params": {"wall_time": settings.wall_time, "memory_bytes": settings.memory_bytes},
     }
 
 
@@ -198,7 +183,7 @@ def _code_part_config(variant: FlowVariant, settings: VariantSettings) -> FlowCo
     else:  # pragma: no cover - parse_variant guards this
         raise _unknown_part(part, CODE_PARTS, "code")
     if part.startswith("Code_Debug"):
-        params["critic_stop_on"] = {"key": "verdict", "mode": "equals", "needle": "AllPassed"}
+        params["critic_stop_on"] = {"verdict": "AllPassed"}
         base_inputs.append("public_tests")
     return _loop(part, base_inputs, ["completion", "code"], params, generator, critic)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from ._util import load_yaml
+from ._util import TEXT, TEXT_LIST, check_fields, load_yaml
 from .backends import RemoteBackend, ResponseCache, ScriptedBackend
 from .ccflows import DEFAULT_VARIANTS, VariantSettings, parse_variant
 from .dataset import DEFAULT_CUTOFF, load_problem_file, load_problems
@@ -31,6 +31,14 @@ from .evalharness import (
 from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
 
 USAGE_ERRORS = (ConfigError, DatasetError)
+# What each profile field other than ``kind`` must hold, where it is given.
+PROFILE_FIELDS = {
+    **dict.fromkeys(("model", "cache_dir", "rules_file", "endpoint", "api_key_env"), TEXT),
+    "responses": TEXT_LIST,
+    "max_attempts": ("an integer of at least 1", lambda v: type(v) is int and v >= 1),
+    **dict.fromkeys(("backoff_base", "request_timeout"),
+                    ("a positive number", lambda v: type(v) in (int, float) and v > 0)),
+}
 # Numeric option types. A sandbox limit of zero or less would lift a cap or
 # time out every test; click rejects such a value before any file is written.
 POSITIVE_FLOAT = click.FloatRange(min=0, min_open=True)
@@ -87,6 +95,7 @@ def load_backend_profile(profiles_path: str | Path, name: str):
     profile = profiles[name]
     if not isinstance(profile, dict):
         raise ConfigError(f"profile {name!r} in {path} must be a map")
+    check_fields(profile, PROFILE_FIELDS, f"profile {name!r} in {path}")
     kind = profile.get("kind")
     cache = ResponseCache(path.parent / profile["cache_dir"]) if profile.get("cache_dir") else None
     model = profile.get("model", "default")
@@ -94,7 +103,7 @@ def load_backend_profile(profiles_path: str | Path, name: str):
         if "rules_file" in profile:
             backend = ScriptedBackend.from_rules_file(path.parent / profile["rules_file"])
         elif "responses" in profile:
-            backend = ScriptedBackend(responses=list(profile["responses"]))
+            backend = ScriptedBackend(responses=profile["responses"])
         else:
             raise ConfigError(f"scripted profile {name!r} needs rules_file or responses")
     elif kind == "remote":
@@ -103,9 +112,9 @@ def load_backend_profile(profiles_path: str | Path, name: str):
                 raise ConfigError(f"remote profile {name!r} needs {field!r}")
         backend = RemoteBackend(endpoint=profile["endpoint"],
                                 api_key_env=profile["api_key_env"],
-                                max_attempts=int(profile.get("max_attempts", 5)),
-                                backoff_base=float(profile.get("backoff_base", 0.5)),
-                                request_timeout=float(profile.get("request_timeout", 60.0)))
+                                max_attempts=profile.get("max_attempts", 5),
+                                backoff_base=profile.get("backoff_base", 0.5),
+                                request_timeout=profile.get("request_timeout", 60.0))
     else:
         raise ConfigError(f"profile {name!r} has unknown kind {kind!r}")
     return backend, cache, model
@@ -213,9 +222,11 @@ def cmd_report(run_dir: str) -> None:
     """Regenerate report files from a run directory (byte-stable)."""
     try:
         paths = write_report(run_dir)
-    except (USAGE_ERRORS + (FileNotFoundError, KeyError)) as exc:
+    except USAGE_ERRORS as exc:  # a run_meta.json that does not parse names itself
+        _fail(exc)
+    except (FileNotFoundError, KeyError) as exc:
         _fail(ConfigError(f"run directory is incomplete: {exc}"))
-    except ValueError as exc:  # a line of records.jsonl or run_meta.json that does not parse
+    except ValueError as exc:  # a line of records.jsonl that does not parse
         _fail(ConfigError(f"run directory is corrupt: {exc}"))
     click.echo(paths["table"].read_text(encoding="utf-8"), nl=False)
     sys.exit(0)

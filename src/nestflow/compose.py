@@ -22,9 +22,14 @@ from .core import (
 )
 from .errors import ConfigError, FlowError
 
-MODES = ("contains", "equals")
 DEFAULT_MAX_ROUNDS = 4
 FINAL_ANSWER_NEEDLE = "Final answer."
+
+
+def is_final_answer(completion) -> bool:
+    """Whether a generator's completion says it is done: text holding
+    ``FINAL_ANSWER_NEEDLE``. Anything that is not text never is."""
+    return isinstance(completion, str) and FINAL_ANSWER_NEEDLE in completion
 
 
 @dataclass(frozen=True)
@@ -51,38 +56,6 @@ class KeyMapping:
         return {target: payload[source] for source, target in self.entries if source in payload}
 
 
-@dataclass(frozen=True)
-class TerminationPredicate:
-    """Text check on one payload key: contains or equals a needle."""
-
-    key: str
-    needle: str
-    mode: str = "contains"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"termination mode must be one of {MODES}, got {self.mode!r}")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TerminationPredicate":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"termination predicate must be a map, got {type(doc).__name__}")
-        unknown = set(doc) - {"key", "needle", "mode"}
-        if unknown:
-            raise ConfigError(f"termination predicate has unknown fields: {sorted(unknown)}")
-        return cls(key=doc["key"], needle=doc["needle"], mode=doc.get("mode", "contains"))
-
-    def matches(self, payload: dict) -> bool:
-        value = payload.get(self.key)
-        if not isinstance(value, str):
-            return False
-        return self.needle in value if self.mode == "contains" else value == self.needle
-
-
-# The generator's stop rule: its completion says it is done.
-_FINAL_ANSWER = TerminationPredicate(key="completion", needle=FINAL_ANSWER_NEEDLE)
-
-
 def _child_configs(config: FlowConfig, *, exactly: int | None = None) -> list[FlowConfig]:
     raw = config.params.get("children")
     if not isinstance(raw, list) or not raw:
@@ -96,6 +69,15 @@ def _max_rounds(config: FlowConfig) -> int:
     value = config.params.get("max_rounds", DEFAULT_MAX_ROUNDS)
     if not isinstance(value, int) or value < 1:
         raise ConfigError(f"flow {config.name!r} needs integer max_rounds >= 1, got {value!r}")
+    return value
+
+
+def _critic_stop_on(config: FlowConfig) -> dict:
+    value = config.params.get("critic_stop_on", {})
+    if not isinstance(value, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in value.items()):
+        raise ConfigError(f"flow {config.name!r} needs critic_stop_on to map payload keys "
+                          f"to text, got {value!r}")
     return value
 
 
@@ -138,12 +120,12 @@ class GeneratorCriticFlow(FlowInstance):
     """Alternate a generator and a critic until termination.
 
     Round r: the generator runs on the composite input overlaid with the
-    previous round's feedback; if its ``completion`` contains
-    ``FINAL_ANSWER_NEEDLE`` (or the round cap is reached) the loop ends and
+    previous round's feedback; if its ``completion`` is a final answer
+    (see ``is_final_answer``) or the round cap is reached, the loop ends and
     the critic is skipped. Otherwise the critic runs on the generator's
-    output; if the critic output satisfies ``critic_stop_on`` the loop ends,
-    else the feedback mapping projects critic keys into the next generator
-    input.
+    output; if a key of the critic output holds the exact text that
+    ``critic_stop_on`` maps it to, the loop ends, else the feedback mapping
+    projects critic keys into the next generator input.
 
     Output: the last generator output annotated with ``_rounds_used``.
     Under final-answer or round-cap termination the critic runs exactly
@@ -158,8 +140,7 @@ class GeneratorCriticFlow(FlowInstance):
         children = [create_flow(generator_cfg), create_flow(critic_cfg)]
         super().__init__(config, children)
         self.max_rounds = _max_rounds(config)
-        critic_doc = config.params.get("critic_stop_on")
-        self.critic_stop_on = TerminationPredicate.from_dict(critic_doc) if critic_doc else None
+        self.critic_stop_on = _critic_stop_on(config)
         self.feedback_mapping = KeyMapping.from_dict(config.params.get("feedback_mapping"))
 
     @property
@@ -176,11 +157,11 @@ class GeneratorCriticFlow(FlowInstance):
         for round_no in range(1, self.max_rounds + 1):
             gen_out = _deliver(self, self.generator, {**message.payload, **feedback}, parents, ctx,
                                round=round_no, role="generator")
-            if _FINAL_ANSWER.matches(gen_out.payload) or round_no == self.max_rounds:
+            if is_final_answer(gen_out.payload.get("completion")) or round_no == self.max_rounds:
                 break
             critic_out = _deliver(self, self.critic, gen_out.payload, (gen_out.id,), ctx,
                                   round=round_no, role="critic")
-            if self.critic_stop_on and self.critic_stop_on.matches(critic_out.payload):
+            if any(critic_out.payload.get(k) == v for k, v in self.critic_stop_on.items()):
                 break
             feedback = self.feedback_mapping.apply(critic_out.payload)
             parents = (critic_out.id,)

@@ -66,10 +66,6 @@ class AuthError(BackendError):
     """Authentication was rejected; retrying cannot help."""
 
 
-class TransientBackendError(BackendError):
-    """A retryable backend failure (rate limit, server error, network)."""
-
-
 class RetryBudgetExhaustedError(BackendError):
     """All retry attempts for one request failed."""
 
@@ -93,5 +89,4 @@ class DatasetError(NestflowError):
 
 # Failures of the machine rather than of a run: they abort with exit code 3
 # instead of being recorded as an unsolved outcome, so resume runs the pair again.
-ENVIRONMENT_ERRORS = (AuthError, TransientBackendError, RetryBudgetExhaustedError,
-                      SandboxEnvironmentError)
+ENVIRONMENT_ERRORS = (AuthError, RetryBudgetExhaustedError, SandboxEnvironmentError)

@@ -20,12 +20,13 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
-from ._util import add_months, month_floor, replace_file
+from ._util import (INTEGER, NUMBER, TEXT, TEXT_LIST, add_months, check_fields, month_floor,
+                    replace_file)
 from .ccflows import VariantSettings, build_variant, parse_variant, problem_payload
 from .core import ROUNDS_USED_KEY, Message, RunContext, create_flow, package_input, run
 from .dataset import BUCKET_LABELS, BUCKET_ORDER, DEFAULT_CUTOFF, Problem, bucket_key
 from .errors import ENVIRONMENT_ERRORS, ConfigError, FlowError, NestflowError, ReplayDivergenceError
-from .sandbox import ExecutionLimits, Verdict, run_tests
+from .sandbox import DEFAULT_ISSUE_TITLE, ExecutionLimits, Verdict, run_tests
 from .trace import TraceSink, normalize_trace, read_trace
 
 logger = logging.getLogger(__name__)
@@ -304,8 +305,6 @@ class EvalSettings:
     cutoff: dt.date = DEFAULT_CUTOFF
     workers: int = 1
     seed: int = 0
-    resamples: int = DEFAULT_RESAMPLES
-    level: float = DEFAULT_LEVEL
     resume: bool = True
     cache: object | None = None
 
@@ -501,8 +500,8 @@ def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
     meta = {
         "seed": settings.seed,
         "cutoff": settings.cutoff.isoformat(),
-        "resamples": settings.resamples,
-        "level": settings.level,
+        "resamples": DEFAULT_RESAMPLES,
+        "level": DEFAULT_LEVEL,
         "variants": list(variants),
         "variant_settings": asdict(settings.variant_settings),
         "problems": {
@@ -517,10 +516,7 @@ def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
     meta = json.loads(json.dumps(meta))  # as read back from the file
     path = out_dir / "run_meta.json"
     if settings.resume and path.exists():
-        try:
-            old = read_run_meta(out_dir)
-        except ValueError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        old = read_run_meta(out_dir)
         changes = _settings_changes(old, meta)
         if changes:
             raise ConfigError(f"cannot resume {out_dir} with other settings "
@@ -530,11 +526,32 @@ def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
     replace_file(path, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
+# What each field of run_meta.json must hold, where it is present.
+_META_FIELDS = {"seed": INTEGER, "cutoff": TEXT, "resamples": INTEGER, "level": NUMBER,
+                "variants": TEXT_LIST, "variant_settings": ("a map", lambda v: isinstance(v, dict)),
+                "problems": ("a map of maps", lambda v: isinstance(v, dict)
+                             and all(isinstance(x, dict) for x in v.values()))}
+# Variant settings that are constants now, with the one value each ever held.
+RETIRED_SETTINGS = {"temperature": 0.0, "max_tokens": 2048, "issue_title": DEFAULT_ISSUE_TITLE}
+
+
 def read_run_meta(out_dir: str | Path) -> dict:
+    """The run directory's ``run_meta.json``; ConfigError if it does not parse
+    or a field has the wrong type. A retired variant setting that holds its
+    constant is dropped; any other value stays, and replay and resume refuse it."""
     path = Path(out_dir) / "run_meta.json"
-    meta = json.loads(path.read_text(encoding="utf-8"))
+    where = f"run directory is corrupt: cannot read {path}"
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     if not isinstance(meta, dict):
-        raise ValueError(f"{path} does not hold a JSON object")
+        raise ConfigError(f"{where}: it does not hold a JSON object")
+    check_fields(meta, _META_FIELDS, where)
+    settings = meta.get("variant_settings", {})
+    for key, value in RETIRED_SETTINGS.items():
+        if key in settings and settings[key] == value:
+            del settings[key]
     return meta
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 
 from .backends import BackendRequest, ChatTurn, render_template
-from .compose import FINAL_ANSWER_NEEDLE
+from .compose import is_final_answer
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
 from .errors import ConfigError, FlowError, MalformedCompletionError
 
@@ -44,10 +44,6 @@ def extract_code(completion: str) -> str:
     return source
 
 
-def detect_final_answer(completion: str) -> bool:
-    return FINAL_ANSWER_NEEDLE in completion
-
-
 def extract_plan(completion: str) -> str | None:
     """Return the text after the conceptual-solution header, if present."""
     if PLAN_HEADER in completion:
@@ -68,7 +64,7 @@ class LlmFlow(FlowInstance):
 
     kind = "llm"
     accepted_params = ("system_message", "query_message", "human_message", "backend", "model",
-                       "temperature", "max_tokens", "postprocess", "stateless")
+                       "postprocess", "stateless")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
@@ -78,8 +74,6 @@ class LlmFlow(FlowInstance):
         self.human_message = params.get("human_message")
         self.backend_name = params.get("backend", "default")
         self.model = params.get("model", "default")
-        self.temperature = float(params.get("temperature", 0.0))
-        self.max_tokens = int(params.get("max_tokens", 2048))
         self.postprocess = params.get("postprocess")
         self.stateless = bool(params.get("stateless", False))
         if not isinstance(self.system_message, str) or not isinstance(self.query_message, str):
@@ -107,8 +101,7 @@ class LlmFlow(FlowInstance):
         for name, literal in FORMAT_PLACEHOLDERS.items():
             variables.setdefault(name, literal)
         turns = self._render_turns(variables)
-        request = BackendRequest(model=self.model, turns=tuple(turns),
-                                 temperature=self.temperature, max_tokens=self.max_tokens)
+        request = BackendRequest(model=self.model, turns=tuple(turns))
         completion = ctx.complete(self.instance_id, self.backend_name, request)
         if not self.stateless:
             record = [{"role": t.role, "content": t.content} for t in turns]
@@ -126,7 +119,7 @@ class LlmFlow(FlowInstance):
             code = extract_code(completion)
         except MalformedCompletionError:
             previous = self.state.get("last_code")
-            if detect_final_answer(completion) and previous is not None:
+            if is_final_answer(completion) and previous is not None:
                 return previous
             raise
         self.state.set("last_code", code)
@@ -136,7 +129,7 @@ class LlmFlow(FlowInstance):
         plan = extract_plan(completion)
         if plan is None:
             previous = self.state.get("last_plan")
-            if detect_final_answer(completion) and previous is not None:
+            if is_final_answer(completion) and previous is not None:
                 return previous
             plan = completion.strip()
         self.state.set("last_plan", plan)

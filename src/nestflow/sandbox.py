@@ -97,23 +97,23 @@ class TestReport:
     summary: str = ""
 
 
-# Report templates. ${.issue_title} is substituted first, then the
-# {{...}} fields; byte-exact output is contract, not cosmetics.
-NO_ERROR_TEMPLATE = "${.issue_title}\nAll of the executed tests passed."
+# Report templates: the {{...}} fields are substituted; byte-exact output is
+# contract, not cosmetics.
+NO_ERROR_TEMPLATE = f"{DEFAULT_ISSUE_TITLE}\nAll of the executed tests passed."
 ALL_TESTS_HEADER = (
-    "${.issue_title}\n"
+    f"{DEFAULT_ISSUE_TITLE}\n"
     "The Python code does not solve the problem in the problem description due to logical "
     "errors. It fails on the following tests."
 )
 COMPILATION_ERROR_TEMPLATE = (
-    "${.issue_title}\n"
+    f"{DEFAULT_ISSUE_TITLE}\n"
     "The execution resulted in a compilation error.\n"
     "## Compilation error message:\n"
     "{{error_message}}"
 )
-TIMEOUT_ERROR_TEMPLATE = "${.issue_title}\nThe execution timed out, the solution is not efficient enough."
+TIMEOUT_ERROR_TEMPLATE = f"{DEFAULT_ISSUE_TITLE}\nThe execution timed out, the solution is not efficient enough."
 RUNTIME_ERROR_TEMPLATE = (
-    "${.issue_title}\n"
+    f"{DEFAULT_ISSUE_TITLE}\n"
     "The execution resulted in a runtime error on the following test.\n"
     "## [Failed test] Input\n"
     "```\n"
@@ -123,7 +123,7 @@ RUNTIME_ERROR_TEMPLATE = (
     "{{error_message}}"
 )
 SINGLE_TEST_ERROR_TEMPLATE = (
-    "${.issue_title}\n"
+    f"{DEFAULT_ISSUE_TITLE}\n"
     "The Python code does not solve the problem in the problem description due to logical "
     "errors. It fails the following test:\n"
     "## [Failed test] Input\n"
@@ -174,7 +174,7 @@ def run_tests(program: str, tests: list[TestCase],
 
     A compile error, or the first timeout or runtime error, which stops the
     loop, is reported alone; wrong answers accumulate across all tests. The
-    returned report carries a summary rendered with the default issue title.
+    returned report carries its summary, as ``format_report`` renders it.
 
     Reports are memoized on the program, the tests, the limits and the
     interpreter, so a repeated judgement starts no process; a caller
@@ -347,14 +347,14 @@ def _close_idle() -> None:
 _FENCED_FIELDS = ("test_input", "expected_output", "generated_output")
 
 
-def format_report(report: TestReport, issue_title: str = DEFAULT_ISSUE_TITLE) -> str:
-    """Render a report to the fixed feedback text for the given title."""
+def format_report(report: TestReport) -> str:
+    """Render a report to the fixed feedback text, under ``DEFAULT_ISSUE_TITLE``."""
 
     def render(template: str, **fields) -> str:
         for name in _FENCED_FIELDS:
             if isinstance(fields.get(name), str):
                 fields[name] = fields[name].rstrip("\n")
-        return render_template(template.replace("${.issue_title}", issue_title), fields)
+        return render_template(template, fields)
 
     if report.verdict == Verdict.ALL_PASSED:
         return render(NO_ERROR_TEMPLATE)
@@ -386,7 +386,7 @@ class CodeTestingFlow(FlowInstance):
     """
 
     kind = "code_testing"
-    accepted_params = ("wall_time", "memory_bytes", "issue_title")
+    accepted_params = ("wall_time", "memory_bytes")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
@@ -394,7 +394,6 @@ class CodeTestingFlow(FlowInstance):
         self.limits = ExecutionLimits(
             wall_time=float(params.get("wall_time", DEFAULT_WALL_TIME)),
             memory_bytes=int(params.get("memory_bytes", DEFAULT_MEMORY_BYTES)))
-        self.issue_title = params.get("issue_title", DEFAULT_ISSUE_TITLE)
 
     def _step(self, message: Message, ctx: RunContext) -> dict:
         raw_tests = message.payload["public_tests"]
@@ -411,5 +410,5 @@ class CodeTestingFlow(FlowInstance):
         report = run_tests(message.payload["code"], tests, limits=self.limits)
         return {
             "verdict": report.verdict.value,
-            "testing_results_summary": format_report(report, self.issue_title),
+            "testing_results_summary": report.summary,
         }

@@ -126,8 +126,7 @@ class TestBuildVariant:
         assert critic["kind"] == "code_testing"
         assert critic["name"] == "code_critic"
         assert "public_tests" in config.input_keys
-        assert config.params["critic_stop_on"] == {
-            "key": "verdict", "mode": "equals", "needle": "AllPassed"}
+        assert config.params["critic_stop_on"] == {"verdict": "AllPassed"}
         assert config.params["feedback_mapping"] == {
             "testing_results_summary": "testing_results_summary"}
 
@@ -178,14 +177,16 @@ class TestBuildVariant:
         assert len(names) == 25
 
     def test_settings_reach_children(self):
-        settings = VariantSettings(model="m-7", temperature=0.5, wall_time=3.5,
-                                   issue_title="# Sandbox says")
+        settings = VariantSettings(backend="b", model="m-7", max_rounds=2, wall_time=3.5,
+                                   memory_bytes=1 << 20)
         config = build_variant("Code_Debug", settings)
         generator, critic = children(config)
-        assert generator["params"]["model"] == "m-7"
-        assert generator["params"]["temperature"] == 0.5
-        assert critic["params"]["wall_time"] == 3.5
-        assert critic["params"]["issue_title"] == "# Sandbox says"
+        assert config.params["max_rounds"] == 2
+        assert {k: generator["params"][k] for k in ("backend", "model")} == {
+            "backend": "b", "model": "m-7"}
+        assert critic["params"] == {"wall_time": 3.5, "memory_bytes": 1 << 20}
+        # Sampling and the report's title are constants, set by no variant.
+        assert not {"temperature", "max_tokens"} & set(generator["params"])
 
     def test_accepts_parsed_variant(self):
         config = build_variant(FlowVariant(code_part="Code"))

@@ -141,6 +141,25 @@ class TestLoadBackendProfile:
         with pytest.raises(ConfigError, match="needs 'endpoint'"):
             load_backend_profile(path, "half")
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_attempts", "lots"), ("max_attempts", 0), ("max_attempts", True),
+        ("backoff_base", "0.5"), ("backoff_base", 0), ("request_timeout", -1.0),
+        ("cache_dir", 5), ("model", ["m"]), ("responses", "abc"), ("responses", ["a", 1])])
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_mistyped_field_is_usage_error(self, runner, tmp_path, command, field, value):
+        profile = {"kind": "remote", "endpoint": "https://x/v1", "api_key_env": "X_KEY"}
+        if field == "responses":
+            profile = {"kind": "scripted"}
+        path = write_profiles(tmp_path, {"odd": {**profile, field: value}})
+        args = (["run", "--problem", str(PROBLEMS / "cf-echo-101.yaml"), "--variant", "Code"]
+                if command == "run" else
+                ["eval", "--dataset", str(PROBLEMS), "--out", str(tmp_path / "run")])
+        result = runner.invoke(main, args + ["--profiles", str(path), "--backend-profile", "odd"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: profile 'odd' in {path}: {field!r} must be " in result.stderr
+        assert not (tmp_path / "run").exists()
+
 
 class TestCmdRun:
     def run_args(self, problem, variant, **extra):
@@ -689,6 +708,26 @@ class TestCmdReport:
         assert result.exit_code == 2, result.output
         assert "does not hold a JSON object" in result.stderr
 
+    @pytest.mark.parametrize("field, value", [("resamples", "x"), ("seed", "a"), ("problems", []),
+                                              ("problems", {"cf-echo-101": "x"}),
+                                              ("variants", "Code"), ("variant_settings", [])])
+    def test_mistyped_run_meta_field_is_usage_error(self, runner, tmp_path, field, value):
+        run_dir = shutil.copytree(FORMAT_2_RUN, tmp_path / "run")
+        meta = json.loads((run_dir / "run_meta.json").read_text(encoding="utf-8"))
+        (run_dir / "run_meta.json").write_text(json.dumps({**meta, field: value}),
+                                               encoding="utf-8")
+        files = snapshot(run_dir)
+        resume = ["eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--profiles",
+                  str(PROFILES), "--wall-time", "1.0", "--out", str(run_dir)]
+        for result in (runner.invoke(main, ["report", "--run-dir", str(run_dir)]),
+                       runner.invoke(main, resume),
+                       replay(runner, run_dir, "Code_Debug_Collab")):
+            assert result.exit_code == 2, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert "run directory is corrupt: cannot read " in result.stderr
+            assert f"run_meta.json: {field!r} must be " in result.stderr
+        assert snapshot(run_dir) == files
+
     def test_corrupt_records_are_usage_error(self, runner, eval_dir, tmp_path):
         for index, line in enumerate(CORRUPT_RECORD_LINES):
             run_dir = tmp_path / str(index)
@@ -864,6 +903,30 @@ class TestCmdReplay:
         # Format 2's state_update lines repeat what the other events hold.
         kept = [e for e in events[1:] if e["kind"] != "state_update"]
         assert f"replay identical: {len(kept)} events" in result.output
+
+    def test_format_2_run_resumes_under_its_settings(self, runner, tmp_path):
+        # Its run_meta.json records temperature, max_tokens and issue_title at
+        # the values that are constants now.
+        run_dir = shutil.copytree(FORMAT_2_RUN, tmp_path / "run")
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--profiles", str(PROFILES),
+            "--wall-time", "1.0", "--out", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        assert "9 records (7 new runs)" in result.output
+
+    def test_retired_setting_with_another_value_is_usage_error(self, runner, tmp_path):
+        run_dir = shutil.copytree(FORMAT_2_RUN, tmp_path / "run")
+        self.set_variant_settings(run_dir, temperature=0.7)
+        files = snapshot(run_dir)
+        result = replay(runner, run_dir, "Code_Debug_Collab")
+        assert result.exit_code == 2, result.output
+        assert "unknown variant settings: ['temperature']" in result.stderr
+        result = runner.invoke(main, [
+            "eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--profiles", str(PROFILES),
+            "--wall-time", "1.0", "--out", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.endswith("variant_settings.temperature: 0.7 -> null\n")
+        assert snapshot(run_dir) == files
 
     def test_format_2_encodings_are_covered(self):
         encodings = {json.loads(line).get("enc")

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from nestflow.backends import ScriptedBackend
-from nestflow.compose import KeyMapping, TerminationPredicate
+from nestflow.compose import KeyMapping, is_final_answer
 from nestflow.core import (
     FlowConfig,
     FlowInstance,
@@ -24,6 +24,14 @@ class AlwaysFailsProbeFlow(FlowInstance):
 
     def _step(self, message, ctx):
         raise FlowError("probe failure")
+
+
+@register_flow_kind
+class NumberVerdictProbeFlow(FlowInstance):
+    kind = "number_verdict_probe"
+
+    def _step(self, message, ctx):
+        return {"verdict": 1}
 
 
 def llm_config(name="gen", human="{{feedback}}", **params):
@@ -67,24 +75,33 @@ class TestKeyMapping:
 
 
 class TestTerminationPredicate:
+    """The loop's two stop rules: the generator's final answer, a text check,
+    and ``critic_stop_on``, a map from critic keys to the exact text that ends
+    the loop."""
+
     def test_modes(self):
-        contains = TerminationPredicate(key="completion", needle="done")
-        assert contains.matches({"completion": "all done now"})
-        assert not contains.matches({"completion": "in progress"})
-        equals = TerminationPredicate(key="verdict", needle="AllPassed", mode="equals")
-        assert equals.matches({"verdict": "AllPassed"})
-        assert not equals.matches({"verdict": "AllPassed today"})
+        assert is_final_answer('I am done. "Final answer."')
+        assert not is_final_answer("final answer")
+        for verdict, rounds in (("AllPassed", 1), ("AllPassed today", 2)):
+            out, _, _ = generator_critic(
+                ["a", "b"], critic=fixed("critic", verdict, output_key="verdict"), max_rounds=2,
+                critic_stop_on={"verdict": "AllPassed"}, feedback_mapping={"verdict": "feedback"})
+            assert out.payload[ROUNDS_USED_KEY] == rounds, verdict
 
     def test_non_text_values_never_match(self):
-        predicate = TerminationPredicate(key="verdict", needle="1")
-        assert not predicate.matches({})
-        assert not predicate.matches({"verdict": 1})
+        assert not is_final_answer(None)
+        assert not is_final_answer(["Final answer."])
+        out, _, _ = generator_critic(
+            ["a", "b"], critic={"name": "critic", "kind": "number_verdict_probe"}, max_rounds=2,
+            critic_stop_on={"verdict": "1"}, feedback_mapping={"verdict": "feedback"})
+        assert out.payload[ROUNDS_USED_KEY] == 2
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="mode"):
-            TerminationPredicate(key="k", needle="n", mode="regex")
-        with pytest.raises(ConfigError, match="unknown fields"):
-            TerminationPredicate.from_dict({"key": "k", "needle": "n", "when": "x"})
+        for stop_on in (["verdict"], "AllPassed", None, {"verdict": 1}, {1: "AllPassed"}):
+            with pytest.raises(ConfigError, match="needs critic_stop_on to map payload keys"):
+                create_flow({"name": "gc", "kind": "generator_critic",
+                             "params": {"children": [llm_config(), fixed("critic", "r")],
+                                        "critic_stop_on": stop_on}})
 
 
 class TestSequential:
@@ -183,7 +200,7 @@ class TestGeneratorCritic:
         out, sink, _ = generator_critic(
             ["a", "b"],
             critic=fixed("critic", "AllPassed", output_key="verdict"),
-            critic_stop_on={"key": "verdict", "mode": "equals", "needle": "AllPassed"})
+            critic_stop_on={"verdict": "AllPassed"})
         assert out.payload[ROUNDS_USED_KEY] == 1
         assert start_counts(sink) == {"refine": 1, "gen": 1, "critic": 1}
 

@@ -19,6 +19,8 @@ from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
 from nestflow.errors import ConfigError, RetryBudgetExhaustedError, SandboxEnvironmentError
 from nestflow.evalharness import (
+    DEFAULT_LEVEL,
+    DEFAULT_RESAMPLES,
     EvalSettings,
     RunRecord,
     SolveRate,
@@ -347,7 +349,7 @@ class TestEvaluateGrid:
         assert meta["cutoff"] == "2021-09-01"
         assert meta["problems"]["cf-echo-101"]["source"] == "codeforces"
         assert meta["variant_settings"]["model"] == "scripted"
-        assert meta["resamples"] == settings.resamples
+        assert (meta["resamples"], meta["level"]) == (DEFAULT_RESAMPLES, DEFAULT_LEVEL)
 
     def test_resume_skips_existing(self, small_grid):
         out_dir, settings, problems, _ = small_grid
@@ -414,8 +416,9 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize("change, named", [
         ({"seed": 1}, "seed: 0 -> 1"),
         ({"cutoff": dt.date(2022, 1, 1)}, 'cutoff: "2021-09-01" -> "2022-01-01"'),
-        ({"resamples": 500}, "resamples: 1000 -> 500"),
-        ({"level": 0.9}, "level: 0.95 -> 0.9"),
+        # resamples and level are constants now; a run directory can still record others.
+        ({"run_meta": {"resamples": 500}}, "resamples: 500 -> 1000"),
+        ({"run_meta": {"level": 0.9}}, "level: 0.9 -> 0.95"),
         ({"variants": ["Code", "Plan-Code"]}, 'variants: ["Code"] -> ["Code", "Plan-Code"]'),
         ({"variant_settings": VariantSettings(wall_time=2.0, model="scripted", max_rounds=1)},
          "variant_settings.max_rounds: 4 -> 1"),
@@ -428,6 +431,10 @@ class TestEvaluateGrid:
         )
         problems = [problems_by_id["cf-echo-101"]]
         evaluate_grid(problems, ["Code"], settings)
+        meta_path = tmp_path / "run_meta.json"
+        recorded = change.pop("run_meta", {})
+        if recorded:
+            meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **recorded}))
         files = {path: (path.read_bytes(), path.stat().st_mtime_ns)
                  for path in tmp_path.rglob("*") if path.is_file()}
         variants = change.pop("variants", ["Code"])

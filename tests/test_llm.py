@@ -3,9 +3,10 @@ import re
 import pytest
 
 from nestflow.backends import ScriptedBackend
+from nestflow.compose import is_final_answer
 from nestflow.core import RunContext, create_flow, package_input, run
 from nestflow.errors import ConfigError, FlowError, MalformedCompletionError
-from nestflow.llm import detect_final_answer, extract_code, extract_plan
+from nestflow.llm import extract_code, extract_plan
 from nestflow.trace import TraceSink
 
 
@@ -42,8 +43,19 @@ class TestExtractCode:
 
 
 def test_detect_final_answer():
-    assert detect_final_answer('I am done. "Final answer."')
-    assert not detect_final_answer("final answer")
+    """A code flow keeps its last program for a completion without a code
+    block exactly when the loop's final-answer check holds for it."""
+    for completion, final in (('I am done. "Final answer."', True), ("final answer", False)):
+        assert is_final_answer(completion) is final
+        ctx, _, _ = context(["```python\nprint(9)\n```", completion])
+        flow = llm_flow(postprocess="code")
+        run(flow, package_input({"task": "x"}), ctx)
+        if final:
+            assert run(flow, package_input({"task": "x", "note": "n"}), ctx).payload["code"] == \
+                "print(9)"
+        else:
+            with pytest.raises(MalformedCompletionError):
+                run(flow, package_input({"task": "x", "note": "n"}), ctx)
 
 
 class TestExtractPlan:
@@ -80,6 +92,16 @@ class TestLlmFlowConfig:
         with pytest.raises(ConfigError, match=re.escape(
                 "llm flow 'speaker' has unknown params: ['mystery', 'output_key']")):
             llm_flow(mystery=1, output_key="text")
+
+    def test_sampling_is_fixed(self):
+        # temperature and max_tokens are no params: every request carries the
+        # BackendRequest defaults, so fingerprints and cache keys never vary.
+        with pytest.raises(ConfigError, match=re.escape(
+                "llm flow 'speaker' has unknown params: ['max_tokens', 'temperature']")):
+            llm_flow(temperature=0.7, max_tokens=100)
+        ctx, backend, _ = context(["ok"])
+        run(llm_flow(), package_input({"task": "sort"}), ctx)
+        assert (backend.requests[0].temperature, backend.requests[0].max_tokens) == (0.0, 2048)
 
     def test_requires_system_and_query(self):
         with pytest.raises(ConfigError, match="system_message"):

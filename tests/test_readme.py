@@ -1,5 +1,5 @@
-"""The README names only modules that exist, lists the real trace event kinds,
-and its Python blocks run."""
+"""The README names only modules that exist, lists the real trace event kinds
+and each flow kind's params, and its Python blocks run."""
 import importlib
 import os
 import re
@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import nestflow
+from nestflow import core
 from nestflow.trace import EVENT_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +31,15 @@ def test_named_module_imports(module):
 def test_event_kinds_match():
     sentence = re.search(r"The event kinds are (.*?)\.\s", README, re.S).group(1)
     assert set(re.findall(r"`(\w+)`", sentence)) == EVENT_KINDS
+
+
+def test_flow_params_match():
+    table = re.search(r"^\| Kind \| Params \|\n\| --- \| --- \|\n((?:\|.*\n)+)", README, re.M)
+    listed = {row[0]: tuple(re.findall(r"`(\w+)`", row[1]))
+              for row in re.findall(r"^\| `(\w+)` \| (.*) \|$", table.group(1), re.M)}
+    registered = {kind: cls.accepted_params for kind, cls in core._REGISTRY.items()
+                  if cls.__module__.startswith(nestflow.__name__ + ".")}
+    assert listed == registered
 
 
 def test_readme_has_python_blocks():

@@ -937,10 +937,16 @@ class TestRunnerPool:
 
 class TestFormatReport:
     def test_issue_title_substituted_everywhere(self):
-        report = IOReport(Verdict.ALL_PASSED)
-        text = format_report(report, issue_title="# Custom heading")
-        assert text == "# Custom heading\nAll of the executed tests passed."
-        assert format_report(report).startswith(DEFAULT_ISSUE_TITLE + "\n")
+        assert format_report(IOReport(Verdict.ALL_PASSED)) == \
+            "# Issue with the last proposed solution\nAll of the executed tests passed."
+        reports = [IOReport(Verdict.COMPILATION_ERROR, [Failure(0, "", None, "bad")]),
+                   IOReport(Verdict.TIMEOUT, [Failure(1, "1\n", "2", "slow")]),
+                   IOReport(Verdict.RUNTIME_ERROR, [Failure(1, "1\n", "2", "boom")]),
+                   IOReport(Verdict.WRONG_ANSWER, [Failure(1, "1\n", "2", "3")]),
+                   IOReport(Verdict.WRONG_ANSWER, [Failure(1, "1\n", "2", "3")] * 2)]
+        for report in reports:
+            text = format_report(report)
+            assert text.startswith(DEFAULT_ISSUE_TITLE + "\n") and text.count("# Issue") == 1
 
     def test_single_failure_uses_singular_template(self):
         report = IOReport(Verdict.WRONG_ANSWER,
@@ -991,13 +997,15 @@ class TestCodeTestingFlow:
         assert out.payload["verdict"] == "AllPassed"
         assert "All of the executed tests passed." in out.payload["testing_results_summary"]
 
-    def test_custom_issue_title_reaches_summary(self):
-        out = run(self.flow(issue_title="# Judge notes"), package_input({
-            "code": "print('wrong')",
-            "public_tests": [{"input": "1\n", "expected_output": "2\n"}],
-        }))
+    def test_summary_is_the_judgement_report(self):
+        tests = [{"input": "1\n", "expected_output": "2\n"}]
+        out = run(self.flow(), package_input({"code": "print('wrong')", "public_tests": tests}))
         assert out.payload["verdict"] == "WrongAnswer"
-        assert out.payload["testing_results_summary"].startswith("# Judge notes\n")
+        report = run_tests("print('wrong')", [IOCase("1\n", "2\n")], ExecutionLimits(2.0))
+        assert out.payload["testing_results_summary"] == report.summary == format_report(report)
+        # The issue title is no param: every report carries DEFAULT_ISSUE_TITLE.
+        with pytest.raises(ConfigError, match=re.escape("unknown params: ['issue_title']")):
+            self.flow(issue_title="# Judge notes")
 
     def test_key_params_are_refused(self):
         # Every variant judges "code" on "public_tests", so neither key is a param.
