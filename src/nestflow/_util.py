@@ -115,6 +115,7 @@ TEXT = ("text", lambda v: isinstance(v, str))
 TEXT_LIST = ("a list of text", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
 INTEGER = ("an integer", lambda v: type(v) is int)
 NUMBER = ("a number", lambda v: type(v) in (int, float))
+BOOLEAN = ("a boolean", lambda v: type(v) is bool)
 
 
 def check_fields(doc: dict, rules: dict, where: str) -> None:

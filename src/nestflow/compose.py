@@ -72,12 +72,21 @@ def _max_rounds(config: FlowConfig) -> int:
     return value
 
 
-def _critic_stop_on(config: FlowConfig) -> dict:
+def _critic_stop_on(config: FlowConfig, critic: FlowConfig) -> dict:
     value = config.params.get("critic_stop_on", {})
     if not isinstance(value, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in value.items()):
         raise ConfigError(f"flow {config.name!r} needs critic_stop_on to map payload keys "
                           f"to text, got {value!r}")
+    if {"key", "needle"} <= set(value) <= {"key", "mode", "needle"}:
+        raise ConfigError(f"flow {config.name!r} has critic_stop_on in the retired "
+                          f"key/mode/needle form, {value!r}; it maps each critic output key to "
+                          f'the text that ends the loop, as in {{"verdict": "AllPassed"}}')
+    undeclared = sorted(set(value) - set(critic.output_keys)) if critic.output_keys else []
+    if undeclared:
+        raise ConfigError(f"flow {config.name!r} has critic_stop_on keys {undeclared} that its "
+                          f"critic {critic.name!r} does not output (its output_keys are "
+                          f"{list(critic.output_keys)})")
     return value
 
 
@@ -125,7 +134,8 @@ class GeneratorCriticFlow(FlowInstance):
     the critic is skipped. Otherwise the critic runs on the generator's
     output; if a key of the critic output holds the exact text that
     ``critic_stop_on`` maps it to, the loop ends, else the feedback mapping
-    projects critic keys into the next generator input.
+    projects critic keys into the next generator input. A critic that
+    declares ``output_keys`` must declare every ``critic_stop_on`` key.
 
     Output: the last generator output annotated with ``_rounds_used``.
     Under final-answer or round-cap termination the critic runs exactly
@@ -140,7 +150,7 @@ class GeneratorCriticFlow(FlowInstance):
         children = [create_flow(generator_cfg), create_flow(critic_cfg)]
         super().__init__(config, children)
         self.max_rounds = _max_rounds(config)
-        self.critic_stop_on = _critic_stop_on(config)
+        self.critic_stop_on = _critic_stop_on(config, critic_cfg)
         self.feedback_mapping = KeyMapping.from_dict(config.params.get("feedback_mapping"))
 
     @property

@@ -37,11 +37,14 @@ DEFAULT_MEMORY_BYTES = 256 * 1024 * 1024
 # kept report may hold (its summary and its failures' inputs, expected and
 # actual outputs, in characters). A larger report goes to its callers but is
 # not kept, so the memo holds at most MEMO_ENTRIES * MEMO_REPORT_CHARS
-# characters of reports; an entry also costs about 2 KB of objects.
+# characters of reports. A kept entry, its key and report included, took
+# about 600 bytes on the fixture grid.
 MEMO_ENTRIES = 256
 MEMO_REPORT_CHARS = 16 * 1024
 
-_MEMO: OrderedDict[str, Future] = OrderedDict()
+# A judgement in progress is held as the Future its waiters wait on, a
+# finished one as its report.
+_MEMO: OrderedDict[str, Future | TestReport] = OrderedDict()
 _MEMO_LOCK = threading.Lock()
 _RUNNER_SCRIPT = str(Path(__file__).with_name("_runner.py"))
 _IDLE: list[_Runner] = []
@@ -196,20 +199,24 @@ def run_tests(program: str, tests: list[TestCase],
         try:
             report = _judge(program, tests, limits)
         except BaseException as exc:
-            _forget(key, entry)
+            _settle(key, entry, None)
             entry.set_exception(exc)
             raise
-        if _report_chars(report) > MEMO_REPORT_CHARS:
-            _forget(key, entry)
+        _settle(key, entry, report if _report_chars(report) <= MEMO_REPORT_CHARS else None)
         entry.set_result(report)
-    report = entry.result()
+    report = entry.result() if isinstance(entry, Future) else entry
     return replace(report, failures=list(report.failures))
 
 
-def _forget(key: str, entry: Future) -> None:
+def _settle(key: str, future: Future, report: TestReport | None) -> None:
+    """Replace a judgement's future, if the memo still holds it, by its
+    report, or drop it when there is no report to keep."""
     with _MEMO_LOCK:
-        if _MEMO.get(key) is entry:
-            del _MEMO[key]
+        if _MEMO.get(key) is future:
+            if report is None:
+                del _MEMO[key]
+            else:
+                _MEMO[key] = report
 
 
 def _report_chars(report: TestReport) -> int:

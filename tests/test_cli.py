@@ -708,14 +708,19 @@ class TestCmdReport:
         assert result.exit_code == 2, result.output
         assert "does not hold a JSON object" in result.stderr
 
-    @pytest.mark.parametrize("field, value", [("resamples", "x"), ("seed", "a"), ("problems", []),
-                                              ("problems", {"cf-echo-101": "x"}),
-                                              ("variants", "Code"), ("variant_settings", [])])
+    @pytest.mark.parametrize("field, value", [
+        ("resamples", "x"), ("seed", "a"), ("problems", []), ("problems", {"cf-echo-101": "x"}),
+        ("variants", "Code"), ("variant_settings", []),
+        ("variant_settings.backend", 1), ("variant_settings.model", None),
+        ("variant_settings.max_rounds", 4.0), ("variant_settings.wall_time", "x"),
+        ("variant_settings.memory_bytes", "256"), ("variant_settings.interactive_plan", 0)])
     def test_mistyped_run_meta_field_is_usage_error(self, runner, tmp_path, field, value):
+        """``field`` is a top-level field, or ``variant_settings.<setting>``."""
         run_dir = shutil.copytree(FORMAT_2_RUN, tmp_path / "run")
         meta = json.loads((run_dir / "run_meta.json").read_text(encoding="utf-8"))
-        (run_dir / "run_meta.json").write_text(json.dumps({**meta, field: value}),
-                                               encoding="utf-8")
+        section, _, key = field.rpartition(".")
+        (meta[section] if section else meta)[key] = value
+        (run_dir / "run_meta.json").write_text(json.dumps(meta), encoding="utf-8")
         files = snapshot(run_dir)
         resume = ["eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--profiles",
                   str(PROFILES), "--wall-time", "1.0", "--out", str(run_dir)]
@@ -725,7 +730,8 @@ class TestCmdReport:
             assert result.exit_code == 2, result.output
             assert isinstance(result.exception, SystemExit)
             assert "run directory is corrupt: cannot read " in result.stderr
-            assert f"run_meta.json: {field!r} must be " in result.stderr
+            named = f"{section}: {key!r}" if section else repr(key)
+            assert f"run_meta.json: {named} must be " in result.stderr
         assert snapshot(run_dir) == files
 
     def test_corrupt_records_are_usage_error(self, runner, eval_dir, tmp_path):

@@ -96,6 +96,27 @@ class TestTerminationPredicate:
             critic_stop_on={"verdict": "1"}, feedback_mapping={"verdict": "feedback"})
         assert out.payload[ROUNDS_USED_KEY] == 2
 
+    def test_retired_form_is_refused(self):
+        # Taken as a map of text, this form would stop only on critic keys named
+        # key, mode or needle, so the loop would run all of its rounds.
+        for stop_on in ({"key": "verdict", "mode": "equals", "needle": "AllPassed"},
+                        {"key": "verdict", "needle": "AllPassed"}):
+            with pytest.raises(ConfigError, match=re.escape(
+                    "retired key/mode/needle form") + ".*" + re.escape('{"verdict": "AllPassed"}')):
+                generator_critic(["a", "b", "c"], max_rounds=3,
+                                 critic=fixed("critic", "AllPassed", output_key="verdict"),
+                                 critic_stop_on=stop_on)
+
+    def test_stop_keys_must_be_critic_outputs(self):
+        critic = {**fixed("critic", "AllPassed", output_key="verdict"), "output_keys": ["verdict"]}
+        with pytest.raises(ConfigError, match=re.escape(
+                "critic_stop_on keys ['status'] that its critic 'critic' does not output "
+                "(its output_keys are ['verdict'])")):
+            generator_critic(["a", "b"], critic=critic, critic_stop_on={"status": "AllPassed"})
+        out, _, _ = generator_critic(["a", "b"], critic=critic,
+                                     critic_stop_on={"verdict": "AllPassed"})
+        assert out.payload[ROUNDS_USED_KEY] == 1
+
     def test_validation(self):
         for stop_on in (["verdict"], "AllPassed", None, {"verdict": 1}, {1: "AllPassed"}):
             with pytest.raises(ConfigError, match="needs critic_stop_on to map payload keys"):

@@ -1,7 +1,10 @@
 import csv
 import datetime as dt
 import json
+import os
 import random
+import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -19,30 +22,34 @@ from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
 from nestflow.errors import ConfigError, RetryBudgetExhaustedError, SandboxEnvironmentError
 from nestflow.evalharness import (
-    DEFAULT_LEVEL,
-    DEFAULT_RESAMPLES,
     EvalSettings,
     RunRecord,
-    SolveRate,
-    WindowPoint,
     append_record,
-    bootstrap_ci,
     evaluate_grid,
-    format_cell,
-    pass_at_1,
     read_records,
     read_run_meta,
+    write_report,
+)
+from nestflow.stats import (
+    DEFAULT_LEVEL,
+    DEFAULT_RESAMPLES,
+    SolveRate,
+    WindowPoint,
+    bootstrap_ci,
+    format_cell,
+    pass_at_1,
     read_temporal_csv,
     render_results_table,
     results_table_csv,
     sliding_window,
     solve_rate,
+    solve_rates,
     stats_from_records,
-    write_report,
     write_temporal_csv,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+FORMAT_2_RUN = Path(__file__).resolve().parent / "format_2_run"
 
 
 def rate(point, low, high, n=10):
@@ -77,7 +84,46 @@ def per_resample_ci(outcomes, resamples, level, seed):
     return float(100.0 * min(low, point)), float(100.0 * max(high, point))
 
 
+def single_draw_ci(outcomes, resamples, level, seed):
+    """One index draw for all resamples and numpy's own quantile of the means:
+    the formula the order-statistic form replaced."""
+    values = np.asarray(outcomes, dtype=float)
+    rng = np.random.default_rng(seed)
+    means = values[rng.integers(0, values.size, size=(resamples, values.size))].mean(axis=1)
+    alpha = (1.0 - level) / 2.0
+    low, high = np.quantile(means, [alpha, 1.0 - alpha])
+    point = values.mean()
+    return float(100.0 * min(low, point)), float(100.0 * max(high, point))
+
+
 class TestBootstrapCi:
+    def test_order_statistics_equal_numpy_quantiles(self):
+        shuffler = random.Random(24)
+        resample_counts, levels = (1, 2, 7, 100, 1000), (0.8, 0.9, 0.95, 0.975, 0.99)
+        for n in range(1, 301):
+            share = shuffler.random()
+            outcomes = [shuffler.random() < share for _ in range(n)]
+            for seed in (n % 5, 17):
+                resamples = resample_counts[(n + seed) % 5]
+                level = levels[(n // 5 + seed) % 5]
+                assert bootstrap_ci(outcomes, resamples, level, seed) == \
+                    single_draw_ci(outcomes, resamples, level, seed), (n, resamples, level, seed)
+        for n in (1, 2, 30, 300):
+            for outcomes in ([True] * n, [False] * n):
+                for resamples, level in ((1, 0.8), (1000, 0.99)):
+                    assert bootstrap_ci(outcomes, resamples, level, 3) == \
+                        single_draw_ci(outcomes, resamples, level, 3), (n, outcomes[0], resamples)
+
+    def test_intervals_of_many_samples_equal_each_alone(self):
+        shuffler = random.Random(6)
+        samples = [[shuffler.random() < 0.5 for _ in range(shuffler.randint(1, 12))]
+                   for _ in range(60)]
+        assert solve_rates(samples, 500, 0.9, 4) == \
+            [solve_rate(outcomes, 500, 0.9, 4) for outcomes in samples]
+        assert solve_rates([]) == []
+        with pytest.raises(ValueError):
+            solve_rates([[True], []])
+
     def test_single_draw_equals_per_resample_loop(self):
         shuffler = random.Random(5)
         for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 500, 1000):
@@ -622,6 +668,21 @@ class TestWriteReport:
         table = (out_dir / "results_table.txt").read_text(encoding="utf-8")
         assert table.splitlines()[0].split() == ["Flow", "Codeforces"]
         assert "Code" in table
+
+    def test_report_leaves_numpy_ma_unloaded(self, tmp_path):
+        """numpy.quantile loads numpy.ma; the order-statistic intervals do not."""
+        run_dir = shutil.copytree(FORMAT_2_RUN, tmp_path / "run")
+        code = ("import json, sys\nfrom nestflow.evalharness import write_report\n"
+                f"write_report({str(run_dir)!r})\n"
+                "print(json.dumps([m for m in ('numpy', 'numpy.ma') if m in sys.modules]))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == ["numpy"]
+        assert (run_dir / "results_table.txt").read_text(encoding="utf-8").startswith("Flow")
 
     def test_temporal_series_written(self, small_grid):
         out_dir, _, _, _ = small_grid

@@ -633,6 +633,21 @@ class TestVerdictMemo:
         assert work.log.count("request") == 2
         assert work.children() == ["test"] * 4
 
+    def test_kept_entry_is_the_report_itself(self, work):
+        program = VERDICT_PROGRAMS[Verdict.WRONG_ANSWER]
+        first = run_tests(program, MEMO_TESTS, limits=MEMO_LIMITS)
+        (entry,) = sandbox._MEMO.values()
+        assert type(entry) is IOReport
+        assert entry == first and entry is not first and entry.failures is not first.failures
+        second = run_tests(program, MEMO_TESTS, limits=MEMO_LIMITS)
+        assert second == entry and second is not entry and second.failures is not entry.failures
+        kept = (entry.verdict, list(entry.failures), entry.summary)
+        second.failures.clear()
+        second.verdict, second.summary = Verdict.ALL_PASSED, ""
+        assert (entry.verdict, entry.failures, entry.summary) == kept
+        assert list(sandbox._MEMO.values()) == [entry]
+        assert work.log.count("request") == 1
+
     def test_large_report_reaches_every_caller_and_is_not_kept(self, work):
         program = f"print('x' * {sandbox.MEMO_REPORT_CHARS})\n"
         work.delay = 0.3
