@@ -12,8 +12,13 @@ from pathlib import Path
 from nestflow.backends import ScriptedBackend
 from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
-from nestflow.evalharness import EvalSettings, evaluate_grid
-from nestflow.stats import DEFAULT_RESAMPLES, render_results_table, stats_from_records
+from nestflow.evalharness import (
+    DEFAULT_RESAMPLES,
+    EvalSettings,
+    evaluate_grid,
+    render_results_table,
+    stats_from_records,
+)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 

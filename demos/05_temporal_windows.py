@@ -10,7 +10,7 @@ import random
 import tempfile
 from pathlib import Path
 
-from nestflow.stats import read_temporal_csv, sliding_window, write_temporal_csv
+from nestflow.evalharness import read_temporal_csv, sliding_window, write_temporal_csv
 
 # Synthetic outcomes: solve probability 0.8 before September 2021 and
 # 0.25 after, twenty problems per month.

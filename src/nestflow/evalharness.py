@@ -1,13 +1,18 @@
-"""Evaluation harness: run variants over problems, record, replay, report.
+"""Evaluation harness: run variants over problems, aggregate, report.
 
-Each (problem, variant) pair's record goes to ``records.jsonl`` and its
-trace beside it; ``run_meta.json`` pins the run's settings. Reports are
-deterministic functions of the persisted records plus run metadata (see
-``stats``), so regenerating a report never changes its bytes.
+Estimates are pass@1 solve rates in percent with percentile-bootstrap
+confidence intervals (numpy PCG64 generator, one index draw for all
+resamples of a sample size, shared by the samples of that size that are
+computed together; numpy's linear-interpolation quantiles, taken as order
+statistics of the resampled solved counts). Reports are deterministic
+functions of the persisted records plus run metadata, so regenerating a
+report never changes its bytes.
 """
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
 import json
 import logging
 import threading
@@ -15,18 +20,39 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
-from ._util import BOOLEAN, INTEGER, NUMBER, TEXT, TEXT_LIST, check_fields, replace_file
+from ._util import (BOOLEAN, INTEGER, NUMBER, TEXT, TEXT_LIST, add_months, check_fields,
+                    month_floor, replace_file)
 from .ccflows import VariantSettings, build_variant, parse_variant, problem_payload
 from .core import ROUNDS_USED_KEY, Message, RunContext, create_flow, package_input, run
-from .dataset import DEFAULT_CUTOFF, Problem
+from .dataset import BUCKET_LABELS, BUCKET_ORDER, DEFAULT_CUTOFF, Problem, bucket_key
 from .errors import ENVIRONMENT_ERRORS, ConfigError, FlowError, NestflowError, ReplayDivergenceError
 from .sandbox import DEFAULT_ISSUE_TITLE, ExecutionLimits, Verdict, run_tests
-from .stats import (DEFAULT_LEVEL, DEFAULT_RESAMPLES, render_results_table, report_rates,
-                    results_table_csv, write_temporal_csv)
 from .trace import TraceSink, normalize_trace, read_trace
 
 logger = logging.getLogger(__name__)
+
+DEFAULT_RESAMPLES = 1000
+DEFAULT_LEVEL = 0.95
+EMPTY_CELL = "--"
+
+
+@dataclass(frozen=True)
+class SolveRate:
+    """Solve rate in percent with an optional confidence interval."""
+
+    point: float
+    ci_low: float | None
+    ci_high: float | None
+    n: int
+
+
+@dataclass(frozen=True)
+class WindowPoint:
+    start: dt.date
+    end: dt.date
+    rate: SolveRate
 
 
 @dataclass(frozen=True)
@@ -102,6 +128,200 @@ def _end_last_line(path: Path) -> None:
             fh.write(b"\n")
         except ValueError:
             fh.truncate(start)
+
+
+def pass_at_1(outcomes: list[bool]) -> float:
+    """Fraction of solved problems, in percent."""
+    if not outcomes:
+        raise ValueError("pass_at_1 needs at least one outcome")
+    return 100.0 * sum(outcomes) / len(outcomes)
+
+
+def bootstrap_ci(outcomes: list[bool], resamples: int = DEFAULT_RESAMPLES,
+                 level: float = DEFAULT_LEVEL, seed: int = 0) -> tuple[float, float]:
+    """Percentile bootstrap interval for the solve rate, in percent (see ``solve_rates``)."""
+    rate = solve_rate(outcomes, resamples=resamples, level=level, seed=seed)
+    return rate.ci_low, rate.ci_high
+
+
+def solve_rate(outcomes: list[bool], resamples: int = DEFAULT_RESAMPLES,
+               level: float = DEFAULT_LEVEL, seed: int = 0) -> SolveRate:
+    return solve_rates([outcomes], resamples=resamples, level=level, seed=seed)[0]
+
+
+def solve_rates(samples: list[list[bool]], resamples: int = DEFAULT_RESAMPLES,
+                level: float = DEFAULT_LEVEL, seed: int = 0) -> list[SolveRate]:
+    """Each sample's solve rate, with its percentile bootstrap interval.
+
+    Row b of one ``rng.integers(0, n, size=(resamples, n))`` draw from
+    ``numpy.random.default_rng(seed)`` indexes resample b of a sample of
+    size n; this is the stream that ``resamples`` draws of ``size=n``
+    would give, in order. The draw depends on n alone, so it is made once
+    per size, and only one size's draw is held at a time. The interval is
+    the (alpha, 1-alpha) quantiles of the resampled means, widened if
+    needed to contain the point estimate. Each mean is k/n for a count k
+    of solved problems, so the quantiles are taken from the sorted counts
+    (see ``_linear_quantile``), equal to numpy's ``linear`` quantiles of
+    the means.
+    """
+    if not all(samples):
+        raise ValueError("a solve rate needs at least one outcome")
+    if resamples < 1:
+        raise ValueError("resamples must be >= 1")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    # numpy is imported here, its only use, so that commands which compute
+    # no interval (run, replay, cache, --help) never load it.
+    import numpy as np
+
+    alpha = (1.0 - level) / 2.0
+    rates: list[SolveRate] = [None] * len(samples)
+    for n in dict.fromkeys(map(len, samples)):
+        draw = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+        for index, outcomes in enumerate(samples):
+            if len(outcomes) == n:
+                counts = np.sort(np.count_nonzero(np.asarray(outcomes, dtype=bool)[draw], axis=1))
+                point = sum(outcomes) / n
+                rates[index] = SolveRate(
+                    point=pass_at_1(outcomes), n=n,
+                    ci_low=100.0 * min(_linear_quantile(counts, n, alpha), point),
+                    ci_high=100.0 * max(_linear_quantile(counts, n, 1.0 - alpha), point))
+        del draw  # before the next size's draw is made
+    return rates
+
+
+def _linear_quantile(counts, n: int, q: float) -> float:
+    """The q quantile of the means ``counts / n``, ``counts`` sorted, by
+    numpy's ``linear`` rule written out, so that it is the same float."""
+    last = len(counts) - 1
+    index = last * q
+    below = int(index)  # its floor, as index >= 0
+    gamma = index - below
+    a, b = int(counts[min(below, last)]) / n, int(counts[min(below + 1, last)]) / n
+    return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+
+
+def sliding_window(dated_outcomes: list[tuple[dt.date, bool]], span_months: int = 2,
+                   step_months: int = 1, resamples: int = DEFAULT_RESAMPLES,
+                   level: float = DEFAULT_LEVEL, seed: int = 0) -> list[WindowPoint]:
+    """Solve rate over a window sliding across release months.
+
+    Windows are [start, start + span) aligned to month starts, stepping
+    by ``step_months``; windows containing no problems are skipped.
+    """
+    if span_months < 1 or step_months < 1:
+        raise ValueError("span_months and step_months must be >= 1")
+    if not dated_outcomes:
+        return []
+    ordered = sorted(dated_outcomes, key=lambda pair: pair[0])
+    first = month_floor(ordered[0][0])
+    last = ordered[-1][0]
+    windows = {}
+    start = first
+    while start <= last:
+        end = add_months(start, span_months)
+        outcomes = [solved for day, solved in ordered if start <= day < end]
+        if outcomes:
+            windows[(start, end)] = outcomes
+        start = add_months(start, step_months)
+    rates = solve_rates(list(windows.values()), resamples=resamples, level=level, seed=seed)
+    return [WindowPoint(start=start, end=end, rate=rate)
+            for (start, end), rate in zip(windows, rates)]
+
+
+def write_temporal_csv(by_variant: dict[str, list[WindowPoint]], path: str | Path) -> None:
+    """Write window series losslessly (floats via repr round-trip)."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["variant", "window_start", "window_end",
+                         "point", "ci_low", "ci_high", "n"])
+        for variant in sorted(by_variant):
+            for wp in by_variant[variant]:
+                writer.writerow([variant, wp.start.isoformat(), wp.end.isoformat(),
+                                 repr(wp.rate.point), repr(wp.rate.ci_low),
+                                 repr(wp.rate.ci_high), wp.rate.n])
+
+
+def read_temporal_csv(path: str | Path) -> dict[str, list[WindowPoint]]:
+    by_variant: dict[str, list[WindowPoint]] = {}
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            rate = SolveRate(point=float(row["point"]), ci_low=float(row["ci_low"]),
+                             ci_high=float(row["ci_high"]), n=int(row["n"]))
+            point = WindowPoint(start=dt.date.fromisoformat(row["window_start"]),
+                                end=dt.date.fromisoformat(row["window_end"]), rate=rate)
+            by_variant.setdefault(row["variant"], []).append(point)
+    return by_variant
+
+
+def format_cell(rate: SolveRate | None, baseline: SolveRate | None = None) -> str:
+    """One table cell: absolute "71.8 ±11.0", delta "+9.3 ±9.7", or "--"."""
+    if rate is None or rate.n == 0:
+        return EMPTY_CELL
+    half = (rate.ci_high - rate.ci_low) / 2.0 if rate.ci_low is not None else 0.0
+    if baseline is None:
+        return f"{rate.point:.1f} ±{half:.1f}"
+    delta = round(rate.point - baseline.point, 1)
+    if delta == 0:
+        delta = 0.0
+    return f"{delta:+.1f} ±{half:.1f}"
+
+
+def _table_cells(stats: dict[str, dict[str, SolveRate | None]], variants: list[str] | None,
+                 baseline_variant: str) -> tuple[list[str], list[list[str]]]:
+    """The non-empty bucket columns, and one row of cells per variant."""
+    variants = list(variants if variants is not None else stats)
+    buckets = [b for b in BUCKET_ORDER
+               if any(stats.get(v, {}).get(b) is not None for v in variants)]
+    rows = []
+    baseline_stats = stats.get(baseline_variant, {})
+    for variant in variants:
+        cells = [variant]
+        for bucket in buckets:
+            rate = stats.get(variant, {}).get(bucket)
+            if variant == baseline_variant:
+                cells.append(format_cell(rate))
+            else:
+                baseline = baseline_stats.get(bucket)
+                if baseline is None or rate is None:
+                    cells.append(EMPTY_CELL if rate is None else format_cell(rate))
+                else:
+                    cells.append(format_cell(rate, baseline))
+        rows.append(cells)
+    return buckets, rows
+
+
+def render_results_table(stats: dict[str, dict[str, SolveRate | None]],
+                         variants: list[str] | None = None,
+                         baseline_variant: str = "Code") -> str:
+    """Plain-text results table: baseline row absolute, other rows as deltas."""
+    buckets, rows = _table_cells(stats, variants, baseline_variant)
+    group_row = ["Flow"] + [BUCKET_LABELS[b][0] for b in buckets]
+    label_row = [""] + [BUCKET_LABELS[b][1] for b in buckets]
+    # Blank out repeated group names so each source reads as one span.
+    for i in range(len(group_row) - 1, 1, -1):
+        if group_row[i] == group_row[i - 1]:
+            group_row[i] = ""
+    table = [group_row, label_row] + rows
+    widths = [max(len(row[col]) for row in table) for col in range(len(table[0]))]
+    lines = []
+    for index, row in enumerate(table):
+        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+        if index == 1:
+            lines.append("  ".join("-" * width for width in widths))
+    return "\n".join(lines) + "\n"
+
+
+def results_table_csv(stats: dict[str, dict[str, SolveRate | None]],
+                      variants: list[str] | None = None,
+                      baseline_variant: str = "Code") -> str:
+    buckets, rows = _table_cells(stats, variants, baseline_variant)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["variant"] + buckets)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
 
 @dataclass
 class EvalSettings:
@@ -482,25 +702,52 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
     logger.info("grid complete: %d records (%d new)", len(ordered), len(todo))
     return GridResult(records=ordered, new_runs=len(todo))
 
+
+def stats_from_records(records: list[RunRecord], problem_meta: dict[str, dict],
+                       cutoff: dt.date, resamples: int = DEFAULT_RESAMPLES,
+                       level: float = DEFAULT_LEVEL, seed: int = 0
+                       ) -> dict[str, dict[str, SolveRate]]:
+    """Per-variant, per-bucket solve rates from sorted records."""
+    grouped: dict[tuple[str, str], list[bool]] = {}
+    for record in sorted(records, key=lambda r: (r.problem_id, r.variant)):
+        meta = problem_meta[record.problem_id]
+        bucket = bucket_key(SimpleNamespace(
+            source=meta["source"], difficulty=meta["difficulty"],
+            release_date=dt.date.fromisoformat(record.release_date)), cutoff)
+        grouped.setdefault((record.variant, bucket), []).append(record.solved)
+    rates = solve_rates(list(grouped.values()), resamples=resamples, level=level, seed=seed)
+    stats: dict[str, dict[str, SolveRate]] = {}
+    for (variant, bucket), rate in zip(grouped, rates):
+        stats.setdefault(variant, {})[bucket] = rate
+    return stats
+
+
 def write_report(out_dir: str | Path) -> dict[str, Path]:
     """Regenerate the report files from records + run metadata.
 
     Output depends only on run_meta.json and records.jsonl, so repeated
-    calls produce byte-identical files. The table's and every window's
-    solve rates are computed together (see ``stats.report_rates``).
+    calls produce byte-identical files.
     """
     out_dir = Path(out_dir)
     meta = read_run_meta(out_dir)
-    stats, windows = report_rates(read_records(out_dir / "records.jsonl"), meta["problems"],
-                                  dt.date.fromisoformat(meta["cutoff"]),
-                                  resamples=meta["resamples"], level=meta["level"],
-                                  seed=meta["seed"])
+    records = read_records(out_dir / "records.jsonl")
+    cutoff = dt.date.fromisoformat(meta["cutoff"])
+    stats = stats_from_records(records, meta["problems"], cutoff,
+                               resamples=meta["resamples"], level=meta["level"],
+                               seed=meta["seed"])
     variants = [v for v in meta["variants"] if v in stats]
     baseline = "Code" if "Code" in variants else (variants[0] if variants else "Code")
     table_path = out_dir / "results_table.txt"
     table_path.write_text(render_results_table(stats, variants, baseline), encoding="utf-8")
     csv_path = out_dir / "results_table.csv"
     csv_path.write_text(results_table_csv(stats, variants, baseline), encoding="utf-8")
+    records.sort(key=lambda r: (r.problem_id, r.variant))
+    by_variant: dict[str, list[WindowPoint]] = {}
+    for variant in variants:
+        dated = [(dt.date.fromisoformat(r.release_date), r.solved)
+                 for r in records if r.variant == variant]
+        by_variant[variant] = sliding_window(dated, resamples=meta["resamples"],
+                                             level=meta["level"], seed=meta["seed"])
     temporal_path = out_dir / "temporal_series.csv"
-    write_temporal_csv({variant: windows[variant] for variant in variants}, temporal_path)
+    write_temporal_csv(by_variant, temporal_path)
     return {"table": table_path, "csv": csv_path, "temporal": temporal_path}

@@ -33,18 +33,21 @@ from nestflow.core import (
     run,
     snapshot_states,
 )
-from nestflow.evalharness import EvalSettings, evaluate_grid, read_records, replay_pair
-from nestflow.sandbox import ExecutionLimits, Verdict, run_tests
-from nestflow.sandbox import TestCase as IOCase
-from nestflow.stats import (
+from nestflow.evalharness import (
+    EvalSettings,
     SolveRate,
     bootstrap_ci,
+    evaluate_grid,
+    read_records,
     read_temporal_csv,
     render_results_table,
+    replay_pair,
     results_table_csv,
     sliding_window,
     write_temporal_csv,
 )
+from nestflow.sandbox import ExecutionLimits, Verdict, run_tests
+from nestflow.sandbox import TestCase as IOCase
 from nestflow.trace import TraceSink, read_trace
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"

@@ -120,8 +120,7 @@ class TestRegistry:
         kinds, loaded = self.fresh_interpreter(
             "import json, sys\nimport nestflow.core as core\n"
             "print(json.dumps([core.registered_kinds(), [m for m in "
-            "('numpy', 'nestflow.evalharness', 'nestflow.stats', 'nestflow.cli')\n"
-            "  if m in sys.modules]]))\n")
+            "('numpy', 'nestflow.evalharness', 'nestflow.cli') if m in sys.modules]]))\n")
         assert kinds == ["code_testing", "fixed_reply", "generator_critic", "human_plan", "llm",
                          "sequential"]
         assert loaded == []
@@ -143,16 +142,15 @@ class TestRegistry:
         """`import nestflow.cli` loads the harness but not numpy; the first
         bootstrap interval loads it and equals the one computed after it."""
         before, after, first, second = self.fresh_interpreter(
-            "import json, sys\nimport nestflow.cli, nestflow.stats as st\n"
-            "loaded = lambda: [m for m in ('numpy', 'nestflow.evalharness', 'nestflow.stats')\n"
-            "                  if m in sys.modules]\n"
+            "import json, sys\nimport nestflow.cli, nestflow.evalharness as eh\n"
+            "loaded = lambda: [m for m in ('numpy', 'nestflow.evalharness') if m in sys.modules]\n"
             "before = loaded()\n"
             "outcomes = [True, False, True, True, False, False, True]\n"
-            "first = st.bootstrap_ci(outcomes, resamples=500, seed=3)\n"
-            "print(json.dumps([before, loaded(), first, st.bootstrap_ci(outcomes, resamples=500, "
+            "first = eh.bootstrap_ci(outcomes, resamples=500, seed=3)\n"
+            "print(json.dumps([before, loaded(), first, eh.bootstrap_ci(outcomes, resamples=500, "
             "seed=3)]))\n")
-        assert before == ["nestflow.evalharness", "nestflow.stats"]
-        assert after == ["numpy", "nestflow.evalharness", "nestflow.stats"]
+        assert before == ["nestflow.evalharness"]
+        assert after == ["numpy", "nestflow.evalharness"]
         assert first == second
 
     def test_unknown_kind_lists_registered(self):

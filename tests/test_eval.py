@@ -22,22 +22,19 @@ from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
 from nestflow.errors import ConfigError, RetryBudgetExhaustedError, SandboxEnvironmentError
 from nestflow.evalharness import (
-    EvalSettings,
-    RunRecord,
-    append_record,
-    evaluate_grid,
-    read_records,
-    read_run_meta,
-    write_report,
-)
-from nestflow.stats import (
     DEFAULT_LEVEL,
     DEFAULT_RESAMPLES,
+    EvalSettings,
+    RunRecord,
     SolveRate,
     WindowPoint,
+    append_record,
     bootstrap_ci,
+    evaluate_grid,
     format_cell,
     pass_at_1,
+    read_records,
+    read_run_meta,
     read_temporal_csv,
     render_results_table,
     results_table_csv,
@@ -45,6 +42,7 @@ from nestflow.stats import (
     solve_rate,
     solve_rates,
     stats_from_records,
+    write_report,
     write_temporal_csv,
 )
 
