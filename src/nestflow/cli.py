@@ -23,6 +23,7 @@ from .errors import ENVIRONMENT_ERRORS, ConfigError, DatasetError
 from .evalharness import (
     EvalSettings,
     evaluate_grid,
+    read_records,
     replay_pair,
     run_pair,
     write_report,
@@ -232,12 +233,30 @@ def cmd_report(run_dir: str) -> None:
     sys.exit(0)
 
 
+def _divergence(replay) -> str:
+    """Where a replay that is not identical first departs from its recording."""
+    before, after = replay.recorded, replay.replayed
+    for index, (a, b) in enumerate(zip(before, after)):
+        if a != b:
+            kinds = a["kind"] if a["kind"] == b["kind"] else f"{a['kind']} != {b['kind']}"
+            return f"replay diverged at event {index + 1}: {kinds}"
+    return f"replay diverged: event count {len(before)} != {len(after)}"
+
+
 @main.command("replay")
 @click.option("--run-dir", required=True, type=click.Path(exists=True))
-@click.option("--problem-id", required=True)
-@click.option("--variant", required=True)
-def cmd_replay(run_dir: str, problem_id: str, variant: str) -> None:
-    """Re-execute a recorded run from its trace and diff the two traces."""
+@click.option("--problem-id", default=None, help="The pair's problem; give it with --variant.")
+@click.option("--variant", default=None, help="The pair's variant; give it with --problem-id.")
+def cmd_replay(run_dir: str, problem_id: str | None, variant: str | None) -> None:
+    """Re-execute recorded runs from their traces and diff the two traces.
+
+    With --problem-id and --variant, one pair; with neither, every pair
+    that records.jsonl holds."""
+    if (problem_id is None) != (variant is None):
+        _fail(ConfigError("--problem-id and --variant go together: give both, or neither "
+                          "to replay every recorded pair"))
+    if variant is None:
+        _replay_every_pair(run_dir)
     try:
         parse_variant(variant)
         replay = replay_pair(run_dir, problem_id, variant)
@@ -248,15 +267,33 @@ def cmd_replay(run_dir: str, problem_id: str, variant: str) -> None:
     if replay.identical:
         click.echo(f"replay identical: {len(replay.replayed)} events")
         sys.exit(0)
-    before, after = replay.recorded, replay.replayed
-    for index, (a, b) in enumerate(zip(before, after)):
-        if a != b:
-            kinds = a["kind"] if a["kind"] == b["kind"] else f"{a['kind']} != {b['kind']}"
-            click.echo(f"replay diverged at event {index + 1}: {kinds}")
-            break
-    else:
-        click.echo(f"replay diverged: event count {len(before)} != {len(after)}")
+    click.echo(_divergence(replay))
     sys.exit(1)
+
+
+def _replay_every_pair(run_dir: str) -> None:
+    """Replay each recorded pair, in (problem, variant) order; one line per
+    pair that diverges, then the count that did not."""
+    identical = 0
+    try:
+        try:
+            pairs = sorted({(r.problem_id, r.variant)
+                            for r in read_records(Path(run_dir) / "records.jsonl")})
+        except ValueError as exc:
+            raise ConfigError(f"run directory is corrupt: {exc}") from exc
+        if not pairs:
+            raise ConfigError(f"no records to replay in {run_dir}")
+        for problem_id, variant in pairs:
+            replay = replay_pair(run_dir, problem_id, variant)
+            if replay.identical:
+                identical += 1
+                continue
+            failed = f" (replayed run failed: {replay.error})" if replay.error else ""
+            click.echo(f"{problem_id} {variant}: {_divergence(replay)}{failed}")
+    except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
+        _fail(exc)
+    click.echo(f"replay identical: {identical} of {len(pairs)} pairs")
+    sys.exit(0 if identical == len(pairs) else 1)
 
 
 @main.group("cache")

@@ -74,13 +74,25 @@ class RunRecord:
     @classmethod
     def from_dict(cls, doc) -> "RunRecord":
         """The record in ``doc``; ValueError unless it is a map holding every
-        required field."""
+        required field, each of its type."""
         if not isinstance(doc, dict):
             raise ValueError(f"a record must be a JSON object, got {type(doc).__name__}")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
         if missing:
             raise ValueError(f"a record lacks required fields: {missing}")
+        try:
+            check_fields(doc, _RECORD_FIELDS, "a record")
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from None
         return cls(**{f.name: doc.get(f.name) for f in fields(cls)})
+
+
+# What each field of a record must hold.
+_RECORD_FIELDS = {
+    **dict.fromkeys(("problem_id", "variant", "release_date", "trace_ref"), TEXT),
+    "solved": BOOLEAN, "rounds_used": INTEGER, "wall_time": NUMBER,
+    **dict.fromkeys(("verdict", "error"), ("text or null", lambda v: v is None or isinstance(v, str))),
+}
 
 
 def append_record(path: str | Path, record: RunRecord) -> None:
@@ -351,7 +363,7 @@ def run_variant(variant_name: str, variant_settings: VariantSettings, payload: d
 
 
 def _trace_ref(problem_id: str, variant_name: str) -> str:
-    return f"{problem_id}/{variant_name}/trace.log"
+    return f"{problem_id}/{variant_name}/trace.log.gz"
 
 
 def _remove_trace(path: Path) -> None:
@@ -475,8 +487,10 @@ class Replay:
 def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Replay:
     """Re-run a recorded pair, answering every request from its trace.
 
-    The run goes through ``run_variant`` with the variant settings from
-    ``run_meta.json`` and the recorded input message. The recorded
+    The trace is ``trace.log.gz``, or ``trace.log`` in a run directory
+    written before traces were compressed. The run goes through
+    ``run_variant`` with the variant settings from ``run_meta.json`` and
+    the recorded input message. The recorded
     responses, keyed by request fingerprint, are the run's response cache;
     its backend raises ReplayDivergenceError on a miss, so the cache's
     ``put`` is never reached. A FlowError is kept in ``error``: whether the
@@ -485,7 +499,9 @@ def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Repl
     """
     trace_path = Path(run_dir) / _trace_ref(problem_id, variant_name)
     if not trace_path.exists():
-        raise ConfigError(f"no trace at {trace_path}")
+        trace_path = trace_path.with_suffix("")  # as written before traces were compressed
+    if not trace_path.exists():
+        raise ConfigError(f"no trace at {trace_path}.gz or {trace_path}")
     try:
         recorded = read_trace(trace_path)
         settings = dict(read_run_meta(run_dir)["variant_settings"])
@@ -620,9 +636,10 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
     judgements are dropped, each pair left without a record loses its
     trace, and the error is raised once the other threads have ended.
     Resuming a run directory whose ``run_meta.json`` holds other settings
-    is a ConfigError, and leaves every file as it was (see
-    ``write_run_meta``). So is an empty variant list, or one that names a
-    variant twice.
+    (see ``write_run_meta``), or whose ``records.jsonl`` holds a line that
+    is not a record other than a torn last one, is a ConfigError, and
+    leaves every file as it was. So is an empty variant list, or one that
+    names a variant twice.
     """
     if not variants:
         raise ConfigError("the variant list is empty")
@@ -631,11 +648,16 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
         if variant in variants[:index]:
             raise ConfigError(f"variant {variant!r} is listed more than once")
     out_dir = Path(settings.out_dir)
-    write_run_meta(out_dir, problems, variants, settings)
     records_path = out_dir / "records.jsonl"
+    existing = {}
+    if settings.resume:
+        try:
+            existing = {(r.problem_id, r.variant): r for r in read_records(records_path)}
+        except ValueError as exc:
+            raise ConfigError(f"run directory is corrupt: {exc}") from exc
+    write_run_meta(out_dir, problems, variants, settings)
     if not settings.resume and records_path.exists():
         records_path.unlink()
-    existing = {(r.problem_id, r.variant): r for r in read_records(records_path)}
     _end_last_line(records_path)
     by_id = {p.id: p for p in problems}
     todo = [(pid, variant) for pid in sorted(by_id) for variant in variants

@@ -1,31 +1,43 @@
 """Append-only run tracing and trace normalization.
 
 A trace is a JSONL file whose first line is a header and whose remaining
-lines are events, one per line, in the order they were recorded. Format 3
-leaves out of each line what the file already holds: a message is the
-keys it changes from its last parent (a ``message_out`` also without its
-creator, the event's own instance), a request the turns it adds to its
-flow's conversation, a response the keys of its call left out, and times
-are microsecond offsets from the header's ``t0``. A key that a line does
-carry wins over the one rebuilt. ``read_trace`` rebuilds the full events
-so that a run can be re-executed from its trace alone (see
-``evalharness.replay_pair``). Formats 2 (deltas against the first parent)
-and 1 (every event in full) still read, without their ``state_update``
-events, which repeat the conversations and messages around them.
+lines are events, one per line, in the order they were recorded. Format 4
+writes each event whole, as ``{seq, t, instance_id, kind, body}``, where
+``t`` is the event's time in microseconds from the header's ``t0``. A
+trace whose path ends in ``.gz`` is one gzip stream, sync-flushed at every
+``flow_end``, so that ``gzip -dc`` reads it up to the last flow that
+ended; any other path is written as plain text. ``read_trace`` tells the
+two apart by the gzip magic bytes and rebuilds the events, so that a run
+can be re-executed from its trace alone (see ``evalharness.replay_pair``).
+
+Older plain traces still read. Format 3 left out of each line what the
+file already held, named by the line's ``enc``: a message (``delta``) is
+the keys it changes from its last parent, and a ``message_out`` also
+leaves out its creator when that is the event's own instance; a request
+(``call``) is the turns it adds to its flow's conversation, and a response
+(``resp``) the keys of its call left out. A key that a line does carry
+wins over the one rebuilt. Format 2 wrote deltas against the first parent,
+and format 1 every event in full with an ISO ``timestamp``. Formats 1 and
+2 are read without their ``state_update`` events, which repeat the
+conversations and messages around them.
 """
 from __future__ import annotations
 
 import datetime as dt
 import json
 import threading
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._util import canonical_json
 from .errors import NestflowError
 
-TRACE_FORMAT_VERSION = 3
+TRACE_FORMAT_VERSION = 4
 _FULL_FORMAT_VERSION = 1
+# Formats whose lines may carry an ``enc``: what a reader rebuilds them from.
+_ENCODED_FORMATS = (2, 3)
+_GZIP_MAGIC = b"\x1f\x8b"
 
 EVENT_KINDS = frozenset({
     "flow_start",
@@ -70,25 +82,18 @@ def _is_message(node) -> bool:
             and all(isinstance(parent, str) for parent in node["parents"]))
 
 
-def _shared_prefix(first: list, second: list) -> int:
-    count = 0
-    for a, b in zip(first, second):
-        if a != b:
-            break
-        count += 1
-    return count
-
-
-def _picked(body: dict, keys) -> dict:
-    return {key: body[key] for key in keys if key in body}
+def _stamp(t0: dt.datetime, offset) -> str:
+    if type(offset) is not int:
+        raise ValueError(f"time offset {offset!r} is not an integer")
+    return (t0 + offset * _MICROSECOND).isoformat()
 
 
 class _Held:
-    """What a format-2 or -3 trace holds so far, kept alike by its writer and reader.
+    """What a format-2 or -3 trace holds so far, for its reader to rebuild encoded lines.
 
-    Both sides ``observe`` every full event body, so an encoding always
-    refers to state that the reader has rebuilt. Bodies are held by
-    reference, never copied.
+    The reader ``observe``s every full event body, so an encoding always
+    refers to state that it has rebuilt. Bodies are held by reference,
+    never copied.
     """
 
     def __init__(self, t0: dt.datetime, base: int = -1):
@@ -117,66 +122,6 @@ class _Held:
                 self.conversations[instance_id] = [
                     *turns, {"role": "assistant", "content": body["response"]}]
 
-    def stamp(self, offset) -> str:
-        if type(offset) is not int:
-            raise ValueError(f"time offset {offset!r} is not an integer")
-        return (self.t0 + offset * _MICROSECOND).isoformat()
-
-    def offset(self, stamp):
-        """``stamp`` as microseconds from t0, or unchanged where that would not read back equal."""
-        try:
-            offset = (dt.datetime.fromisoformat(stamp) - self.t0) // _MICROSECOND
-        except (TypeError, ValueError):
-            return stamp
-        return offset if self.stamp(offset) == stamp else stamp
-
-    # -- writing ------------------------------------------------------------
-
-    def encode(self, kind: str, instance_id: str, body: dict) -> tuple[str | None, dict]:
-        """The encoding's name (None: the body as it is) and the body to write."""
-        if kind in _MESSAGE_KINDS and body.keys() == {"message"} and _is_message(body["message"]):
-            return self._encode_message(kind, instance_id, body["message"])
-        if kind == "backend_call":
-            return self._encode_call(instance_id, body)
-        call = self.calls.get(instance_id)
-        if (kind == "backend_response" and call is not None
-                and _picked(body, _CALL_KEYS) == _picked(call, _CALL_KEYS)):
-            return "resp", {k: v for k, v in body.items() if k not in _CALL_KEYS}
-        return None, body
-
-    def _encode_message(self, kind: str, instance_id: str, message: dict) -> tuple[str, dict]:
-        out = {key: message[key] for key in ("id", "created_by", "parents")}
-        if kind == "message_out" and out["created_by"] == instance_id:
-            del out["created_by"]
-        out["created_at"] = self.offset(message["created_at"])
-        parents, payload = message["parents"], message["payload"]
-        base = self.messages.get(parents[self.base]) if parents else None
-        if base is None:
-            out["payload"] = payload
-            return "message", {"message": out}
-        before = base["payload"]
-        changed = {k: v for k, v in payload.items() if k not in before or before[k] != v}
-        removed = [k for k in before if k not in payload]
-        if changed:
-            out["set"] = changed
-        if removed:
-            out["del"] = removed
-        return "delta", {"message": out}
-
-    def _encode_call(self, instance_id: str, body: dict) -> tuple[str | None, dict]:
-        request = body.get("request")
-        conversation = self.conversations.get(instance_id)
-        if (conversation is None or not isinstance(request, dict) or "keep" in request
-                or not isinstance(request.get("turns"), list)):
-            return None, body
-        turns = request["turns"]
-        keep = _shared_prefix(conversation, turns)
-        if not keep:
-            return None, body
-        return "call", {**body, "request": {**request, "keep": keep, "turns": turns[keep:]}}
-
-    # -- reading ------------------------------------------------------------
-
     def decode(self, encoding: str | None, kind: str, instance_id: str, body: dict) -> dict:
         if encoding is None:
             return body
@@ -188,7 +133,7 @@ class _Held:
             call = self.calls.get(instance_id)
             if call is None:
                 raise ValueError(f"response of {instance_id} answers no call of its instance")
-            return {**_picked(call, _CALL_KEYS), **body}
+            return {**{key: call[key] for key in _CALL_KEYS if key in call}, **body}
         raise ValueError(f"unknown encoding {encoding!r}")
 
     def _decode_message(self, encoding: str, kind: str, instance_id: str, written: dict) -> dict:
@@ -197,7 +142,7 @@ class _Held:
                                  else written["created_by"])
         created_at = written["created_at"]
         if not isinstance(created_at, str):
-            created_at = self.stamp(created_at)
+            created_at = _stamp(self.t0, created_at)
         message["created_at"] = created_at
         if encoding == "message":
             message["payload"] = written["payload"]
@@ -225,11 +170,38 @@ class _Held:
         return {**body, "request": request}
 
 
+class _GzipText:
+    """A text file written as one gzip stream. ``flush`` ends a deflate block,
+    so that everything written so far decompresses."""
+
+    def __init__(self, path: Path):
+        self._fh = path.open("wb")
+        # A 16 KB window at memLevel 6: about 105 KB of zlib state, against
+        # about 265 KB at the defaults, for the same size on the fixture traces.
+        self._zip = zlib.compressobj(6, zlib.DEFLATED, 16 + 14, 6)
+
+    def write(self, text: str) -> None:
+        self._fh.write(self._zip.compress(text.encode("utf-8")))
+
+    def flush(self) -> None:
+        self._fh.write(self._zip.flush(zlib.Z_SYNC_FLUSH))
+        self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh.closed:
+            return
+        try:
+            self._fh.write(self._zip.flush())
+        finally:
+            self._fh.close()
+
+
 class TraceSink:
     """Event sink. Assigns seq numbers and validates event kinds.
 
-    ``TraceSink(path)`` writes the format-3 header and then one line per
-    event to ``path``, flushing on every flow_end. ``TraceSink()`` keeps
+    ``TraceSink(path)`` writes the format-4 header and then one line per
+    event to ``path``, flushing on every flow_end: a gzip stream when the
+    path ends in ``.gz``, and plain text otherwise. ``TraceSink()`` keeps
     the events in ``events`` instead.
     """
 
@@ -239,9 +211,10 @@ class TraceSink:
         self._fh = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._held = _Held(dt.datetime.now(dt.timezone.utc))
-            self._fh = self.path.open("w", encoding="utf-8")
-            self._fh.write(canonical_json({"t0": self._held.t0.isoformat(),
+            self._t0 = dt.datetime.now(dt.timezone.utc)
+            self._fh = (_GzipText(self.path) if self.path.suffix == ".gz"
+                        else self.path.open("w", encoding="utf-8"))
+            self._fh.write(canonical_json({"t0": self._t0.isoformat(),
                                            "trace_format": TRACE_FORMAT_VERSION}) + "\n")
         self._seq = 0
         self._lock = threading.Lock()
@@ -257,13 +230,9 @@ class TraceSink:
             if self._fh is None:
                 self.events.append(event)
             else:
-                encoding, written = self._held.encode(kind, instance_id, body)
-                self._held.observe(kind, instance_id, body)
-                line = {"seq": self._seq, "t": (now - self._held.t0) // _MICROSECOND,
-                        "instance_id": instance_id, "kind": kind, "body": written}
-                if encoding is not None:
-                    line["enc"] = encoding
-                self._fh.write(canonical_json(line) + "\n")
+                self._fh.write(canonical_json({
+                    "seq": self._seq, "t": (now - self._t0) // _MICROSECOND,
+                    "instance_id": instance_id, "kind": kind, "body": body}) + "\n")
                 if kind == "flow_end":
                     self._fh.flush()
         return event
@@ -279,35 +248,48 @@ class TraceSink:
         self.close()
 
 
+def _read_text(path: str | Path) -> str:
+    """A trace file's text, decompressed when it starts with the gzip magic bytes."""
+    data = Path(path).read_bytes()
+    try:
+        if data.startswith(_GZIP_MAGIC):
+            data = zlib.decompress(data, 16 + zlib.MAX_WBITS)
+        return data.decode("utf-8")
+    except zlib.error as exc:
+        raise NestflowError(f"trace file {path} is not a whole gzip stream: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise NestflowError(f"trace file {path}: not UTF-8 at byte {exc.start}") from None
+
+
 def read_trace(path: str | Path) -> list[TraceEvent]:
     """Load a trace file of any format that reads, checking the version header.
 
-    A line that cannot be decoded raises NestflowError naming the file and
-    the line.
+    A file that is not a whole gzip stream or not UTF-8, or a line that
+    cannot be decoded, raises NestflowError naming the file (and the line).
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise NestflowError(f"trace file {path} is empty")
     number = 1
     try:
         header = json.loads(lines[0])
         version = header.get("trace_format") if isinstance(header, dict) else None
-        if version not in (_FULL_FORMAT_VERSION, 2, TRACE_FORMAT_VERSION):
+        if version not in (_FULL_FORMAT_VERSION, *_ENCODED_FORMATS, TRACE_FORMAT_VERSION):
             raise NestflowError(f"trace file {path} has unsupported format version {version!r}")
-        held = None
-        if version != _FULL_FORMAT_VERSION:
-            held = _Held(dt.datetime.fromisoformat(header["t0"]), 0 if version == 2 else -1)
+        t0 = None if version == _FULL_FORMAT_VERSION else dt.datetime.fromisoformat(header["t0"])
+        held = _Held(t0, 0 if version == 2 else -1) if version in _ENCODED_FORMATS else None
         events = []
         for number, line in enumerate(lines[1:], start=2):
             raw = json.loads(line)
-            if version < TRACE_FORMAT_VERSION and raw["kind"] == "state_update":
+            if version < 3 and raw["kind"] == "state_update":
                 continue
-            if held is None:
+            if t0 is None:
                 event = TraceEvent(raw["seq"], raw["timestamp"], raw["instance_id"], raw["kind"],
                                    raw["body"])
             else:
-                body = held.decode(raw.get("enc"), raw["kind"], raw["instance_id"], raw["body"])
-                event = TraceEvent(raw["seq"], held.stamp(raw["t"]), raw["instance_id"],
+                body = raw["body"] if held is None else held.decode(
+                    raw.get("enc"), raw["kind"], raw["instance_id"], raw["body"])
+                event = TraceEvent(raw["seq"], _stamp(t0, raw["t"]), raw["instance_id"],
                                    raw["kind"], body)
             if not isinstance(event.body, dict):
                 raise ValueError("event body is not a map")

@@ -1,5 +1,6 @@
 import errno
 import functools
+import gzip
 import io
 import json
 import os
@@ -35,6 +36,9 @@ PROFILES = FIXTURES / "profiles.yaml"
 PROBLEMS = FIXTURES / "problems"
 # Two cf-echo-101 pairs as format 2 wrote them, before format 3.
 FORMAT_2_RUN = Path(__file__).resolve().parent / "format_2_run"
+# Two cf-pairsum-202 pairs of a nine-variant run as format 3 wrote them, in
+# plain trace.log files, before traces were written whole and compressed.
+FORMAT_3_RUN = Path(__file__).resolve().parent / "format_3_run"
 
 
 @pytest.fixture
@@ -79,6 +83,18 @@ def full_scratch(monkeypatch, tmp_path):
     monkeypatch.setattr(sandbox, "_MEMO", OrderedDict())
     monkeypatch.setattr(sandbox, "_IDLE", [])
     monkeypatch.setattr(sandbox, "_RUNNER_SCRIPT", str(wrapper))
+
+
+def trace_lines(path):
+    """The lines of a trace file, compressed or not."""
+    data = path.read_bytes()
+    return (gzip.decompress(data) if path.suffix == ".gz" else data).decode("utf-8").splitlines()
+
+
+def write_trace_lines(path, lines):
+    """Write a trace file whole, compressed when its name ends in .gz."""
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(gzip.compress(data) if path.suffix == ".gz" else data)
 
 
 def write_profiles(tmp_path, profiles):
@@ -187,7 +203,7 @@ class TestCmdRun:
         result = runner.invoke(main, self.run_args("cf-echo-101", "Code",
                                                    out=tmp_path / "one"))
         assert result.exit_code == 0, result.output
-        assert (tmp_path / "one" / "cf-echo-101" / "Code" / "trace.log").exists()
+        assert (tmp_path / "one" / "cf-echo-101" / "Code" / "trace.log.gz").exists()
         assert "program:" in result.output
 
     def test_out_dir_replays(self, runner, tmp_path):
@@ -275,7 +291,7 @@ class TestCmdRun:
             assert result.exit_code == 3, result.output
             assert isinstance(result.exception, SystemExit)
             assert result.stderr == FULL_SCRATCH
-        assert not list(tmp_path.rglob("trace.log"))
+        assert not list(tmp_path.rglob("trace.log*"))
 
     def test_missing_problem_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["run", "--problem", "no-such.yaml",
@@ -440,7 +456,7 @@ class TestCmdEval:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == FULL_SCRATCH
         assert not (run_dir / "records.jsonl").exists()
-        assert not list(run_dir.rglob("trace.log"))
+        assert not list(run_dir.rglob("trace.log*"))
 
     @pytest.mark.parametrize("variants, message", [
         ("Code,Code", "error: variant 'Code' is listed more than once"),
@@ -558,7 +574,7 @@ class TestCmdEval:
         assert result.exit_code == 3
         assert "error:" in result.stderr
         assert not (tmp_path / "run" / "records.jsonl").exists()
-        assert not list((tmp_path / "run").rglob("trace.log"))
+        assert not list((tmp_path / "run").rglob("trace.log*"))
 
     def test_backend_failure_is_environment_error(self, runner, tmp_path, monkeypatch,
                                                   unavailable_session):
@@ -575,7 +591,7 @@ class TestCmdEval:
         assert "error: backend failed after 3 attempts: HTTP 503" in result.stderr
         assert unavailable_session.posts == 3
         assert not (tmp_path / "run" / "records.jsonl").exists()
-        assert not list((tmp_path / "run").rglob("trace.log"))
+        assert not list((tmp_path / "run").rglob("trace.log*"))
 
     def test_unknown_variant_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -734,6 +750,32 @@ class TestCmdReport:
             assert f"run_meta.json: {named} must be " in result.stderr
         assert snapshot(run_dir) == files
 
+    @pytest.mark.parametrize("field, value", [
+        ("problem_id", 101), ("variant", None), ("release_date", 20210510), ("trace_ref", []),
+        ("solved", "false"), ("rounds_used", 1.0), ("wall_time", "0.003"), ("verdict", 0),
+        ("error", False)])
+    def test_mistyped_record_field_is_usage_error(self, runner, tmp_path, field, value):
+        run_dir = shutil.copytree(FORMAT_2_RUN, tmp_path / "run")
+        path = run_dir / "records.jsonl"
+        first, second = path.read_text(encoding="utf-8").splitlines()
+        mistyped = json.dumps({**json.loads(first), field: value})
+        path.write_text(f"{mistyped}\n{second}\n", encoding="utf-8")
+        files = snapshot(run_dir)
+        resume = ["eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--profiles",
+                  str(PROFILES), "--wall-time", "1.0", "--out", str(run_dir)]
+        for result in (runner.invoke(main, ["report", "--run-dir", str(run_dir)]),
+                       runner.invoke(main, resume),
+                       runner.invoke(main, ["replay", "--run-dir", str(run_dir)])):
+            assert result.exit_code == 2, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert "error: run directory is corrupt: a record: " in result.stderr
+            assert f"{field!r} must be " in result.stderr
+        assert snapshot(run_dir) == files
+        # The same line, last and without its newline, was torn: it is dropped.
+        path.write_text(f"{second}\n{mistyped}", encoding="utf-8")
+        result = runner.invoke(main, ["report", "--run-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+
     def test_corrupt_records_are_usage_error(self, runner, eval_dir, tmp_path):
         for index, line in enumerate(CORRUPT_RECORD_LINES):
             run_dir = tmp_path / str(index)
@@ -791,9 +833,8 @@ class TestCmdReplay:
 
     def test_unsupported_trace_format_is_usage_error(self, runner, eval_dir, tmp_path):
         run_dir = self.copy_run(eval_dir, tmp_path)
-        path = run_dir / "cf-echo-101" / "Code" / "trace.log"
-        lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(['{"trace_format":99}'] + lines[1:]) + "\n", encoding="utf-8")
+        path = run_dir / "cf-echo-101" / "Code" / "trace.log.gz"
+        write_trace_lines(path, ['{"trace_format":99}'] + trace_lines(path)[1:])
         result = replay(runner, run_dir, "Code")
         assert result.exit_code == 2, result.output
         assert "unsupported format version 99" in result.stderr
@@ -836,33 +877,40 @@ class TestCmdReplay:
                              ids=["delta-parent-gone", "append-to-unknown-key",
                                   "unknown-reference", "keep-too-many",
                                   "response-without-call"])
-    def test_damaged_trace_is_usage_error(self, runner, eval_dir, tmp_path, damage):
-        run_dir = self.copy_run(eval_dir, tmp_path)
-        path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
-        header, *lines = path.read_text(encoding="utf-8").splitlines()
+    def test_damaged_trace_is_usage_error(self, runner, tmp_path, damage):
+        run_dir = shutil.copytree(FORMAT_3_RUN, tmp_path / "run")
+        path = run_dir / "cf-pairsum-202" / "Code_Debug" / "trace.log"
+        header, *lines = trace_lines(path)
         events = [json.loads(line) for line in lines]
         index = damage.__func__(events)
-        path.write_text("\n".join([header] + [json.dumps(e) for e in events]) + "\n",
-                        encoding="utf-8")
-        result = replay(runner, run_dir, "Code_Reflection")
+        write_trace_lines(path, [header] + [json.dumps(e) for e in events])
+        result = replay(runner, run_dir, "Code_Debug", "cf-pairsum-202")
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"trace file {path}, line {index + 2}: " in result.stderr
 
-    @pytest.mark.parametrize("trace_format, key", [(3, "fingerprint"), (2, "fingerprint"),
-                                                   (1, "fingerprint"), (1, "payload"),
-                                                   (1, "created_by")])
+    @pytest.mark.parametrize("trace_format, key", [(4, "fingerprint"), (3, "fingerprint"),
+                                                   (2, "fingerprint"), (1, "fingerprint"),
+                                                   (1, "payload"), (1, "created_by")])
     def test_trace_without_a_replayed_key_is_usage_error(self, runner, eval_dir, tmp_path,
                                                          trace_format, key):
-        if trace_format == 2:
+        problem_id = "cf-echo-101"
+        if trace_format == 3:
+            run_dir, problem_id, variant = (shutil.copytree(FORMAT_3_RUN, tmp_path / "run"),
+                                            "cf-pairsum-202", "Code_Debug")
+        elif trace_format == 2:
             run_dir, variant = shutil.copytree(FORMAT_2_RUN, tmp_path / "run"), "Code_Debug_Collab"
         else:
             run_dir, variant = self.copy_run(eval_dir, tmp_path), "Code"
-        path = run_dir / "cf-echo-101" / variant / "trace.log"
+        path = run_dir / problem_id / variant / ("trace.log.gz" if trace_format == 4
+                                                 else "trace.log")
         if trace_format == 1:
-            header, events = '{"trace_format":1}', [asdict(event) for event in read_trace(path)]
+            compressed = path.with_suffix(".log.gz")
+            events = [asdict(event) for event in read_trace(compressed)]
+            header = '{"trace_format":1}'
+            compressed.unlink()
         else:
-            header, *lines = path.read_text(encoding="utf-8").splitlines()
+            header, *lines = trace_lines(path)
             events = [json.loads(line) for line in lines]
         for event in events:
             if key == "fingerprint" and event["kind"] == "backend_response":
@@ -870,27 +918,63 @@ class TestCmdReplay:
                 event["body"].pop(key, None)
             elif key != "fingerprint" and event["kind"] == "message_in":
                 del event["body"]["message"][key]
-        path.write_text("\n".join([header] + [json.dumps(e) for e in events]) + "\n",
-                        encoding="utf-8")
-        result = replay(runner, run_dir, variant)
+        write_trace_lines(path, [header] + [json.dumps(e) for e in events])
+        result = replay(runner, run_dir, variant, problem_id)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"trace at {path} cannot be replayed: missing key '{key}'" in result.stderr
 
     def test_torn_last_line_is_usage_error(self, runner, eval_dir, tmp_path):
         run_dir = self.copy_run(eval_dir, tmp_path)
-        path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text[:-30], encoding="utf-8")
+        path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log.gz"
+        text = "\n".join(trace_lines(path)) + "\n"
+        path.write_bytes(gzip.compress(text[:-30].encode("utf-8")))
         result = replay(runner, run_dir, "Code_Reflection")
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"trace file {path}, line {text.count(chr(10))}: " in result.stderr
 
-    def test_format_1_trace_replays_identical(self, runner, eval_dir, tmp_path):
+    @staticmethod
+    def _cut_short(data):
+        # As a killed eval leaves it: no final block and no trailer.
+        return data[:len(data) // 2]
+
+    @staticmethod
+    def _not_gzip(data):
+        return data[:2] + b"not a gzip stream"
+
+    @staticmethod
+    def _invalid_block(data):
+        # The first deflate block's type set to 3, which no block has.
+        return data[:10] + bytes([data[10] | 0b110]) + data[11:]
+
+    @staticmethod
+    def _not_utf8(data):
+        return gzip.compress(b"\xff\xfe" + gzip.decompress(data))
+
+    @pytest.mark.parametrize("damage, detail", [
+        (_cut_short, " is not a whole gzip stream: Error -5 while decompressing data"),
+        (_not_gzip, " is not a whole gzip stream: "),
+        (_invalid_block, " is not a whole gzip stream: Error -3 while decompressing data"),
+        (_not_utf8, ": not UTF-8 at byte 0")], ids=["cut-short", "not-gzip", "invalid-block",
+                                                      "not-utf8"])
+    def test_unreadable_trace_names_its_file(self, runner, eval_dir, tmp_path, damage, detail):
         run_dir = self.copy_run(eval_dir, tmp_path)
-        path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
-        events = read_trace(path)
+        path = run_dir / "cf-echo-101" / "Code" / "trace.log.gz"
+        path.write_bytes(damage.__func__(path.read_bytes()))
+        for result in (replay(runner, run_dir, "Code"),
+                       runner.invoke(main, ["replay", "--run-dir", str(run_dir)])):
+            assert result.exit_code == 2, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert f"trace file {path}{detail}" in result.stderr
+
+    def test_format_1_trace_replays_identical(self, runner, eval_dir, tmp_path):
+        # In a plain trace.log, as before traces were compressed.
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        compressed = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log.gz"
+        events = read_trace(compressed)
+        compressed.unlink()
+        path = compressed.with_suffix("")
         lines = [canonical_json(asdict(event)) for event in events]
         path.write_text("\n".join(['{"trace_format":1}'] + lines) + "\n", encoding="utf-8")
         assert read_trace(path) == events
@@ -940,13 +1024,51 @@ class TestCmdReplay:
                      for line in path.read_text(encoding="utf-8").splitlines()[1:]}
         assert encodings == {None, "message", "delta", "call", "conv"}
 
+    @pytest.mark.parametrize("variant", ["Code_Debug", "Plan_Reflection-Code"])
+    def test_format_3_trace_replays_identical(self, runner, tmp_path, variant):
+        run_dir = shutil.copytree(FORMAT_3_RUN, tmp_path / "run")
+        lines = (run_dir / "cf-pairsum-202" / variant / "trace.log").read_text(encoding="utf-8")
+        events = [json.loads(line) for line in lines.splitlines()]
+        assert events[0]["trace_format"] == 3
+        result = replay(runner, run_dir, variant, "cf-pairsum-202")
+        assert result.exit_code == 0, result.output
+        assert f"replay identical: {len(events) - 1} events" in result.output
+
+    def test_format_3_encodings_are_covered(self):
+        for path in FORMAT_3_RUN.glob("cf-pairsum-202/*/trace.log"):
+            assert json.loads(path.read_text(encoding="utf-8").splitlines()[0])["trace_format"] == 3
+        encodings = {json.loads(line).get("enc")
+                     for path in FORMAT_3_RUN.glob("cf-pairsum-202/*/trace.log")
+                     for line in path.read_text(encoding="utf-8").splitlines()[1:]}
+        assert encodings == {None, "message", "delta", "call", "resp"}
+        assert any('"del":' in path.read_text(encoding="utf-8")
+                   for path in FORMAT_3_RUN.glob("cf-pairsum-202/*/trace.log"))
+
+    def test_resumed_format_3_run_reports_and_replays(self, runner, tmp_path):
+        # Its two plain trace.log pairs stay; the seven it runs are compressed.
+        run_dir = shutil.copytree(FORMAT_3_RUN, tmp_path / "run")
+        args = ["eval", "--dataset", str(PROBLEMS / "cf-pairsum-202.yaml"),
+                "--profiles", str(PROFILES), "--wall-time", "1.0", "--out"]
+        result = runner.invoke(main, args + [str(run_dir)])
+        assert result.exit_code == 0, result.output
+        assert "9 records (7 new runs)" in result.output
+        assert len(list(run_dir.glob("*/*/trace.log"))) == 2
+        assert len(list(run_dir.glob("*/*/trace.log.gz"))) == 7
+        fresh = tmp_path / "fresh"
+        assert runner.invoke(main, args + [str(fresh)]).exit_code == 0
+        for name in ("results_table.txt", "results_table.csv", "temporal_series.csv"):
+            assert (run_dir / name).read_bytes() == (fresh / name).read_bytes(), name
+        result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        assert result.output == "replay identical: 9 of 9 pairs\n"
+
     def test_cache_failures_replay_identical(self, runner, tmp_path):
         (tmp_path / "cache").write_text("a regular file, not a directory\n", encoding="utf-8")
         profiles = write_profiles(tmp_path, {"broken": {
             "kind": "scripted", "model": "scripted", "cache_dir": "cache",
             "rules_file": str(FIXTURES / "scripted_responses.yaml")}})
         self.eval_echo(runner, profiles, "broken", tmp_path / "run", "Code")
-        events = read_trace(tmp_path / "run" / "cf-echo-101" / "Code" / "trace.log")
+        events = read_trace(tmp_path / "run" / "cf-echo-101" / "Code" / "trace.log.gz")
         assert "warning" in [e.kind for e in events]
         result = replay(runner, tmp_path / "run", "Code")
         assert result.exit_code == 0, result.output
@@ -954,9 +1076,8 @@ class TestCmdReplay:
 
     def test_trace_without_input_message_is_usage_error(self, runner, eval_dir, tmp_path):
         run_dir = self.copy_run(eval_dir, tmp_path)
-        path = run_dir / "cf-echo-101" / "Code" / "trace.log"
-        path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n",
-                        encoding="utf-8")
+        path = run_dir / "cf-echo-101" / "Code" / "trace.log.gz"
+        write_trace_lines(path, trace_lines(path)[:1])
         result = replay(runner, run_dir, "Code")
         assert result.exit_code == 2, result.output
         assert "has no input message" in result.stderr
@@ -978,8 +1099,8 @@ class TestCmdReplay:
         for out in ("cold", "warm"):
             self.eval_echo(runner, profiles, "cached", tmp_path / out, "Code,Code_Collaboration")
         for variant in ("Code", "Code_Collaboration"):
-            trace = (tmp_path / "warm" / "cf-echo-101" / variant / "trace.log").read_text()
-            assert '"cached":true' in trace
+            trace = trace_lines(tmp_path / "warm" / "cf-echo-101" / variant / "trace.log.gz")
+            assert any('"cached":true' in line for line in trace)
             result = replay(runner, tmp_path / "warm", variant)
             assert result.exit_code == 0, result.output
             assert "replay identical:" in result.output
@@ -994,20 +1115,56 @@ class TestCmdReplay:
             in result.output
         assert "replay identical:" in result.output
 
-    def test_altered_response_diverges(self, runner, eval_dir, tmp_path):
+    def altered(self, eval_dir, tmp_path):
+        """A copy of the run whose Code_Reflection trace has one altered response."""
         run_dir = self.copy_run(eval_dir, tmp_path)
-        path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log"
-        lines = path.read_text(encoding="utf-8").splitlines()
+        path = run_dir / "cf-echo-101" / "Code_Reflection" / "trace.log.gz"
+        lines = trace_lines(path)
         for i, line in enumerate(lines):
             event = json.loads(line)
             if event.get("kind") == "backend_response":
                 event["body"]["response"] += "\n(altered)"
                 lines[i] = json.dumps(event)
                 break
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        result = replay(runner, run_dir, "Code_Reflection")
+        write_trace_lines(path, lines)
+        return run_dir
+
+    def test_altered_response_diverges(self, runner, eval_dir, tmp_path):
+        result = replay(runner, self.altered(eval_dir, tmp_path), "Code_Reflection")
         assert result.exit_code == 1, result.output
         assert "replay diverged" in result.output
+
+    def test_every_pair_replays(self, runner, eval_dir, tmp_path):
+        result = runner.invoke(main, ["replay", "--run-dir", str(eval_dir[0])])
+        assert result.exit_code == 0, result.output
+        assert result.output == "replay identical: 2 of 2 pairs\n"
+        result = runner.invoke(main, ["replay", "--run-dir", str(self.altered(eval_dir, tmp_path))])
+        assert result.exit_code == 1, result.output
+        first, last = result.output.splitlines()
+        assert first.startswith("cf-echo-101 Code_Reflection: replay diverged at event ")
+        assert last == "replay identical: 1 of 2 pairs"
+
+    @pytest.mark.parametrize("option", ["--problem-id", "--variant"])
+    def test_half_a_pair_is_usage_error(self, runner, eval_dir, option):
+        result = runner.invoke(main, ["replay", "--run-dir", str(eval_dir[0]), option, "Code"])
+        assert result.exit_code == 2, result.output
+        assert "--problem-id and --variant go together" in result.stderr
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda run_dir: (run_dir / "records.jsonl").write_text("[1]\n", encoding="utf-8"),
+         "run directory is corrupt: a record must be a JSON object"),
+        (lambda run_dir: (run_dir / "records.jsonl").unlink(), "no records to replay in "),
+        (lambda run_dir: (run_dir / "cf-echo-101" / "Code" / "trace.log.gz").unlink(),
+         "no trace at "),
+    ], ids=["corrupt-records", "no-records", "missing-trace"])
+    def test_every_pair_replay_of_unreadable_dir_is_usage_error(self, runner, eval_dir, tmp_path,
+                                                                 damage, message):
+        run_dir = self.copy_run(eval_dir, tmp_path)
+        damage(run_dir)
+        result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.stderr
 
 
 class TestCmdCache:

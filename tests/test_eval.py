@@ -384,7 +384,7 @@ class TestEvaluateGrid:
             ("cf-echo-101", "Code"), ("cf-echo-101", "Code_Reflection")]
         assert all(r.solved and r.verdict == "AllPassed" for r in result.records)
         assert (out_dir / "records.jsonl").exists()
-        assert (out_dir / "cf-echo-101" / "Code" / "trace.log").exists()
+        assert (out_dir / "cf-echo-101" / "Code" / "trace.log.gz").exists()
 
     def test_run_meta_contents(self, small_grid):
         out_dir, settings, _, _ = small_grid
@@ -518,7 +518,7 @@ class TestEvaluateGrid:
         with pytest.raises(RetryBudgetExhaustedError):
             evaluate_grid(problems, ["Code"], settings)
         assert read_records(tmp_path / "records.jsonl") == []
-        assert not list(tmp_path.rglob("trace.log"))
+        assert not list(tmp_path.rglob("trace.log*"))
         settings.backend = ScriptedBackend.from_rules_file(FIXTURES / "scripted_responses.yaml")
         resumed = evaluate_grid(problems, ["Code"], settings)
         assert resumed.new_runs == 1
@@ -541,7 +541,7 @@ class TestEvaluateGrid:
             assert not record.solved
             assert record.verdict is None
             assert "HTTP 400: unavailable" in record.error
-        assert len(list(tmp_path.rglob("trace.log"))) == 2
+        assert len(list(tmp_path.rglob("trace.log*"))) == 2
 
     def test_flow_failure_becomes_error_record(self, tmp_path, problems_by_id):
         settings = EvalSettings(
@@ -611,7 +611,7 @@ class TestPipeline:
         assert [(r.problem_id, r.variant) for r in result.records] == pairs
         records = read_records(tmp_path / "records.jsonl")
         assert sorted((r.problem_id, r.variant) for r in records) == pairs
-        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("trace.log")) \
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("trace.log*")) \
             == sorted(r.trace_ref for r in records)
 
     def test_an_error_in_a_judgement_fails_the_grid_fast(self, tmp_path, problems,
@@ -648,10 +648,10 @@ class TestPipeline:
         assert len(completions) <= seen_at[0] + settings.workers < len(problems)
         records = read_records(tmp_path / "records.jsonl")
         assert records == []
-        assert not list(tmp_path.rglob("trace.log"))
+        assert not list(tmp_path.rglob("trace.log*"))
         resumed = evaluate_grid(problems, ["Code"], settings)
         assert resumed.new_runs == len(problems)
-        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("trace.log")) \
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("trace.log*")) \
             == sorted(r.trace_ref for r in read_records(tmp_path / "records.jsonl"))
 
 

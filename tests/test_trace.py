@@ -1,7 +1,9 @@
 import datetime as dt
+import gzip
 import json
 import re
 import tempfile
+import zlib
 from collections import defaultdict
 from dataclasses import asdict
 from pathlib import Path
@@ -44,30 +46,46 @@ def scripted_ctx(sink, responses):
                       backends={"default": ScriptedBackend(responses=responses)})
 
 
+def trace_text(path) -> str:
+    data = path.read_bytes()
+    return (gzip.decompress(data) if path.suffix == ".gz" else data).decode("utf-8")
+
+
 class TestTraceSink:
     def test_header_then_sequential_events(self, tmp_path):
-        path = tmp_path / "trace.log"
-        with TraceSink(path) as sink:
-            sink.emit("flow_start", "a#1", {"note": 1})
-            sink.emit("flow_end", "a#1")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        assert header.keys() == {"t0", "trace_format"} and header["trace_format"] == 3
-        events = [json.loads(line) for line in lines[1:]]
-        assert [e["seq"] for e in events] == [1, 2]
-        assert [e["kind"] for e in events] == ["flow_start", "flow_end"]
-        assert all(isinstance(e["t"], int) for e in events)
+        for name in ("trace.log.gz", "trace.log"):
+            path = tmp_path / name
+            with TraceSink(path) as sink:
+                sink.emit("flow_start", "a#1", {"note": 1})
+                sink.emit("flow_end", "a#1")
+            assert (path.read_bytes()[:2] == b"\x1f\x8b") == name.endswith(".gz")
+            lines = trace_text(path).splitlines()
+            header = json.loads(lines[0])
+            assert header.keys() == {"t0", "trace_format"} and header["trace_format"] == 4
+            events = [json.loads(line) for line in lines[1:]]
+            assert all(e.keys() == {"seq", "t", "instance_id", "kind", "body"} for e in events)
+            assert [e["seq"] for e in events] == [1, 2]
+            assert [e["kind"] for e in events] == ["flow_start", "flow_end"]
+            assert [e["body"] for e in events] == [{"note": 1}, {}]
+            assert all(isinstance(e["t"], int) for e in events)
 
     def test_flow_end_flushes(self, tmp_path):
-        path = tmp_path / "trace.log"
+        path = tmp_path / "trace.log.gz"
         sink = TraceSink(path)
         try:
             sink.emit("flow_start", "a#1")
             sink.emit("flow_end", "a#1")
-            # Readable before close because flow_end forces a flush.
-            assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+            sink.emit("flow_start", "b#2")
+            # Readable before close up to the flow_end, which ends a deflate
+            # block; the stream itself is not ended.
+            stream = zlib.decompressobj(31)
+            text = stream.decompress(path.read_bytes()).decode("utf-8")
+            assert len(text.splitlines()) == 3 and text.endswith("\n")
+            assert not stream.eof
         finally:
             sink.close()
+        sink.close()
+        assert [e.kind for e in read_trace(path)] == ["flow_start", "flow_end", "flow_start"]
 
     def test_unknown_kind_rejected(self, tmp_path):
         with TraceSink(tmp_path / "t.log") as sink:
@@ -102,6 +120,15 @@ class TestReadTrace:
                        sink.emit("flow_end", "a#1")]
         assert read_trace(path) == emitted
 
+    def test_gzip_is_told_by_its_magic_bytes(self, tmp_path):
+        with TraceSink(tmp_path / "trace.log.gz") as sink:
+            emitted = [sink.emit("flow_start", "a#1"), sink.emit("flow_end", "a#1")]
+        compressed = (tmp_path / "trace.log.gz").read_bytes()
+        (tmp_path / "named-plain.log").write_bytes(compressed)
+        (tmp_path / "named-compressed.log.gz").write_bytes(gzip.decompress(compressed))
+        for name in ("trace.log.gz", "named-plain.log", "named-compressed.log.gz"):
+            assert read_trace(tmp_path / name) == emitted, name
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.log"
         path.write_text("", encoding="utf-8")
@@ -122,13 +149,13 @@ class TestReadTrace:
 
 
 def written_and_emitted(emits):
-    """Write ``(kind, instance_id, body)`` triples to a file; return what it reads
-    back and what ``emit`` returned."""
+    """Write ``(kind, instance_id, body)`` triples to a compressed file; return
+    what it reads back, what ``emit`` returned and the file's text."""
     with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / "trace.log"
+        path = Path(scratch) / "trace.log.gz"
         with TraceSink(path) as sink:
             emitted = [sink.emit(kind, instance_id, body) for kind, instance_id, body in emits]
-        return read_trace(path), emitted, path.read_text(encoding="utf-8")
+        return read_trace(path), emitted, trace_text(path)
 
 
 def message(id_, payload, parents=(), created_at=None, created_by="f#1"):
@@ -143,38 +170,87 @@ def request(*turns, **extra):
                         "turns": [{"role": r, "content": c} for r, c in turns], **extra}}
 
 
-class TestFormat2:
-    """Encoded traces: what the writer encodes reads back as emitted. Traces
-    that format 2 wrote are replayed from ``tests/format_2_run`` in test_cli.py."""
+T0 = dt.datetime(2024, 1, 1, tzinfo=dt.timezone.utc)
 
-    def test_encodings_round_trip(self):
-        out = message("m2", {"task": "t", "tests": [1, 2], "out": "r"}, ["g1", "m1"],
-                      created_by="b#2")
-        emits = [
-            ("message_in", "a#1", message("g1", {"task": "t"})),
-            ("message_in", "b#2", message("m1", {"task": "t", "tests": [1, 2]}, ["g1"])),
-            ("backend_call", "b#2", request(("system", "s"), ("user", "u"))),
-            ("warning", "b#2", {"message": "cache read failed: disk full"}),
-            ("backend_response", "b#2", {"backend": "default", "cached": True,
-                                          "fingerprint": "f" * 64, "response": "r"}),
-            ("backend_call", "b#2", request(("system", "s"), ("user", "u"),
-                                            ("assistant", "r"), ("user", "again"))),
-            ("backend_response", "b#2", {"backend": "other", "cached": False,
-                                          "fingerprint": "f" * 64, "response": "r2"}),
-            ("message_out", "b#2", out),
-            ("message_in", "c#3", out),
+
+def at(offset: int) -> str:
+    """The time ``offset`` microseconds after ``T0``."""
+    return (T0 + dt.timedelta(microseconds=offset)).isoformat()
+
+
+def write_encoded(path, lines, version=3):
+    """Write a trace as format 3 (or 2) wrote it: a header, then one line per
+    ``(instance_id, kind, enc, body)``, the n-th at ``t`` = n."""
+    rows = [{"t0": T0.isoformat(), "trace_format": version}]
+    for seq, (instance_id, kind, enc, body) in enumerate(lines, start=1):
+        row = {"seq": seq, "t": seq, "instance_id": instance_id, "kind": kind, "body": body}
+        if enc is not None:
+            row["enc"] = enc
+        rows.append(row)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+class TestFormat2:
+    """Formats 2 and 3, whose lines leave out what the file already holds:
+    hand-written lines read back as the events they encode. Traces that
+    formats 2 and 3 wrote are replayed from ``tests/format_2_run`` and
+    ``tests/format_3_run`` in test_cli.py."""
+
+    def test_encodings_round_trip(self, tmp_path):
+        g1 = message("g1", {"task": "t"}, created_at=at(1))
+        m1 = message("m1", {"task": "t", "tests": [1, 2], "old": 0}, ["g1"], created_at=at(2))
+        # A time that is no whole offset from t0 is written as it is.
+        m2 = message("m2", {"task": "t", "tests": [1, 2], "out": "r"}, ["g1", "m1"],
+                     created_at="2024-01-01T05:00:00+05:00", created_by="b#2")
+        first, again = request(("system", "s"), ("user", "u")), request(
+            ("system", "s"), ("user", "u"), ("assistant", "r"), ("user", "again"))
+        warning = {"message": "cache read failed: disk full"}
+        other = {"backend": "other", "cached": False, "fingerprint": "f" * 64, "response": "r2"}
+        m2_delta = {"id": "m2", "parents": ["g1", "m1"], "created_at": m2["message"]["created_at"],
+                    "set": {"out": "r"}, "del": ["old"]}
+        # (instance_id, kind, the event's body, enc, the body as written)
+        cases = [
+            ("a#1", "message_in", g1, "message", {"message": {
+                "id": "g1", "created_by": "f#1", "parents": [], "created_at": 1,
+                "payload": {"task": "t"}}}),
+            # A delta holds the keys that change from the last parent.
+            ("b#2", "message_in", m1, "delta", {"message": {
+                "id": "m1", "created_by": "f#1", "parents": ["g1"], "created_at": 2,
+                "set": {"tests": [1, 2], "old": 0}}}),
+            ("b#2", "backend_call", first, None, first),
+            ("b#2", "warning", warning, None, warning),
+            # A response holds only what its call does not.
+            ("b#2", "backend_response", {"backend": "default", "cached": True,
+                                         "fingerprint": "f" * 64, "response": "r"},
+             "resp", {"cached": True, "response": "r"}),
+            # A request keeps the turns of its flow's conversation so far.
+            ("b#2", "backend_call", again, "call", {**again, "request": {
+                **again["request"], "keep": 3, "turns": [{"role": "user", "content": "again"}]}}),
+            ("b#2", "backend_response", other, None, other),
+            # A message_out leaves out its creator, its own instance.
+            ("b#2", "message_out", m2, "delta", {"message": m2_delta}),
+            ("c#3", "message_in", m2, "delta", {"message": {**m2_delta, "created_by": "b#2"}}),
         ]
-        read, emitted, text = written_and_emitted(emits)
-        assert read == emitted
-        lines = [json.loads(line) for line in text.splitlines()[1:]]
-        assert [line.get("enc") for line in lines] == [
-            "message", "delta", None, None, "resp", "call", None, "delta", "delta"]
-        # A response holds only what its call does not; a message only what
-        # its last parent does not, and a message_out not its own creator.
-        assert lines[4]["body"] == {"cached": True, "response": "r"}
-        assert lines[7]["body"]["message"].keys() == {"id", "created_at", "parents", "set"}
-        assert lines[7]["body"]["message"]["set"] == {"out": "r"}
-        assert lines[8]["body"]["message"]["created_by"] == "b#2"
+        path = tmp_path / "trace.log"
+        write_encoded(path, [(instance, kind, enc, written)
+                             for instance, kind, _, enc, written in cases])
+        assert read_trace(path) == [TraceEvent(seq, at(seq), instance, kind, body)
+                                    for seq, (instance, kind, body, _, _)
+                                    in enumerate(cases, start=1)]
+
+    def test_format_2_deltas_are_against_the_first_parent(self, tmp_path):
+        path = tmp_path / "trace.log"
+        write_encoded(path, [
+            ("a#1", "message_in", "message", {"message": {
+                "id": "g1", "created_by": "f#1", "parents": [], "created_at": 1,
+                "payload": {"x": 1}}}),
+            ("a#1", "message_in", "message", {"message": {
+                "id": "g2", "created_by": "f#1", "parents": [], "created_at": 2,
+                "payload": {"y": 2}}}),
+            ("a#1", "message_out", "delta", {"message": {
+                "id": "m1", "parents": ["g1", "g2"], "created_at": 3, "set": {"z": 3}}}),
+        ], version=2)
+        assert read_trace(path)[2].body["message"]["payload"] == {"x": 1, "z": 3}
 
     @pytest.mark.parametrize("line", [
         {"enc": "ref", "body": {"id": "g1"}},
@@ -183,14 +259,37 @@ class TestFormat2:
     ], ids=["ref", "append", "gzip"])
     def test_unknown_encoding_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "trace.log"
-        with TraceSink(path) as sink:
-            sink.emit("message_in", "a#1", message("g1", {"task": "t"}))
-            sink.emit("flow_end", "a#1")
-        event = {"seq": 3, "t": 0, "instance_id": "a#1", "kind": "message_in", **line}
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event) + "\n")
+        write_encoded(path, [
+            ("a#1", "message_in", "message", {"message": {
+                "id": "g1", "created_by": "f#1", "parents": [], "created_at": 1,
+                "payload": {"task": "t"}}}),
+            ("a#1", "flow_end", None, {}),
+            ("a#1", "message_in", line["enc"], line["body"]),
+        ])
         expected = f"trace file {path}, line 4: unknown encoding '{line['enc']}'"
         with pytest.raises(NestflowError, match=re.escape(expected)):
+            read_trace(path)
+
+    @pytest.mark.parametrize("line, detail", [
+        (("a#1", "message_in", "delta", {"message": {
+            "id": "m1", "created_by": "f#1", "parents": ["g9"], "created_at": 2, "set": {}}}),
+         "message 'm1' is a delta against 'g9', which the trace does not hold"),
+        (("a#1", "message_in", "message", {"message": {
+            "id": "m1", "created_by": "f#1", "parents": [], "created_at": 2, "payload": []}}),
+         "message 'm1' is malformed"),
+        (("a#1", "message_in", "message", {"message": {
+            "id": "m1", "created_by": "f#1", "parents": [], "created_at": 2.5, "payload": {}}}),
+         "time offset 2.5 is not an integer"),
+        (("a#1", "backend_call", "call", request(("user", "v"), keep=5)),
+         "request of a#1 keeps 5 turns of a conversation of 1"),
+        (("b#2", "backend_response", "resp", {"response": "r"}),
+         "response of b#2 answers no call of its instance"),
+    ], ids=["delta-parent-gone", "malformed-message", "time-not-an-offset", "keep-too-many",
+            "response-without-call"])
+    def test_undecodable_line_names_file_and_line(self, tmp_path, line, detail):
+        path = tmp_path / "trace.log"
+        write_encoded(path, [("a#1", "backend_call", None, request(("user", "u"))), line])
+        with pytest.raises(NestflowError, match=re.escape(f"trace file {path}, line 3: {detail}")):
             read_trace(path)
 
     def test_bodies_that_resemble_encodings_round_trip(self):
@@ -220,17 +319,13 @@ class TestFormat2:
 
     def test_written_keys_win_over_rebuilt_ones(self, tmp_path):
         path = tmp_path / "trace.log"
-        with TraceSink(path) as sink:
-            sink.emit("backend_call", "a#1", request(("user", "u")))
-            sink.emit("backend_response", "a#1", {"backend": "default",
-                                                  "fingerprint": "f" * 64, "response": "r"})
-            sink.emit("message_out", "a#1", message("m1", {"x": 1}, created_by="a#1"))
-        header, *lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        assert [line.get("enc") for line in lines] == [None, "resp", "message"]
-        lines[1]["body"]["fingerprint"] = "0" * 64
-        lines[2]["body"]["message"]["created_by"] = "b#2"
-        path.write_text("\n".join(json.dumps(line) for line in [header, *lines]) + "\n",
-                        encoding="utf-8")
+        write_encoded(path, [
+            ("a#1", "backend_call", None, request(("user", "u"))),
+            ("a#1", "backend_response", "resp", {"fingerprint": "0" * 64, "response": "r"}),
+            ("a#1", "message_out", "message", {"message": {
+                "id": "m1", "created_by": "b#2", "parents": [], "created_at": 3,
+                "payload": {"x": 1}}}),
+        ])
         _, response, out = read_trace(path)
         assert response.body == {"backend": "default", "fingerprint": "0" * 64, "response": "r"}
         assert out.body["message"]["created_by"] == "b#2"
@@ -262,7 +357,7 @@ class TestFormat2:
 @pytest.fixture(scope="module")
 def recorded_grid(tmp_path_factory, problems, fixture_settings):
     """The fixture grid written to files, and every event each file's sink emitted."""
-    out_dir = tmp_path_factory.mktemp("format-2-grid")
+    out_dir = tmp_path_factory.mktemp("grid")
     emitted = defaultdict(list)
     original = TraceSink.emit
 
@@ -287,11 +382,12 @@ class TestFixtureGridTraces:
         for path, events in recorded_grid.items():
             assert read_trace(path) == events, path
 
-    def test_files_are_at_most_half_the_full_form(self, recorded_grid):
+    def test_files_are_at_most_a_third_of_the_full_form(self, recorded_grid):
+        assert all(path.name == "trace.log.gz" for path in recorded_grid)
         written = sum(path.stat().st_size for path in recorded_grid)
         full = sum(len(canonical_json(asdict(event))) + 1 for events in recorded_grid.values()
                    for event in events)
-        assert written < 0.5 * full
+        assert written < full / 3
 
 
 class TestNormalizeTrace:
@@ -382,7 +478,7 @@ def recorded_pair(run_dir, problem, responses):
     settings = EvalSettings(out_dir=run_dir, backend=ScriptedBackend(responses=responses),
                             variant_settings=VariantSettings(wall_time=2.0))
     evaluate_grid([problem], ["Code"], settings)
-    return run_dir / problem.id / "Code" / "trace.log"
+    return run_dir / problem.id / "Code" / "trace.log.gz"
 
 
 class TestReplayBackend:
@@ -396,13 +492,13 @@ class TestReplayBackend:
     def test_divergent_request_rejected(self, tmp_path, problems_by_id):
         path = recorded_pair(tmp_path, problems_by_id["cf-echo-101"], [ECHO])
         # File the recorded response under another request's fingerprint.
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = trace_text(path).splitlines()
         for i, line in enumerate(lines):
             event = json.loads(line)
             if event.get("kind") == "backend_response":
                 event["body"]["fingerprint"] = "0" * 64
                 lines[i] = json.dumps(event)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_bytes(gzip.compress(("\n".join(lines) + "\n").encode("utf-8")))
         replay = replay_pair(tmp_path, "cf-echo-101", "Code")
         assert not replay.identical
         assert "not present in recorded responses" in replay.error
