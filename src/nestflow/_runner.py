@@ -25,11 +25,13 @@ tests otherwise gets (0, b"", b""), and one whose scratch directory
 cannot be set up gets ("scratch", b"", the error) alone.
 
 Each judgement has a scratch directory of its own, removed before the
-last reply or when the reply pipe breaks. Each test child runs
+last reply or when the parent goes away. Each test child runs
 ``solution.py`` there as ``python solution.py`` would, in a session of
 its own under an address-space and file-size limit, on in-memory files.
 When it ends, the runner, a child subreaper, kills every process it
-left behind, in whatever session. It exits itself at end of input.
+left behind, in whatever session. It exits itself at end of input, when
+the reply pipe breaks, and when the request pipe hangs up while a test
+runs (killing that test's child first, not waiting out its wall time).
 """
 import sys
 
@@ -142,7 +144,10 @@ def _flush():
 
 def _run(inherited, path, memory, wall_time, stdin):
     """Run one test in a forked child on the file ``stdin``, which is then
-    closed; returns (status or None, stdout, stderr, whether it compiled)."""
+    closed; returns (status or None, stdout, stderr, whether it compiled).
+
+    ``inherited[0]`` is the request pipe. If the parent goes away while the
+    child runs, the child is killed and BrokenPipeError raised."""
     files = [stdin] + [os.memfd_create(name) for name in ("stdout", "stderr")]
     compiled = os.memfd_create("compiled")
     pid = os.fork()
@@ -150,16 +155,21 @@ def _run(inherited, path, memory, wall_time, stdin):
         _child(path, memory, files, inherited, compiled)
     os.close(stdin)
     exited = os.pidfd_open(pid)
-    timed_out = not select.select([exited], [], [], wall_time)[0]
+    waiting = select.poll()
+    waiting.register(exited, select.POLLIN)
+    waiting.register(inherited[0], 0)  # reports only a hang-up: the parent went away
+    ended = dict(waiting.poll(wall_time * 1000))
     os.close(exited)
-    if timed_out:
+    if exited not in ended:  # timed out, or the parent went away
         os.kill(pid, signal.SIGKILL)
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     _kill_strays()
     compiled = bool(_contents(compiled))
-    if timed_out:
+    if exited not in ended:
         for fd in files[1:]:
             os.close(fd)
+        if ended:
+            raise BrokenPipeError("the parent went away")
         return None, b"", b"", compiled
     return status, _contents(files[1]), _contents(files[2]), compiled
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import calendar
 import datetime as dt
-import hashlib
 import json
 import os
 import tempfile
@@ -12,6 +11,14 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+
+try:  # CPython's own sha256; hashlib's loads OpenSSL, about 3.5 MB more
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 # Payload values form a closed set: text, number, boolean, list, map.
 _SCALARS = (str, bool, int, float)
@@ -31,7 +38,7 @@ def canonical_bytes(obj) -> bytes:
 
 
 def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return _sha256(data).hexdigest()
 
 
 def fingerprint(obj) -> str:

@@ -171,60 +171,78 @@ class ScriptedBackend:
         return cls(rules=rules)
 
 
+def http_post(url: str, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, str]:
+    """POST ``body`` to ``url``: the HTTP status and the response text.
+
+    A failure to get any response (refused, reset, timed out, garbled)
+    raises OSError.
+    """
+    # Imported here, not at module level, so that commands on local
+    # backends never load an HTTP stack (http.client, and ssl with it).
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, response.read().decode("utf-8", errors="replace")
+    except urllib.error.HTTPError as exc:  # a status urllib does not pass (any but 2xx)
+        with exc:
+            return exc.code, exc.read().decode("utf-8", errors="replace")
+    except http.client.HTTPException as exc:  # a response that is not HTTP, or cut short
+        raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+
+
 class RemoteBackend:
     """HTTP chat-completions backend with bounded exponential backoff.
 
     The API credential is read from the environment variable named in the
-    profile; it is never written to configs, traces or logs.
+    profile; it is never written to configs, traces or logs. ``post`` makes
+    the request (see ``http_post``); tests pass their own.
     """
 
     def __init__(self, endpoint: str, api_key_env: str, *, max_attempts: int = 5,
                  backoff_base: float = 0.5, request_timeout: float = 60.0,
-                 session=None, sleep=time.sleep):
-        # requests is imported here, not at module level, so that commands
-        # on local backends never pay for it (urllib3 and ssl come with it).
-        import requests
-
+                 post=http_post, sleep=time.sleep):
+        if not endpoint.startswith(("http://", "https://")):
+            raise ConfigError(f"remote endpoint must be an http:// or https:// URL, got {endpoint!r}")
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.request_timeout = request_timeout
-        self._session = session or requests.Session()
+        self._post = post
         self._sleep = sleep
 
     def complete(self, request: BackendRequest) -> str:
-        import requests
-
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
             raise AuthError(f"environment variable {self.api_key_env} is not set")
-        body = {
+        body = json.dumps({
             "model": request.model,
             "messages": [{"role": t.role, "content": t.content} for t in request.turns],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
-        }
-        headers = {"Authorization": f"Bearer {api_key}"}
+        }).encode("utf-8")
+        headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         last_error = ""  # the last retryable failure: a rate limit, server or network error
         for attempt in range(1, self.max_attempts + 1):
             try:
-                resp = self._session.post(self.endpoint, json=body, headers=headers,
-                                          timeout=self.request_timeout)
-            except requests.RequestException as exc:
+                status, text = self._post(self.endpoint, body, headers, self.request_timeout)
+            except OSError as exc:
                 last_error = f"network error: {exc}"
             else:
-                if resp.status_code in (401, 403):
-                    raise AuthError(f"backend rejected credentials (HTTP {resp.status_code})")
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    last_error = f"HTTP {resp.status_code}"
-                elif resp.status_code >= 400:
+                if status in (401, 403):
+                    raise AuthError(f"backend rejected credentials (HTTP {status})")
+                if status == 429 or status >= 500:
+                    last_error = f"HTTP {status}"
+                elif status >= 400:
                     # Another client error is the request's own fault (say, a
                     # prompt too long): no retry mends it, and the pair records it.
-                    raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                    raise BackendError(f"HTTP {status}: {text[:200]}")
                 else:
-                    payload = resp.json()
-                    return payload["choices"][0]["message"]["content"]
+                    return json.loads(text)["choices"][0]["message"]["content"]
             if attempt < self.max_attempts:
                 delay = self.backoff_base * (2 ** (attempt - 1))
                 logger.warning("backend attempt %d/%d failed (%s); retrying in %.1fs",

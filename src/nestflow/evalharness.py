@@ -1,12 +1,11 @@
 """Evaluation harness: run variants over problems, aggregate, report.
 
 Estimates are pass@1 solve rates in percent with percentile-bootstrap
-confidence intervals (numpy PCG64 generator, one index draw for all
-resamples of a sample size, shared by the samples of that size that are
-computed together; numpy's linear-interpolation quantiles, taken as order
-statistics of the resampled solved counts). Reports are deterministic
-functions of the persisted records plus run metadata, so regenerating a
-report never changes its bytes.
+confidence intervals (numpy's PCG64 index draw, written out in ``_pcg``
+and made once per sample size per report; numpy's linear-interpolation
+quantiles, taken as order statistics of the resampled solved counts).
+Reports are deterministic functions of the persisted records plus run
+metadata, so regenerating a report never changes its bytes.
 """
 from __future__ import annotations
 
@@ -15,13 +14,16 @@ import datetime as dt
 import io
 import json
 import logging
+import sys
 import threading
 import time
+from array import array
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
+from ._pcg import Draws
 from ._util import (BOOLEAN, INTEGER, NUMBER, TEXT, TEXT_LIST, add_months, check_fields,
                     month_floor, replace_file)
 from .ccflows import VariantSettings, build_variant, parse_variant, problem_payload
@@ -161,20 +163,69 @@ def solve_rate(outcomes: list[bool], resamples: int = DEFAULT_RESAMPLES,
     return solve_rates([outcomes], resamples=resamples, level=level, seed=seed)[0]
 
 
+class BootstrapDraws:
+    """The resample indices for one seed and resample count, drawn once per size.
+
+    Resample b of a sample of size n is row b of
+    ``numpy.random.default_rng(seed).integers(0, n, size=(resamples, n))``,
+    drawn without numpy (see ``_pcg``). The rates of one report share an
+    instance, so that each size is drawn once per report.
+    """
+
+    def __init__(self, resamples: int, seed: int):
+        self.resamples, self.seed = resamples, seed
+        self._draws = Draws(seed)
+        self._index: dict[int, list] = {}  # by size: _columns or _occurrences
+
+    def sorted_counts(self, outcomes: list[bool]) -> bytes | list[int]:
+        """The solved count of each resample of ``outcomes``, sorted."""
+        n = len(outcomes)
+        if n not in self._index:
+            self._index[n] = self._columns(n) if n < 256 else self._occurrences(n)
+        if n < 256:
+            # A column mapped to 1 where the drawn problem is solved is a number
+            # whose byte b belongs to resample b. In the columns' sum, byte b is
+            # resample b's solved count, which is at most n < 256 and so never carries.
+            solved = bytes(outcomes).ljust(256, b"\0")
+            total = sum(int.from_bytes(column.translate(solved), "little")
+                        for column in self._index[n])
+            # A counting sort: a bytes scan per count from 0 to n beats sorted() on
+            # the small samples of reports.
+            counts = total.to_bytes(self.resamples, "little")
+            return b"".join(bytes([k]) * counts.count(k) for k in range(n + 1))
+        # In the sum of the solved problems' occurrences, lane b is resample b's count.
+        total = sum(lanes for lanes, solved in zip(self._index[n], outcomes) if solved)
+        return sorted(array("I", total.to_bytes(4 * self.resamples, sys.byteorder)))
+
+    def _columns(self, n: int) -> list[bytes]:
+        """Column c: the c-th draw of each resample, one byte each."""
+        flat = self._draws.integers(n, self.resamples * n).tobytes()
+        return [flat[c::n] for c in range(n)]
+
+    def _occurrences(self, n: int) -> list[int]:
+        """For each problem, a number whose 32-bit lane b is how often
+        resample b draws it."""
+        resamples, draws = self.resamples, self._draws.integers(n, self.resamples * n)
+        counts = array("I", bytes(4 * n * resamples))
+        for b in range(resamples):
+            for j in draws[b * n:(b + 1) * n]:
+                counts[j * resamples + b] += 1
+        raw, width = counts.tobytes(), 4 * resamples
+        return [int.from_bytes(raw[width * j:width * (j + 1)], sys.byteorder) for j in range(n)]
+
+
 def solve_rates(samples: list[list[bool]], resamples: int = DEFAULT_RESAMPLES,
-                level: float = DEFAULT_LEVEL, seed: int = 0) -> list[SolveRate]:
+                level: float = DEFAULT_LEVEL, seed: int = 0,
+                draws: BootstrapDraws | None = None) -> list[SolveRate]:
     """Each sample's solve rate, with its percentile bootstrap interval.
 
-    Row b of one ``rng.integers(0, n, size=(resamples, n))`` draw from
-    ``numpy.random.default_rng(seed)`` indexes resample b of a sample of
-    size n; this is the stream that ``resamples`` draws of ``size=n``
-    would give, in order. The draw depends on n alone, so it is made once
-    per size, and only one size's draw is held at a time. The interval is
-    the (alpha, 1-alpha) quantiles of the resampled means, widened if
-    needed to contain the point estimate. Each mean is k/n for a count k
-    of solved problems, so the quantiles are taken from the sorted counts
-    (see ``_linear_quantile``), equal to numpy's ``linear`` quantiles of
-    the means.
+    The interval is the (alpha, 1-alpha) quantiles of the means of the
+    resamples that ``draws`` gives (made here for ``resamples`` and
+    ``seed`` if None), widened if needed to contain the point estimate.
+    Each mean is k/n for a count k of solved problems, so the quantiles are
+    taken from the sorted counts (see ``_linear_quantile``), equal to
+    numpy's ``linear`` quantiles of the means. A sample whose outcomes are
+    all alike has that outcome in every resample, so it is not resampled.
     """
     if not all(samples):
         raise ValueError("a solve rate needs at least one outcome")
@@ -182,40 +233,39 @@ def solve_rates(samples: list[list[bool]], resamples: int = DEFAULT_RESAMPLES,
         raise ValueError("resamples must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    # numpy is imported here, its only use, so that commands which compute
-    # no interval (run, replay, cache, --help) never load it.
-    import numpy as np
-
+    if draws is None:
+        draws = BootstrapDraws(resamples, seed)
+    elif (draws.resamples, draws.seed) != (resamples, seed):
+        raise ValueError("draws were made for another resample count or seed")
     alpha = (1.0 - level) / 2.0
-    rates: list[SolveRate] = [None] * len(samples)
-    for n in dict.fromkeys(map(len, samples)):
-        draw = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
-        for index, outcomes in enumerate(samples):
-            if len(outcomes) == n:
-                counts = np.sort(np.count_nonzero(np.asarray(outcomes, dtype=bool)[draw], axis=1))
-                point = sum(outcomes) / n
-                rates[index] = SolveRate(
-                    point=pass_at_1(outcomes), n=n,
-                    ci_low=100.0 * min(_linear_quantile(counts, n, alpha), point),
-                    ci_high=100.0 * max(_linear_quantile(counts, n, 1.0 - alpha), point))
-        del draw  # before the next size's draw is made
+    rates = []
+    for outcomes in samples:
+        n = len(outcomes)
+        low = high = point = sum(outcomes) / n
+        if 0.0 < point < 1.0:
+            counts = draws.sorted_counts(outcomes)
+            low = min(_linear_quantile(counts, n, alpha), point)
+            high = max(_linear_quantile(counts, n, 1.0 - alpha), point)
+        rates.append(SolveRate(point=pass_at_1(outcomes), n=n, ci_low=100.0 * low,
+                               ci_high=100.0 * high))
     return rates
 
 
-def _linear_quantile(counts, n: int, q: float) -> float:
+def _linear_quantile(counts: bytes | list[int], n: int, q: float) -> float:
     """The q quantile of the means ``counts / n``, ``counts`` sorted, by
     numpy's ``linear`` rule written out, so that it is the same float."""
     last = len(counts) - 1
     index = last * q
     below = int(index)  # its floor, as index >= 0
     gamma = index - below
-    a, b = int(counts[min(below, last)]) / n, int(counts[min(below + 1, last)]) / n
+    a, b = counts[min(below, last)] / n, counts[min(below + 1, last)] / n
     return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
 
 
 def sliding_window(dated_outcomes: list[tuple[dt.date, bool]], span_months: int = 2,
                    step_months: int = 1, resamples: int = DEFAULT_RESAMPLES,
-                   level: float = DEFAULT_LEVEL, seed: int = 0) -> list[WindowPoint]:
+                   level: float = DEFAULT_LEVEL, seed: int = 0,
+                   draws: BootstrapDraws | None = None) -> list[WindowPoint]:
     """Solve rate over a window sliding across release months.
 
     Windows are [start, start + span) aligned to month starts, stepping
@@ -236,7 +286,8 @@ def sliding_window(dated_outcomes: list[tuple[dt.date, bool]], span_months: int 
         if outcomes:
             windows[(start, end)] = outcomes
         start = add_months(start, step_months)
-    rates = solve_rates(list(windows.values()), resamples=resamples, level=level, seed=seed)
+    rates = solve_rates(list(windows.values()), resamples=resamples, level=level, seed=seed,
+                        draws=draws)
     return [WindowPoint(start=start, end=end, rate=rate)
             for (start, end), rate in zip(windows, rates)]
 
@@ -727,7 +778,8 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
 
 def stats_from_records(records: list[RunRecord], problem_meta: dict[str, dict],
                        cutoff: dt.date, resamples: int = DEFAULT_RESAMPLES,
-                       level: float = DEFAULT_LEVEL, seed: int = 0
+                       level: float = DEFAULT_LEVEL, seed: int = 0,
+                       draws: BootstrapDraws | None = None
                        ) -> dict[str, dict[str, SolveRate]]:
     """Per-variant, per-bucket solve rates from sorted records."""
     grouped: dict[tuple[str, str], list[bool]] = {}
@@ -737,7 +789,8 @@ def stats_from_records(records: list[RunRecord], problem_meta: dict[str, dict],
             source=meta["source"], difficulty=meta["difficulty"],
             release_date=dt.date.fromisoformat(record.release_date)), cutoff)
         grouped.setdefault((record.variant, bucket), []).append(record.solved)
-    rates = solve_rates(list(grouped.values()), resamples=resamples, level=level, seed=seed)
+    rates = solve_rates(list(grouped.values()), resamples=resamples, level=level, seed=seed,
+                        draws=draws)
     stats: dict[str, dict[str, SolveRate]] = {}
     for (variant, bucket), rate in zip(grouped, rates):
         stats.setdefault(variant, {})[bucket] = rate
@@ -754,9 +807,9 @@ def write_report(out_dir: str | Path) -> dict[str, Path]:
     meta = read_run_meta(out_dir)
     records = read_records(out_dir / "records.jsonl")
     cutoff = dt.date.fromisoformat(meta["cutoff"])
-    stats = stats_from_records(records, meta["problems"], cutoff,
-                               resamples=meta["resamples"], level=meta["level"],
-                               seed=meta["seed"])
+    bootstrap = {"resamples": meta["resamples"], "level": meta["level"], "seed": meta["seed"],
+                 "draws": BootstrapDraws(meta["resamples"], meta["seed"])}
+    stats = stats_from_records(records, meta["problems"], cutoff, **bootstrap)
     variants = [v for v in meta["variants"] if v in stats]
     baseline = "Code" if "Code" in variants else (variants[0] if variants else "Code")
     table_path = out_dir / "results_table.txt"
@@ -768,8 +821,7 @@ def write_report(out_dir: str | Path) -> dict[str, Path]:
     for variant in variants:
         dated = [(dt.date.fromisoformat(r.release_date), r.solved)
                  for r in records if r.variant == variant]
-        by_variant[variant] = sliding_window(dated, resamples=meta["resamples"],
-                                             level=meta["level"], seed=meta["seed"])
+        by_variant[variant] = sliding_window(dated, **bootstrap)
     temporal_path = out_dir / "temporal_series.csv"
     write_temporal_csv(by_variant, temporal_path)
     return {"table": table_path, "csv": csv_path, "temporal": temporal_path}

@@ -1,5 +1,4 @@
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -36,20 +35,20 @@ def fixture_settings():
     return VariantSettings(wall_time=1.0, model="scripted")
 
 
-class FailingSession:
-    """A stub HTTP session that answers every request with one status code."""
+class FailingPost:
+    """A stub ``post`` for RemoteBackend that answers every request with one status code."""
 
     def __init__(self, status: int):
         self.status = status
         self.posts = 0
 
-    def post(self, *args, **kwargs):
+    def __call__(self, url, body, headers, timeout):
         self.posts += 1
-        return SimpleNamespace(status_code=self.status, text="unavailable")
+        return self.status, "unavailable"
 
 
 @pytest.fixture()
-def unavailable_session(monkeypatch):
-    """A credential in STUB_API_KEY, and a session on which every request gets HTTP 503."""
+def unavailable_post(monkeypatch):
+    """A credential in STUB_API_KEY, and a ``post`` by which every request gets HTTP 503."""
     monkeypatch.setenv("STUB_API_KEY", "stub-token")
-    return FailingSession(503)
+    return FailingPost(503)

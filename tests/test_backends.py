@@ -1,12 +1,14 @@
+import json
 import os
+import socket
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-import requests
 
 from nestflow.backends import (
     BackendRequest,
@@ -16,12 +18,14 @@ from nestflow.backends import (
     ResponseRule,
     ScriptedBackend,
     cached_complete,
+    http_post,
     render_template,
 )
 from nestflow.errors import (
     ENVIRONMENT_ERRORS,
     AuthError,
     BackendError,
+    ConfigError,
     ReplayDivergenceError,
     RetryBudgetExhaustedError,
     ScriptExhaustedError,
@@ -126,23 +130,22 @@ class TestScriptedBackend:
         assert "print(int(input()))" in backend.complete(request)
 
 
-class FakeResponse:
-    def __init__(self, status_code, content=None, text=""):
-        self.status_code = status_code
-        self._content = content
-        self.text = text
-
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
+def reply(content):
+    """A chat-completions response body carrying ``content``."""
+    return json.dumps({"choices": [{"message": {"content": content}}]})
 
 
-class FakeSession:
+class FakePost:
+    """A ``post`` for RemoteBackend that gives each outcome in turn: a
+    (status, text) pair, or an exception to raise."""
+
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
         self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
+    def __call__(self, url, body, headers, timeout):
+        self.calls.append({"url": url, "json": json.loads(body), "headers": headers,
+                           "timeout": timeout})
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
@@ -151,17 +154,20 @@ class FakeSession:
 
 def remote(outcomes, monkeypatch, **kwargs):
     monkeypatch.setenv("TEST_API_KEY", "secret-token")
-    session = FakeSession(outcomes)
+    post = FakePost(outcomes)
     sleeps = []
     backend = RemoteBackend("https://example.invalid/v1/chat", "TEST_API_KEY",
-                            session=session, sleep=sleeps.append, **kwargs)
-    return backend, session, sleeps
+                            post=post, sleep=sleeps.append, **kwargs)
+    return backend, post, sleeps
 
 
-def test_importing_the_cli_leaves_requests_unloaded():
-    # A fresh interpreter, because this one has imported requests already.
+def test_importing_the_cli_leaves_requests_unloaded(fixtures_dir):
+    # Nor does building a local backend load an HTTP stack. A fresh
+    # interpreter, because this one has imported http.client already.
     code = ("import sys, nestflow.cli; "
-            "print(sorted({'requests', 'urllib3', 'ssl'} & set(sys.modules)))")
+            f"nestflow.cli.load_backend_profile({str(fixtures_dir / 'profiles.yaml')!r}, 'scripted'); "
+            "print(sorted({'requests', 'urllib3', 'urllib.request', 'http.client', 'ssl'}"
+            " & set(sys.modules)))")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -170,54 +176,174 @@ def test_importing_the_cli_leaves_requests_unloaded():
 
 
 class TestRemoteBackend:
-    def test_default_session_is_a_requests_session(self):
+    def test_default_post_is_http_post(self):
         backend = RemoteBackend("https://example.invalid", "TEST_API_KEY")
-        assert isinstance(backend._session, requests.Session)
+        assert backend._post is http_post
+
+    @pytest.mark.parametrize("endpoint", ["example.invalid/v1", "ftp://example.invalid", ""])
+    def test_endpoint_must_be_http(self, endpoint):
+        with pytest.raises(ConfigError, match="http:// or https://"):
+            RemoteBackend(endpoint, "TEST_API_KEY")
 
     def test_missing_credential(self, monkeypatch):
         monkeypatch.delenv("TEST_API_KEY", raising=False)
         backend = RemoteBackend("https://example.invalid", "TEST_API_KEY",
-                                session=FakeSession([]))
+                                post=FakePost([]))
         with pytest.raises(AuthError, match="TEST_API_KEY"):
             backend.complete(request_with("s", "q"))
 
     def test_success_sends_bearer_and_body(self, monkeypatch):
-        backend, session, _ = remote([FakeResponse(200, content="reply")], monkeypatch)
+        backend, post, _ = remote([(200, reply("reply"))], monkeypatch)
         request = request_with("sys prompt", "user prompt")
         assert backend.complete(request) == "reply"
-        call = session.calls[0]
+        call = post.calls[0]
+        assert call["url"] == "https://example.invalid/v1/chat"
         assert call["headers"]["Authorization"] == "Bearer secret-token"
-        assert call["json"]["messages"][0] == {"role": "system", "content": "sys prompt"}
+        assert call["headers"]["Content-Type"] == "application/json"
+        assert call["json"] == {"model": "m", "temperature": 0.0, "max_tokens": 2048,
+                                "messages": [{"role": "system", "content": "sys prompt"},
+                                             {"role": "user", "content": "user prompt"}]}
+        assert call["timeout"] == 60.0
 
     def test_rejected_credentials_do_not_retry(self, monkeypatch):
-        backend, session, sleeps = remote([FakeResponse(401)], monkeypatch)
-        with pytest.raises(AuthError):
-            backend.complete(request_with("s", "q"))
-        assert len(session.calls) == 1 and sleeps == []
+        for status in (401, 403):
+            backend, post, sleeps = remote([(status, "")], monkeypatch)
+            with pytest.raises(AuthError, match=str(status)):
+                backend.complete(request_with("s", "q"))
+            assert len(post.calls) == 1 and sleeps == []
 
     def test_transient_failures_back_off_then_succeed(self, monkeypatch):
-        backend, session, sleeps = remote(
-            [FakeResponse(429), FakeResponse(503), FakeResponse(200, content="ok")],
-            monkeypatch, backoff_base=0.5)
+        backend, post, sleeps = remote(
+            [(429, ""), (503, ""), (200, reply("ok"))], monkeypatch, backoff_base=0.5)
         assert backend.complete(request_with("s", "q")) == "ok"
         assert sleeps == [0.5, 1.0]
-        assert len(session.calls) == 3
+        assert len(post.calls) == 3
 
     def test_retry_budget_exhausted(self, monkeypatch):
-        outcomes = [requests.ConnectionError("down")] * 3
-        backend, session, sleeps = remote(outcomes, monkeypatch,
-                                          max_attempts=3, backoff_base=0.1)
-        with pytest.raises(RetryBudgetExhaustedError, match="3 attempts"):
+        outcomes = [ConnectionRefusedError("down"), TimeoutError("slow"), (500, "")]
+        backend, post, sleeps = remote(outcomes, monkeypatch,
+                                       max_attempts=3, backoff_base=0.1)
+        with pytest.raises(RetryBudgetExhaustedError, match="3 attempts: HTTP 500"):
             backend.complete(request_with("s", "q"))
-        assert len(session.calls) == 3
+        assert len(post.calls) == 3
         assert sleeps == [0.1, 0.2]
 
+    def test_network_error_is_the_last_error_named(self, monkeypatch):
+        backend, _, _ = remote([(502, ""), ConnectionResetError("reset")], monkeypatch,
+                               max_attempts=2)
+        with pytest.raises(RetryBudgetExhaustedError, match="network error: reset"):
+            backend.complete(request_with("s", "q"))
+
     def test_client_errors_fail_fast(self, monkeypatch):
-        backend, session, _ = remote([FakeResponse(404, text="missing")], monkeypatch)
-        with pytest.raises(BackendError, match="404") as caught:
+        backend, post, _ = remote([(404, "missing")], monkeypatch)
+        with pytest.raises(BackendError, match="404: missing") as caught:
             backend.complete(request_with("s", "q"))
         assert not isinstance(caught.value, ENVIRONMENT_ERRORS)
-        assert len(session.calls) == 1
+        assert len(post.calls) == 1
+
+
+class ChatServer(ThreadingHTTPServer):
+    """A chat-completions endpoint on 127.0.0.1 that answers each POST with
+    the next of ``answers``: (status, body text), or None to send bytes that
+    are not HTTP. It records each request as (path, headers, body)."""
+
+    def __init__(self, answers):
+        self.answers, self.requests = list(answers), []
+        super().__init__(("127.0.0.1", 0), ChatHandler)
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1/chat"
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append((self.path, dict(self.headers), body))
+        answer = self.server.answers.pop(0)
+        if answer is None:
+            self.wfile.write(b"not a status line\r\n\r\n")
+            return
+        status, text = answer
+        data = text.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def chat_server(monkeypatch):
+    """Start a ChatServer with proxies turned off, so that requests reach it."""
+    for name in ("http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("no_proxy", "*")
+    servers = []
+
+    def start(answers):
+        server = ChatServer(answers)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+class TestHttpPost:
+    """The real request path, against a server on 127.0.0.1."""
+
+    def test_round_trip(self, chat_server):
+        server = chat_server([(200, "caf\u00e9")])
+        body = b'{"model": "m"}'
+        assert http_post(server.url, body, {"Authorization": "Bearer t"}, 5.0) == (200, "caf\u00e9")
+        path, headers, sent = server.requests[0]
+        assert (path, sent, headers["Authorization"]) == ("/v1/chat", body, "Bearer t")
+
+    @pytest.mark.parametrize("status", [400, 401, 429, 503])
+    def test_error_status_is_returned_with_its_text(self, chat_server, status):
+        server = chat_server([(status, "no")])
+        assert http_post(server.url, b"{}", {}, 5.0) == (status, "no")
+
+    def test_garbled_response_is_a_network_error(self, chat_server):
+        server = chat_server([None])
+        with pytest.raises(OSError, match="BadStatusLine"):
+            http_post(server.url, b"{}", {}, 5.0)
+
+    def test_refused_connection_is_a_network_error(self, chat_server):
+        with socket.socket() as unused:  # bound, never listening: connections are refused
+            unused.bind(("127.0.0.1", 0))
+            with pytest.raises(OSError):
+                http_post(f"http://127.0.0.1:{unused.getsockname()[1]}/", b"{}", {}, 5.0)
+
+    def test_backend_retries_then_reads_the_reply(self, chat_server, monkeypatch):
+        server = chat_server([(503, "busy"), None, (200, reply("done"))])
+        monkeypatch.setenv("TEST_API_KEY", "secret-token")
+        sleeps = []
+        backend = RemoteBackend(server.url, "TEST_API_KEY", request_timeout=5.0,
+                                sleep=sleeps.append)
+        assert backend.complete(request_with("s", "q")) == "done"
+        assert sleeps == [0.5, 1.0]
+        _, headers, body = server.requests[-1]
+        assert headers["Authorization"] == "Bearer secret-token"
+        assert json.loads(body)["messages"][1] == {"role": "user", "content": "q"}
+
+    def test_backend_fails_fast_on_a_client_error(self, chat_server, monkeypatch):
+        server = chat_server([(403, "forbidden"), (422, "too long")])
+        monkeypatch.setenv("TEST_API_KEY", "secret-token")
+        backend = RemoteBackend(server.url, "TEST_API_KEY", sleep=lambda _: None)
+        with pytest.raises(AuthError, match="403"):
+            backend.complete(request_with("s", "q"))
+        with pytest.raises(BackendError, match="422: too long"):
+            backend.complete(request_with("s", "q"))
+        assert len(server.requests) == 2
 
 
 class TestResponseCache:

@@ -17,7 +17,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from nestflow import sandbox
+from nestflow import evalharness, sandbox
+from nestflow._pcg import Draws
 from nestflow._util import canonical_json
 from nestflow.backends import (
     BackendRequest,
@@ -29,6 +30,7 @@ from nestflow.backends import (
 )
 from nestflow.cli import load_backend_profile, main
 from nestflow.errors import ConfigError
+from nestflow.evalharness import DEFAULT_RESAMPLES, write_report
 from nestflow.trace import read_trace
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -577,9 +579,9 @@ class TestCmdEval:
         assert not list((tmp_path / "run").rglob("trace.log*"))
 
     def test_backend_failure_is_environment_error(self, runner, tmp_path, monkeypatch,
-                                                  unavailable_session):
+                                                  unavailable_post):
         monkeypatch.setattr("nestflow.cli.RemoteBackend", functools.partial(
-            RemoteBackend, session=unavailable_session, sleep=lambda _: None))
+            RemoteBackend, post=unavailable_post, sleep=lambda _: None))
         profiles = write_profiles(tmp_path, {
             "api": {"kind": "remote", "endpoint": "https://localhost/v1",
                     "api_key_env": "STUB_API_KEY", "max_attempts": 3}})
@@ -589,7 +591,7 @@ class TestCmdEval:
             "--backend-profile", "api", "--out", str(tmp_path / "run")])
         assert result.exit_code == 3, result.output
         assert "error: backend failed after 3 attempts: HTTP 503" in result.stderr
-        assert unavailable_session.posts == 3
+        assert unavailable_post.posts == 3
         assert not (tmp_path / "run" / "records.jsonl").exists()
         assert not list((tmp_path / "run").rglob("trace.log*"))
 
@@ -697,6 +699,129 @@ class TestCmdEval:
         assert resumed.exit_code == 0, resumed.output
         for name in ("results_table.txt", "results_table.csv", "temporal_series.csv"):
             assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+GRID_ARGS = ["eval", "--dataset", str(PROBLEMS), "--profiles", str(PROFILES),
+             "--workers", "2", "--wall-time", "1.0"]
+REPORT_FILES = ("results_table.txt", "results_table.csv", "temporal_series.csv")
+# Modules that no command may load: numpy and requests are no runtime
+# dependencies, and OpenSSL comes with _hashlib or ssl.
+UNLOADED = ("numpy", "numpy.random", "_hashlib", "requests", "ssl")
+# Runs ``nestflow <args>`` and then writes which of UNLOADED it loaded to the
+# file named by the first argument.
+LOAD_CHECK = f"""\
+import json, sys
+from nestflow.cli import main
+out = sys.argv.pop(1)
+try:
+    main.main(args=sys.argv[1:], prog_name="nestflow")
+finally:
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump([name for name in {UNLOADED!r} if name in sys.modules], fh)
+"""
+
+
+def cli_env(tmpdir: Path) -> dict:
+    src = str(Path(sandbox.__file__).resolve().parents[1])
+    return {**os.environ, "TMPDIR": str(tmpdir),
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def loaded_by(tmpdir: Path, *args: str) -> list[str]:
+    """Run ``nestflow <args>`` in a fresh interpreter: the UNLOADED modules it loaded."""
+    out = tmpdir / "loaded.json"
+    done = subprocess.run([sys.executable, "-c", LOAD_CHECK, str(out), *args],
+                          env=cli_env(tmpdir), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def runners_with(tmpdir: Path) -> list[int]:
+    """The processes whose environment holds ``TMPDIR=<tmpdir>``."""
+    entry = f"TMPDIR={tmpdir}".encode()
+    pids = []
+    for proc in Path("/proc").iterdir():
+        try:
+            if proc.name.isdigit() and entry in (proc / "environ").read_bytes().split(b"\0"):
+                pids.append(int(proc.name))
+        except OSError:  # gone, or not ours to read
+            pass
+    return pids
+
+
+@pytest.fixture(scope="module")
+def grid_process(tmp_path_factory):
+    """The fixture grid evaluated, then reported, each by a command of its own:
+    the run directory and the modules each command loaded."""
+    root = tmp_path_factory.mktemp("grid-process")
+    (root / "tmp").mkdir()
+    run_dir = root / "run"
+    loaded_by_eval = loaded_by(root / "tmp", *GRID_ARGS, "--out", str(run_dir))
+    reports = {name: (run_dir / name).read_bytes() for name in REPORT_FILES}
+    loaded_by_report = loaded_by(root / "tmp", "report", "--run-dir", str(run_dir))
+    assert {name: (run_dir / name).read_bytes() for name in REPORT_FILES} == reports
+    return run_dir, loaded_by_eval, loaded_by_report
+
+
+class TestFixtureGridProcess:
+    def test_eval_loads_no_numpy_nor_openssl(self, grid_process):
+        assert grid_process[1] == []
+
+    def test_report_loads_no_numpy_nor_openssl(self, grid_process):
+        assert grid_process[2] == []
+
+    def test_report_draws_each_size_once(self, grid_process, tmp_path, monkeypatch):
+        """The table and every variant's windows share one draw per sample
+        size, made only for sizes that have a sample of mixed outcomes."""
+        run_dir = shutil.copytree(grid_process[0], tmp_path / "run")
+        asked = []
+
+        class CountedDraws(Draws):
+            def integers(self, n, count):
+                asked.append((n, count))
+                return super().integers(n, count)
+
+        monkeypatch.setattr(evalharness, "Draws", CountedDraws)
+        write_report(run_dir)
+        assert asked == [(2, 2 * DEFAULT_RESAMPLES)]
+        for name in REPORT_FILES:
+            assert (run_dir / name).read_bytes() == (grid_process[0] / name).read_bytes()
+
+    def test_sigkill_then_resume(self, grid_process, tmp_path):
+        """eval killed once its records file holds 27 of 54 lines: no runner
+        outlives it, no scratch directory is left after one wall time, and
+        the resumed run reports and replays as an uninterrupted one."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        run_dir = tmp_path / "run"
+        args = [sys.executable, "-m", "nestflow.cli", *GRID_ARGS, "--out", str(run_dir)]
+        evaluating = subprocess.Popen(args, env=cli_env(scratch), stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.DEVNULL)
+        records = run_dir / "records.jsonl"
+        deadline = time.monotonic() + 120
+        while not records.exists() or records.read_bytes().count(b"\n") < 27:
+            assert evaluating.poll() is None, "eval ended before it wrote 27 records"
+            assert time.monotonic() < deadline, "eval wrote fewer than 27 records in 120 s"
+            time.sleep(0.01)
+        evaluating.kill()
+        evaluating.wait(timeout=60)
+        deadline = time.monotonic() + 1.0  # one wall time
+        while True:
+            left = runners_with(scratch), sorted(p.name for p in scratch.glob("nestflow-sandbox-*"))
+            if left == ([], []) or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert left == ([], [])
+        resumed = subprocess.run(args, env=cli_env(scratch), capture_output=True, text=True,
+                                 timeout=300)
+        assert resumed.returncode == 0, resumed.stderr
+        for name in REPORT_FILES:
+            assert (run_dir / name).read_bytes() == (grid_process[0] / name).read_bytes(), name
+        replayed = subprocess.run([sys.executable, "-m", "nestflow.cli", "replay", "--run-dir",
+                                   str(run_dir)], env=cli_env(scratch), capture_output=True,
+                                  text=True, timeout=300)
+        assert replayed.returncode == 0, replayed.stdout + replayed.stderr
+        assert replayed.stdout.splitlines()[-1] == "replay identical: 54 of 54 pairs"
 
 
 class TestCmdReport:

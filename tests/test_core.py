@@ -138,21 +138,6 @@ class TestRegistry:
         assert variants == 25
         assert used == registered
 
-    def test_cli_import_loads_numpy_only_at_the_first_bootstrap(self):
-        """`import nestflow.cli` loads the harness but not numpy; the first
-        bootstrap interval loads it and equals the one computed after it."""
-        before, after, first, second = self.fresh_interpreter(
-            "import json, sys\nimport nestflow.cli, nestflow.evalharness as eh\n"
-            "loaded = lambda: [m for m in ('numpy', 'nestflow.evalharness') if m in sys.modules]\n"
-            "before = loaded()\n"
-            "outcomes = [True, False, True, True, False, False, True]\n"
-            "first = eh.bootstrap_ci(outcomes, resamples=500, seed=3)\n"
-            "print(json.dumps([before, loaded(), first, eh.bootstrap_ci(outcomes, resamples=500, "
-            "seed=3)]))\n")
-        assert before == ["nestflow.evalharness"]
-        assert after == ["numpy", "nestflow.evalharness"]
-        assert first == second
-
     def test_unknown_kind_lists_registered(self):
         # circular and transform were kinds once; no variant used them.
         for kind in ("no_such_kind", "circular", "transform"):

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestflow import evalharness, sandbox
+from nestflow._pcg import Draws
 from nestflow.backends import RemoteBackend, ScriptedBackend
 from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
@@ -24,6 +25,7 @@ from nestflow.errors import ConfigError, RetryBudgetExhaustedError, SandboxEnvir
 from nestflow.evalharness import (
     DEFAULT_LEVEL,
     DEFAULT_RESAMPLES,
+    BootstrapDraws,
     EvalSettings,
     RunRecord,
     SolveRate,
@@ -168,6 +170,49 @@ class TestBootstrapCi:
         assert result.point == 50.0
         assert result.n == 2
         assert result.ci_low <= 50.0 <= result.ci_high
+
+
+class TestDraws:
+    """The pure-Python draw against numpy's own, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 70), n=st.integers(1, 300),
+           resamples=st.sampled_from([1, 2, 7, 100, 1000]))
+    def test_equals_numpy(self, seed, n, resamples):
+        want = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+        assert Draws(seed).integers(n, resamples * n).tolist() == want.ravel().tolist()
+
+    def test_one_stream_serves_every_bound(self):
+        draws = Draws(2 ** 64 + 1)
+        for n in (5, 300, 2, 257, 5, 1):
+            want = np.random.default_rng(2 ** 64 + 1).integers(0, n, size=(40, n))
+            assert draws.integers(n, 40 * n).tolist() == want.ravel().tolist(), n
+
+    @pytest.mark.parametrize("n", [2 ** 31 + 1, 3 * 2 ** 30])
+    def test_rejection_loop_equals_numpy(self, n):
+        """Near 2**31 Lemire's draw rejects a quarter to a half of the 32-bit
+        words, which sizes up to 300 almost never do."""
+        for seed in (0, 9):
+            draws = Draws(seed)
+            got = draws.integers(n, 2000)
+            assert got.tolist() == np.random.default_rng(seed).integers(0, n, size=2000).tolist()
+            assert len(draws._lanes) // 8 > 2400  # words read: the rejected ones too
+
+    def test_negative_seed_is_refused_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            Draws(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            bootstrap_ci([True, False], seed=-1)
+
+    def test_shared_draws_must_match_the_call(self):
+        draws = BootstrapDraws(100, 3)
+        assert solve_rates([[True, False, True]], 100, 0.9, 3, draws=draws) == \
+            [solve_rate([True, False, True], 100, 0.9, 3)]
+        for resamples, seed in ((100, 4), (99, 3)):
+            with pytest.raises(ValueError, match="another resample count or seed"):
+                solve_rates([[True, False]], resamples, 0.9, seed, draws=draws)
 
 
 class TestSlidingWindow:
@@ -507,11 +552,11 @@ class TestEvaluateGrid:
         assert len(read_records(tmp_path / "records.jsonl")) == 1
 
     def test_backend_failure_aborts_and_resume_reruns(self, tmp_path, problems_by_id,
-                                                      unavailable_session):
+                                                      unavailable_post):
         settings = EvalSettings(
             out_dir=tmp_path,
             backend=RemoteBackend("https://localhost/v1", "STUB_API_KEY", max_attempts=2,
-                                  session=unavailable_session, sleep=lambda _: None),
+                                  post=unavailable_post, sleep=lambda _: None),
             variant_settings=VariantSettings(wall_time=2.0, model="scripted"),
         )
         problems = [problems_by_id["cf-echo-101"]]
@@ -525,18 +570,18 @@ class TestEvaluateGrid:
         assert resumed.records[0].solved
 
     def test_client_error_becomes_error_record(self, tmp_path, problems_by_id,
-                                               unavailable_session):
-        unavailable_session.status = 400
+                                               unavailable_post):
+        unavailable_post.status = 400
         settings = EvalSettings(
             out_dir=tmp_path,
             backend=RemoteBackend("https://localhost/v1", "STUB_API_KEY", max_attempts=2,
-                                  session=unavailable_session, sleep=lambda _: None),
+                                  post=unavailable_post, sleep=lambda _: None),
             variant_settings=VariantSettings(wall_time=2.0, model="scripted"),
         )
         problems = [problems_by_id["cf-echo-101"], problems_by_id["cf-pairsum-202"]]
         result = evaluate_grid(problems, ["Code"], settings)
         assert result.new_runs == 2
-        assert unavailable_session.posts == 2
+        assert unavailable_post.posts == 2
         for record in read_records(tmp_path / "records.jsonl"):
             assert not record.solved
             assert record.verdict is None
@@ -666,21 +711,6 @@ class TestWriteReport:
         table = (out_dir / "results_table.txt").read_text(encoding="utf-8")
         assert table.splitlines()[0].split() == ["Flow", "Codeforces"]
         assert "Code" in table
-
-    def test_report_leaves_numpy_ma_unloaded(self, tmp_path):
-        """numpy.quantile loads numpy.ma; the order-statistic intervals do not."""
-        run_dir = shutil.copytree(FORMAT_2_RUN, tmp_path / "run")
-        code = ("import json, sys\nfrom nestflow.evalharness import write_report\n"
-                f"write_report({str(run_dir)!r})\n"
-                "print(json.dumps([m for m in ('numpy', 'numpy.ma') if m in sys.modules]))\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == ["numpy"]
-        assert (run_dir / "results_table.txt").read_text(encoding="utf-8").startswith("Flow")
 
     def test_temporal_series_written(self, small_grid):
         out_dir, _, _, _ = small_grid

@@ -772,6 +772,30 @@ class TestRunnerPool:
             assert time.monotonic() < deadline, "the runner outlived its parent"
             time.sleep(0.05)
 
+    def test_runner_judging_a_loop_exits_when_its_parent_dies(self, tmp_path):
+        """It kills the test child and removes the scratch directory at once,
+        not after the test's wall time."""
+        src = str(Path(sandbox.__file__).resolve().parents[1])
+        code = ("import os, threading, time\nfrom nestflow import sandbox\n"
+                "sandbox.run_tests('print(1)', [sandbox.TestCase('', '1\\n')])\n"
+                "pid = sandbox._IDLE[0].process.pid\n"
+                "threading.Thread(target=sandbox.run_tests, daemon=True, args=(\n"
+                "    'while True: pass', [sandbox.TestCase('', '')],\n"
+                "    sandbox.ExecutionLimits(wall_time=60.0))).start()\n"
+                "while not os.listdir(os.environ['TMPDIR']):\n    time.sleep(0.01)\n"
+                "time.sleep(0.2)  # the loop is running\n"
+                "print(pid, flush=True)\n"
+                "os._exit(0)  # no atexit: the runner sees only its pipes close\n")
+        env = {**os.environ, "TMPDIR": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True, env=env, timeout=60)
+        assert done.stdout.strip().isdigit(), done.stdout
+        deadline = time.monotonic() + 10
+        while running(done.stdout.strip()) or list(tmp_path.iterdir()):
+            assert time.monotonic() < deadline, "the runner outlived its parent"
+            time.sleep(0.05)
+
     def test_grids_keep_two_runners_per_worker(self, runners, tmp_path, problems_by_id):
         """A grid's flows judge public tests while its judge pool judges hidden
         ones, so each worker may hold two runners; grids after the first
