@@ -63,14 +63,18 @@ def replace_file(path: Path, data: bytes) -> None:
         raise
 
 
-def load_yaml(path, *, error: type[Exception] = ConfigError):
-    """Parse one YAML file, with libyaml when PyYAML was built with it.
+def load_yaml(path, what: str = "file", *, error: type[Exception] = ConfigError):
+    """Parse one YAML file, ``what`` it is, with libyaml when PyYAML was built with it.
 
-    A document that does not parse raises ``error`` naming the path, line
-    and column, and one that is not UTF-8 names the first byte that is not.
-    A file that cannot be read raises OSError, for the caller to word.
+    A file that cannot be read raises ``error`` as ``cannot read <what>
+    <path>: ...``. A document that does not parse raises it naming the
+    path, line and column, and one that is not UTF-8 names the first byte
+    that is not.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
     try:
         # Newlines translated as a text-mode read would.
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
@@ -125,13 +129,23 @@ NUMBER = ("a number", lambda v: type(v) in (int, float))
 BOOLEAN = ("a boolean", lambda v: type(v) is bool)
 
 
-def check_fields(doc: dict, rules: dict, where: str) -> None:
-    """Raise ConfigError, prefixed with ``where``, naming the first field of
+def _is_date(value) -> bool:
+    try:
+        return dt.date.fromisoformat(value) is not None
+    except (TypeError, ValueError):
+        return False
+
+
+DATE = ("a date as YYYY-MM-DD", _is_date)
+
+
+def check_fields(doc: dict, rules: dict, where: str, *,
+                 error: type[Exception] = ConfigError) -> None:
+    """Raise ``error``, prefixed with ``where``, naming the first field of
     ``doc`` that breaks its rule in ``rules``. An absent field breaks none."""
     for key, (kind, valid) in rules.items():
         if key in doc and not valid(doc[key]):
-            raise ConfigError(f"{where}: {key!r} must be {kind}, "
-                              f"got {json.dumps(doc[key], default=str)}")
+            raise error(f"{where}: {key!r} must be {kind}, got {json.dumps(doc[key], default=str)}")
 
 
 def utc_now_iso() -> str:

@@ -150,10 +150,7 @@ class ScriptedBackend:
 
     @classmethod
     def from_rules_file(cls, path: str | Path) -> "ScriptedBackend":
-        try:
-            doc = load_yaml(path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read rules file {path}: {exc}") from exc
+        doc = load_yaml(path, "rules file")
         entries = doc.get("rules") if isinstance(doc, dict) else None
         if not isinstance(entries, list):
             raise ConfigError(f"rules file {path} must be a map holding a 'rules' list")
@@ -226,7 +223,7 @@ class RemoteBackend:
             "max_tokens": request.max_tokens,
         }).encode("utf-8")
         headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
-        last_error = ""  # the last retryable failure: a rate limit, server or network error
+        last_error = ""  # the last retryable failure: a rate limit, server, network or reply error
         for attempt in range(1, self.max_attempts + 1):
             try:
                 status, text = self._post(self.endpoint, body, headers, self.request_timeout)
@@ -242,7 +239,14 @@ class RemoteBackend:
                     # prompt too long): no retry mends it, and the pair records it.
                     raise BackendError(f"HTTP {status}: {text[:200]}")
                 else:
-                    return json.loads(text)["choices"][0]["message"]["content"]
+                    # A 2xx reply that is not a chat completion is garbled: retried.
+                    try:
+                        reply = json.loads(text)["choices"][0]["message"]["content"]
+                    except (ValueError, LookupError, TypeError):
+                        reply = None
+                    if isinstance(reply, str):
+                        return reply
+                    last_error = f"HTTP {status} is not a chat completion: {text[:200]!r}"
             if attempt < self.max_attempts:
                 delay = self.backoff_base * (2 ** (attempt - 1))
                 logger.warning("backend attempt %d/%d failed (%s); retrying in %.1fs",
@@ -310,7 +314,7 @@ class ResponseCache:
         entries = list(self.directory.glob("*.resp"))
         return {
             "entries": len(entries),
-            "bytes": sum(p.stat().st_size for p in entries),
+            "bytes": sum(p.lstat().st_size for p in entries),
             "hits": self.hits,
             "misses": self.misses,
         }

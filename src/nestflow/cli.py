@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success (problem solved / traces identical), 1 completed
-but negative (unsolved, replay divergence), 2 usage or config errors,
-3 environment errors (missing interpreter, missing credential, a run
-directory that cannot be written), 130 on SIGINT and 143 on SIGTERM.
+Exit codes: 0 success; 1 only for an unsolved problem or a diverged replay;
+2 for an input that cannot be read or is malformed (its reader raises
+ConfigError or DatasetError naming the file or option); 3 for an environment
+error or a failed write to the run, report or cache directory; 130 on SIGINT
+and 143 on SIGTERM. ``NestflowGroup.invoke`` alone maps errors to 2 and 3.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .evalharness import (
 )
 from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
 
-USAGE_ERRORS = (ConfigError, DatasetError)
 # What each profile field other than ``kind`` must hold, where it is given.
 PROFILE_FIELDS = {
     **dict.fromkeys(("model", "cache_dir", "rules_file", "endpoint", "api_key_env"), TEXT),
@@ -65,27 +65,26 @@ def _shared_options(command):
     return command
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    if isinstance(exc, ENVIRONMENT_ERRORS):
-        sys.exit(3)
-    sys.exit(2)
+def _writes(what: str):
+    """The callback of an option naming the directory its command writes, for
+    ``NestflowGroup.invoke`` to name when a write fails."""
+    def remember(ctx: click.Context, param, value):
+        ctx.meta["nestflow.writes"] = value and f"{what} {value}"
+        return value
+    return remember
 
 
-def _fail_to_write(out_dir: str, exc: OSError) -> None:
-    """A run directory that cannot be written (a full disk, say) is an
-    environment error: the run itself decided nothing."""
-    click.echo(f"error: cannot write run directory {out_dir}: {exc}", err=True)
-    sys.exit(3)
+def _date(ctx: click.Context, param, value: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(value)
+    except ValueError:
+        raise ConfigError(f"--{param.name} must be a date as YYYY-MM-DD, got {value!r}") from None
 
 
 def load_backend_profile(profiles_path: str | Path, name: str):
     """Build (backend, cache, model) from one profile in the profiles file."""
     path = Path(profiles_path)
-    try:
-        doc = load_yaml(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read profiles file {path}: {exc}") from exc
+    doc = load_yaml(path, "profiles file")
     doc = {} if doc is None else doc
     profiles = doc.get("profiles", {}) if isinstance(doc, dict) else None
     if not isinstance(profiles, dict):
@@ -128,7 +127,28 @@ def _variant_settings(model: str, wall_time: float, memory_mb: int, max_rounds: 
                            interactive_plan=interactive_plan)
 
 
-@click.group()
+class NestflowGroup(click.Group):
+    """The command group. Its ``invoke`` maps errors to exit codes by type alone:
+    a usage error exits 2; an environment error, or any other OSError (a write
+    that failed, on a full disk say), exits 3: the run itself decided nothing."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, DatasetError) as exc:
+            code, message = 2, str(exc)
+        except ENVIRONMENT_ERRORS as exc:
+            code, message = 3, str(exc)
+        except BrokenPipeError:  # stdout closed early: click's own handling
+            raise
+        except OSError as exc:
+            writes = ctx.meta.get("nestflow.writes")
+            code, message = 3, f"cannot write {writes}: {exc}" if writes else str(exc)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
+
+
+@click.group(cls=NestflowGroup)
 @click.option("--verbose", is_flag=True, help="Log debug detail to stderr.")
 def main(verbose: bool) -> None:
     """Run, evaluate and replay message-passing flows."""
@@ -141,6 +161,7 @@ def main(verbose: bool) -> None:
               help="Problem YAML file.")
 @click.option("--variant", required=True, help="Variant name, e.g. Code_Debug or Plan-Code.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
+              callback=_writes("run directory"),
               help="Directory for the run trace (same layout as eval).")
 @click.option("--interactive-plan", is_flag=True,
               help="Read the Plan_Oracle plan from stdin instead of the dataset.")
@@ -149,23 +170,16 @@ def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile
             out_dir: str | None, interactive_plan: bool, wall_time: float,
             memory_mb: int, max_rounds: int) -> None:
     """Run one variant on one problem and judge it on the hidden tests."""
-    try:
-        parse_variant(variant)
-        problem = load_problem_file(problem_path)
-        backend, cache, model = load_backend_profile(profiles_path, backend_profile)
-        settings = EvalSettings(
-            out_dir=Path(out_dir) if out_dir else None, backend=backend, cache=cache,
-            variant_settings=_variant_settings(model, wall_time, memory_mb, max_rounds,
-                                               interactive_plan))
-        if settings.out_dir is not None:
-            write_run_meta(settings.out_dir, [problem], [variant], settings)
-        record, code = run_pair(problem, variant, settings).judge()
-    except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
-        _fail(exc)
-    except OSError as exc:
-        if out_dir is None:
-            raise
-        _fail_to_write(out_dir, exc)
+    parse_variant(variant)
+    problem = load_problem_file(problem_path)
+    backend, cache, model = load_backend_profile(profiles_path, backend_profile)
+    settings = EvalSettings(
+        out_dir=Path(out_dir) if out_dir else None, backend=backend, cache=cache,
+        variant_settings=_variant_settings(model, wall_time, memory_mb, max_rounds,
+                                           interactive_plan))
+    if settings.out_dir is not None:
+        write_run_meta(settings.out_dir, [problem], [variant], settings)
+    record, code = run_pair(problem, variant, settings).judge()
     click.echo(f"problem: {problem.id}")
     click.echo(f"variant: {variant}")
     click.echo(f"rounds_used: {record.rounds_used}")
@@ -183,54 +197,39 @@ def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile
               help="Problem directory (or one YAML file).")
 @click.option("--variants", default=",".join(DEFAULT_VARIANTS), show_default=False,
               help="Comma-separated variant names (default: the 9-variant suite).")
-@click.option("--out", "out_dir", required=True, type=click.Path(), help="Run directory.")
+@click.option("--out", "out_dir", required=True, type=click.Path(),
+              callback=_writes("run directory"), help="Run directory.")
 @click.option("--workers", default=1, show_default=True, type=POSITIVE_INT)
 @click.option("--seed", default=0, show_default=True, type=NON_NEGATIVE_INT)
-@click.option("--cutoff", default=DEFAULT_CUTOFF.isoformat(), show_default=True)
+@click.option("--cutoff", default=DEFAULT_CUTOFF.isoformat(), show_default=True, callback=_date)
 @click.option("--resume/--no-resume", default=True, show_default=True,
               help="Keep existing records and run only missing pairs.")
 @_shared_options
 def cmd_eval(dataset_path: str, variants: str, profiles_path: str, backend_profile: str,
-             out_dir: str, workers: int, seed: int, cutoff: str, resume: bool,
+             out_dir: str, workers: int, seed: int, cutoff: dt.date, resume: bool,
              wall_time: float, memory_mb: int, max_rounds: int) -> None:
     """Evaluate variants over a dataset and write records plus reports."""
-    try:
-        variant_list = [v.strip() for v in variants.split(",") if v.strip()]
-        problems = load_problems(dataset_path)
-        backend, cache, model = load_backend_profile(profiles_path, backend_profile)
-        cutoff_date = dt.date.fromisoformat(cutoff)
-        settings = EvalSettings(
-            out_dir=Path(out_dir), backend=backend, cache=cache,
-            variant_settings=_variant_settings(model, wall_time, memory_mb, max_rounds),
-            cutoff=cutoff_date, workers=workers, seed=seed, resume=resume)
-        result = evaluate_grid(problems, variant_list, settings)
-        paths = write_report(out_dir)
-    except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
-        _fail(exc)
-    except ValueError as exc:
-        _fail(ConfigError(str(exc)))
-    except OSError as exc:
-        _fail_to_write(out_dir, exc)
+    variant_list = [v.strip() for v in variants.split(",") if v.strip()]
+    problems = load_problems(dataset_path)
+    backend, cache, model = load_backend_profile(profiles_path, backend_profile)
+    settings = EvalSettings(
+        out_dir=Path(out_dir), backend=backend, cache=cache,
+        variant_settings=_variant_settings(model, wall_time, memory_mb, max_rounds),
+        cutoff=cutoff, workers=workers, seed=seed, resume=resume)
+    result = evaluate_grid(problems, variant_list, settings)
+    paths = write_report(out_dir)
     click.echo(f"{len(result.records)} records ({result.new_runs} new runs)")
     click.echo((Path(out_dir) / "records.jsonl").as_posix())
     click.echo(paths["table"].read_text(encoding="utf-8"), nl=False)
-    sys.exit(0)
 
 
 @main.command("report")
-@click.option("--run-dir", required=True, type=click.Path(exists=True))
+@click.option("--run-dir", required=True, type=click.Path(exists=True),
+              callback=_writes("run directory"))
 def cmd_report(run_dir: str) -> None:
     """Regenerate report files from a run directory (byte-stable)."""
-    try:
-        paths = write_report(run_dir)
-    except USAGE_ERRORS as exc:  # a run_meta.json that does not parse names itself
-        _fail(exc)
-    except (FileNotFoundError, KeyError) as exc:
-        _fail(ConfigError(f"run directory is incomplete: {exc}"))
-    except ValueError as exc:  # a line of records.jsonl that does not parse
-        _fail(ConfigError(f"run directory is corrupt: {exc}"))
+    paths = write_report(run_dir)
     click.echo(paths["table"].read_text(encoding="utf-8"), nl=False)
-    sys.exit(0)
 
 
 def _divergence(replay) -> str:
@@ -253,45 +252,34 @@ def cmd_replay(run_dir: str, problem_id: str | None, variant: str | None) -> Non
     With --problem-id and --variant, one pair; with neither, every pair
     that records.jsonl holds."""
     if (problem_id is None) != (variant is None):
-        _fail(ConfigError("--problem-id and --variant go together: give both, or neither "
-                          "to replay every recorded pair"))
+        raise ConfigError("--problem-id and --variant go together: give both, or neither "
+                          "to replay every recorded pair")
     if variant is None:
         _replay_every_pair(run_dir)
-    try:
-        parse_variant(variant)
-        replay = replay_pair(run_dir, problem_id, variant)
-    except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
-        _fail(exc)
+    parse_variant(variant)
+    replay = replay_pair(run_dir, problem_id, variant)
     if replay.error is not None:
         click.echo(f"replayed run failed: {replay.error}")
-    if replay.identical:
-        click.echo(f"replay identical: {len(replay.replayed)} events")
-        sys.exit(0)
-    click.echo(_divergence(replay))
-    sys.exit(1)
+    click.echo(f"replay identical: {len(replay.replayed)} events" if replay.identical
+               else _divergence(replay))
+    sys.exit(0 if replay.identical else 1)
 
 
 def _replay_every_pair(run_dir: str) -> None:
     """Replay each recorded pair, in (problem, variant) order; one line per
     pair that diverges, then the count that did not."""
     identical = 0
-    try:
-        try:
-            pairs = sorted({(r.problem_id, r.variant)
-                            for r in read_records(Path(run_dir) / "records.jsonl")})
-        except ValueError as exc:
-            raise ConfigError(f"run directory is corrupt: {exc}") from exc
-        if not pairs:
-            raise ConfigError(f"no records to replay in {run_dir}")
-        for problem_id, variant in pairs:
-            replay = replay_pair(run_dir, problem_id, variant)
-            if replay.identical:
-                identical += 1
-                continue
-            failed = f" (replayed run failed: {replay.error})" if replay.error else ""
-            click.echo(f"{problem_id} {variant}: {_divergence(replay)}{failed}")
-    except USAGE_ERRORS + ENVIRONMENT_ERRORS as exc:
-        _fail(exc)
+    pairs = sorted({(r.problem_id, r.variant)
+                    for r in read_records(Path(run_dir) / "records.jsonl")})
+    if not pairs:
+        raise ConfigError(f"no records to replay in {run_dir}")
+    for problem_id, variant in pairs:
+        replay = replay_pair(run_dir, problem_id, variant)
+        if replay.identical:
+            identical += 1
+            continue
+        failed = f" (replayed run failed: {replay.error})" if replay.error else ""
+        click.echo(f"{problem_id} {variant}: {_divergence(replay)}{failed}")
     click.echo(f"replay identical: {identical} of {len(pairs)} pairs")
     sys.exit(0 if identical == len(pairs) else 1)
 
@@ -310,7 +298,8 @@ def cache_stats(cache_dir: str) -> None:
 
 
 @cmd_cache.command("clear")
-@click.option("--cache-dir", required=True, type=click.Path(exists=True, file_okay=False))
+@click.option("--cache-dir", required=True, type=click.Path(exists=True, file_okay=False),
+              callback=_writes("cache directory"))
 def cache_clear(cache_dir: str) -> None:
     removed = ResponseCache(cache_dir).clear()
     click.echo(f"removed: {removed}")

@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._util import load_yaml
+from ._util import check_fields, load_yaml
 from .errors import DatasetError
 from .sandbox import TestCase
 
@@ -35,11 +35,19 @@ BUCKET_LABELS = {
 }
 BUCKET_ORDER = tuple(BUCKET_LABELS)
 
-_FIELDS = frozenset({
-    "id", "source", "difficulty", "release_date",
-    "problem_description", "input_description", "output_description",
-    "public_examples", "explanation", "hidden_tests", "human_plan",
-})
+_REQUIRED = ("id", "source", "difficulty", "release_date", "problem_description",
+             "input_description", "output_description", "public_examples", "hidden_tests")
+_FIELDS = frozenset((*_REQUIRED, "explanation", "human_plan"))
+# What these fields of a problem document must hold; difficulty and
+# release_date are checked in load_problem_file.
+_RULES = {
+    "id": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "source": (f"one of {SOURCES}", lambda v: v in SOURCES),
+    **dict.fromkeys(("problem_description", "input_description", "output_description"),
+                    ("non-empty text", lambda v: isinstance(v, str) and v.strip() != "")),
+    **dict.fromkeys(("explanation", "human_plan"),
+                    ("text when present", lambda v: v is None or isinstance(v, str))),
+}
 
 
 @dataclass(frozen=True)
@@ -80,73 +88,40 @@ def _parse_tests(raw, *, where: str) -> tuple[TestCase, ...]:
 def load_problem_file(path: str | Path) -> Problem:
     """Parse and validate one problem document."""
     path = Path(path)
-    doc = load_yaml(path, error=DatasetError)
+    doc = load_yaml(path, "problem file", error=DatasetError)
     if not isinstance(doc, dict):
         raise DatasetError(f"{path}: problem document must be a map")
     unknown = set(doc) - _FIELDS
     if unknown:
         raise DatasetError(f"{path}: unknown fields {sorted(unknown)}")
-    missing = {"id", "source", "difficulty", "release_date", "problem_description",
-               "input_description", "output_description", "public_examples",
-               "hidden_tests"} - set(doc)
+    missing = set(_REQUIRED) - set(doc)
     if missing:
         raise DatasetError(f"{path}: missing required fields {sorted(missing)}")
-
-    problem_id = doc["id"]
-    if not isinstance(problem_id, str) or not problem_id:
-        raise DatasetError(f"{path}: 'id' must be a non-empty string")
-    source = doc["source"]
-    if source not in SOURCES:
-        raise DatasetError(f"{path}: 'source' must be one of {SOURCES}, got {source!r}")
+    check_fields(doc, _RULES, str(path), error=DatasetError)
 
     difficulty = doc["difficulty"]
-    if source == "codeforces":
+    if doc["source"] == "codeforces":
         if not isinstance(difficulty, int) or isinstance(difficulty, bool):
             raise DatasetError(f"{path}: codeforces 'difficulty' must be a numeric rating")
-    else:
-        if difficulty not in BANDS:
-            raise DatasetError(f"{path}: leetcode 'difficulty' must be one of {BANDS}")
+    elif difficulty not in BANDS:
+        raise DatasetError(f"{path}: leetcode 'difficulty' must be one of {BANDS}")
 
-    raw_date = doc["release_date"]
-    if isinstance(raw_date, dt.date):
-        release_date = raw_date
-    else:
+    release_date = doc["release_date"]
+    if not isinstance(release_date, dt.date):
         try:
-            release_date = dt.date.fromisoformat(str(raw_date))
+            release_date = dt.date.fromisoformat(str(release_date))
         except ValueError as exc:
             raise DatasetError(f"{path}: 'release_date' is not a valid date: {exc}") from exc
 
-    for key in ("problem_description", "input_description", "output_description"):
-        if not isinstance(doc[key], str) or not doc[key].strip():
-            raise DatasetError(f"{path}: {key!r} must be non-empty text")
-    for key in ("explanation", "human_plan"):
-        if key in doc and doc[key] is not None and not isinstance(doc[key], str):
-            raise DatasetError(f"{path}: {key!r} must be text when present")
-
-    hidden_raw = doc["hidden_tests"]
-    if isinstance(hidden_raw, str):
-        hidden_path = path.parent / hidden_raw
-        try:
-            hidden_doc = load_yaml(hidden_path, error=DatasetError)
-        except OSError as exc:
-            raise DatasetError(f"{path}: cannot read hidden tests file {hidden_raw!r}: {exc}") from exc
-        hidden = _parse_tests(hidden_doc, where=f"{hidden_path}: hidden_tests")
-    else:
-        hidden = _parse_tests(hidden_raw, where=f"{path}: hidden_tests")
-
-    return Problem(
-        id=problem_id,
-        source=source,
-        difficulty=difficulty,
-        release_date=release_date,
-        problem_description=doc["problem_description"],
-        input_description=doc["input_description"],
-        output_description=doc["output_description"],
-        public_examples=_parse_tests(doc["public_examples"], where=f"{path}: public_examples"),
-        hidden_tests=hidden,
-        explanation=doc.get("explanation"),
-        human_plan=doc.get("human_plan"),
-    )
+    hidden, hidden_where = doc["hidden_tests"], path
+    if isinstance(hidden, str):  # the name of a sidecar file that holds them
+        hidden_where = path.parent / hidden
+        hidden = load_yaml(hidden_where, "hidden tests file", error=DatasetError)
+    fields = {key: doc.get(key) for key in _FIELDS}
+    fields.update(release_date=release_date,
+                  public_examples=_parse_tests(doc["public_examples"], where=f"{path}: public_examples"),
+                  hidden_tests=_parse_tests(hidden, where=f"{hidden_where}: hidden_tests"))
+    return Problem(**fields)
 
 
 def load_problems(path: str | Path) -> list[Problem]:

@@ -18,13 +18,14 @@ import sys
 import threading
 import time
 from array import array
+from bisect import bisect_left
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
 from ._pcg import Draws
-from ._util import (BOOLEAN, INTEGER, NUMBER, TEXT, TEXT_LIST, add_months, check_fields,
+from ._util import (BOOLEAN, DATE, INTEGER, NUMBER, TEXT, TEXT_LIST, add_months, check_fields,
                     month_floor, replace_file)
 from .ccflows import VariantSettings, build_variant, parse_variant, problem_payload
 from .core import ROUNDS_USED_KEY, Message, RunContext, create_flow, package_input, run
@@ -75,23 +76,20 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, doc) -> "RunRecord":
-        """The record in ``doc``; ValueError unless it is a map holding every
+        """The record in ``doc``; ConfigError unless it is a map holding every
         required field, each of its type."""
         if not isinstance(doc, dict):
-            raise ValueError(f"a record must be a JSON object, got {type(doc).__name__}")
+            raise ConfigError(f"a record must be a JSON object, got {type(doc).__name__}")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
         if missing:
-            raise ValueError(f"a record lacks required fields: {missing}")
-        try:
-            check_fields(doc, _RECORD_FIELDS, "a record")
-        except ConfigError as exc:
-            raise ValueError(str(exc)) from None
+            raise ConfigError(f"a record lacks required fields: {missing}")
+        check_fields(doc, _RECORD_FIELDS, "a record")
         return cls(**{f.name: doc.get(f.name) for f in fields(cls)})
 
 
 # What each field of a record must hold.
 _RECORD_FIELDS = {
-    **dict.fromkeys(("problem_id", "variant", "release_date", "trace_ref"), TEXT),
+    **dict.fromkeys(("problem_id", "variant", "trace_ref"), TEXT), "release_date": DATE,
     "solved": BOOLEAN, "rounds_used": INTEGER, "wall_time": NUMBER,
     **dict.fromkeys(("verdict", "error"), ("text or null", lambda v: v is None or isinstance(v, str))),
 }
@@ -106,24 +104,32 @@ def read_records(path: str | Path) -> list[RunRecord]:
     """The records in a records file.
 
     A last line without its newline that is not a whole record was torn
-    by an interrupted append: it is dropped with a warning. Any other line
-    that is not a record raises ValueError.
+    by an interrupted append: it is dropped with a warning. A file that
+    cannot be read, or any other line that is not a record, raises
+    ConfigError naming the file (and the line): the run directory is corrupt.
     """
     path = Path(path)
     if not path.exists():
         return []
-    body, _, tail = path.read_text(encoding="utf-8").rpartition("\n")
-    records = [_parse_record(line) for line in body.splitlines() if line.strip()]
+    records, number = [], 0
+    try:
+        body, _, tail = path.read_text(encoding="utf-8").rpartition("\n")
+        for number, line in enumerate(body.split("\n"), 1):
+            if line.strip():
+                records.append(_parse_record(line))
+    except (OSError, ValueError, ConfigError) as exc:
+        detail = f"{exc} ({path}, line {number})" if number else f"cannot read {path}: {exc}"
+        raise ConfigError(f"run directory is corrupt: {detail}") from exc
     if tail.strip():
         try:
             records.append(_parse_record(tail))
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             logger.warning("%s: dropping a torn last record (%s)", path, exc)
     return records
 
 
 def _parse_record(line: str | bytes) -> RunRecord:
-    """One line of a records file; ValueError if it is not a whole record."""
+    """One line of a records file; ValueError or ConfigError unless a whole record."""
     return RunRecord.from_dict(json.loads(line))
 
 
@@ -140,7 +146,7 @@ def _end_last_line(path: Path) -> None:
         try:
             _parse_record(data[start:])
             fh.write(b"\n")
-        except ValueError:
+        except (ValueError, ConfigError):
             fh.truncate(start)
 
 
@@ -276,13 +282,14 @@ def sliding_window(dated_outcomes: list[tuple[dt.date, bool]], span_months: int 
     if not dated_outcomes:
         return []
     ordered = sorted(dated_outcomes, key=lambda pair: pair[0])
-    first = month_floor(ordered[0][0])
-    last = ordered[-1][0]
+    days = [day for day, _ in ordered]
+    solved = [outcome for _, outcome in ordered]
     windows = {}
-    start = first
-    while start <= last:
+    start = month_floor(days[0])
+    while start <= days[-1]:
         end = add_months(start, span_months)
-        outcomes = [solved for day, solved in ordered if start <= day < end]
+        # The outcomes dated in [start, end), a slice of the date-sorted ones.
+        outcomes = solved[bisect_left(days, start):bisect_left(days, end)]
         if outcomes:
             windows[(start, end)] = outcomes
         start = add_months(start, step_months)
@@ -556,7 +563,7 @@ def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Repl
     try:
         recorded = read_trace(trace_path)
         settings = dict(read_run_meta(run_dir)["variant_settings"])
-    except (NestflowError, OSError, KeyError, ValueError) as exc:
+    except (NestflowError, OSError, KeyError) as exc:
         raise ConfigError(f"cannot replay from {run_dir}: {exc}") from exc
     unknown = sorted(set(settings) - {f.name for f in fields(VariantSettings)})
     if unknown:
@@ -622,8 +629,11 @@ def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
 
 
 # What each field of run_meta.json must hold, where it is present.
-_META_FIELDS = {"seed": INTEGER, "cutoff": TEXT, "resamples": INTEGER, "level": NUMBER,
-                "variants": TEXT_LIST, "variant_settings": ("a map", lambda v: isinstance(v, dict)),
+_META_FIELDS = {"seed": ("an integer of at least 0", lambda v: type(v) is int and v >= 0),
+                "resamples": ("an integer of at least 1", lambda v: type(v) is int and v >= 1),
+                "level": ("a number between 0 and 1", lambda v: type(v) in (int, float) and 0 < v < 1),
+                "cutoff": DATE, "variants": TEXT_LIST,
+                "variant_settings": ("a map", lambda v: isinstance(v, dict)),
                 "problems": ("a map of maps", lambda v: isinstance(v, dict)
                              and all(isinstance(x, dict) for x in v.values()))}
 # What each variant setting in run_meta.json must hold, where it is present.
@@ -634,15 +644,17 @@ RETIRED_SETTINGS = {"temperature": 0.0, "max_tokens": 2048, "issue_title": DEFAU
 
 
 def read_run_meta(out_dir: str | Path) -> dict:
-    """The run directory's ``run_meta.json``; ConfigError if it does not parse
-    or a field or variant setting has the wrong type. A retired variant
-    setting that holds its constant is dropped; any other value stays, and
-    replay and resume refuse it."""
+    """The run directory's ``run_meta.json``; ConfigError if it is missing,
+    cannot be read or does not parse, or a field or variant setting has the
+    wrong type. A retired variant setting that holds its constant is dropped;
+    any other value stays, and replay and resume refuse it."""
     path = Path(out_dir) / "run_meta.json"
     where = f"run directory is corrupt: cannot read {path}"
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except FileNotFoundError:
+        raise ConfigError(f"run directory is incomplete: it has no {path.name} ({path})") from None
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ConfigError(f"{where}: it does not hold a JSON object")
@@ -687,10 +699,9 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
     judgements are dropped, each pair left without a record loses its
     trace, and the error is raised once the other threads have ended.
     Resuming a run directory whose ``run_meta.json`` holds other settings
-    (see ``write_run_meta``), or whose ``records.jsonl`` holds a line that
-    is not a record other than a torn last one, is a ConfigError, and
-    leaves every file as it was. So is an empty variant list, or one that
-    names a variant twice.
+    (see ``write_run_meta``), or whose ``records.jsonl`` does not read back
+    (see ``read_records``), is a ConfigError, and leaves every file as it
+    was. So is an empty variant list, or one that names a variant twice.
     """
     if not variants:
         raise ConfigError("the variant list is empty")
@@ -700,12 +711,8 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
             raise ConfigError(f"variant {variant!r} is listed more than once")
     out_dir = Path(settings.out_dir)
     records_path = out_dir / "records.jsonl"
-    existing = {}
-    if settings.resume:
-        try:
-            existing = {(r.problem_id, r.variant): r for r in read_records(records_path)}
-        except ValueError as exc:
-            raise ConfigError(f"run directory is corrupt: {exc}") from exc
+    existing = ({(r.problem_id, r.variant): r for r in read_records(records_path)}
+                if settings.resume else {})
     write_run_meta(out_dir, problems, variants, settings)
     if not settings.resume and records_path.exists():
         records_path.unlink()
@@ -801,15 +808,23 @@ def write_report(out_dir: str | Path) -> dict[str, Path]:
     """Regenerate the report files from records + run metadata.
 
     Output depends only on run_meta.json and records.jsonl, so repeated
-    calls produce byte-identical files.
+    calls produce byte-identical files. A ``run_meta.json`` without a
+    field the report needs, or without an entry (its source and difficulty)
+    for a recorded problem, is a ConfigError: the run directory is incomplete.
     """
     out_dir = Path(out_dir)
     meta = read_run_meta(out_dir)
     records = read_records(out_dir / "records.jsonl")
+    problems = meta.get("problems", {})
+    missing = [key for key in ("seed", "cutoff", "resamples", "level", "variants") if key not in meta]
+    missing += sorted({f"problems.{r.problem_id}" for r in records
+                       if not {"source", "difficulty"} <= problems.get(r.problem_id, {}).keys()})
+    if missing:
+        raise ConfigError(f"run directory is incomplete: {out_dir / 'run_meta.json'} lacks {missing}")
     cutoff = dt.date.fromisoformat(meta["cutoff"])
     bootstrap = {"resamples": meta["resamples"], "level": meta["level"], "seed": meta["seed"],
                  "draws": BootstrapDraws(meta["resamples"], meta["seed"])}
-    stats = stats_from_records(records, meta["problems"], cutoff, **bootstrap)
+    stats = stats_from_records(records, problems, cutoff, **bootstrap)
     variants = [v for v in meta["variants"] if v in stats]
     baseline = "Code" if "Code" in variants else (variants[0] if variants else "Code")
     table_path = out_dir / "results_table.txt"

@@ -234,6 +234,27 @@ class TestRemoteBackend:
         with pytest.raises(RetryBudgetExhaustedError, match="network error: reset"):
             backend.complete(request_with("s", "q"))
 
+    @pytest.mark.parametrize("text", [
+        "<html>busy</html>", "", "[1, 2]", json.dumps({"id": "x"}), json.dumps({"choices": []}),
+        json.dumps({"choices": [{"message": {}}]}),
+        json.dumps({"choices": [{"message": {"content": None}}]}),
+    ], ids=["not-json", "empty", "a-list", "no-choices", "empty-choices", "no-content",
+            "null-content"])
+    def test_reply_that_is_not_a_chat_completion_is_retried(self, monkeypatch, text):
+        backend, post, sleeps = remote([(200, text), (200, reply("ok"))], monkeypatch,
+                                       backoff_base=0.5)
+        assert backend.complete(request_with("s", "q")) == "ok"
+        assert len(post.calls) == 2 and sleeps == [0.5]
+
+    def test_replies_that_are_not_chat_completions_exhaust_the_budget(self, monkeypatch):
+        outcomes = [(200, "<html>"), (201, "{}"), (200, '{"choices": [{}]}')]
+        backend, post, _ = remote(outcomes, monkeypatch, max_attempts=3)
+        with pytest.raises(RetryBudgetExhaustedError) as caught:
+            backend.complete(request_with("s", "q"))
+        assert str(caught.value) == ("backend failed after 3 attempts: HTTP 200 is not a chat "
+                                     """completion: '{"choices": [{}]}'""")
+        assert len(post.calls) == 3
+
     def test_client_errors_fail_fast(self, monkeypatch):
         backend, post, _ = remote([(404, "missing")], monkeypatch)
         with pytest.raises(BackendError, match="404: missing") as caught:

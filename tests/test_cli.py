@@ -788,40 +788,49 @@ class TestFixtureGridProcess:
             assert (run_dir / name).read_bytes() == (grid_process[0] / name).read_bytes()
 
     def test_sigkill_then_resume(self, grid_process, tmp_path):
-        """eval killed once its records file holds 27 of 54 lines: no runner
-        outlives it, no scratch directory is left after one wall time, and
-        the resumed run reports and replays as an uninterrupted one."""
-        scratch = tmp_path / "tmp"
-        scratch.mkdir()
-        run_dir = tmp_path / "run"
-        args = [sys.executable, "-m", "nestflow.cli", *GRID_ARGS, "--out", str(run_dir)]
-        evaluating = subprocess.Popen(args, env=cli_env(scratch), stdout=subprocess.DEVNULL,
-                                      stderr=subprocess.DEVNULL)
-        records = run_dir / "records.jsonl"
-        deadline = time.monotonic() + 120
-        while not records.exists() or records.read_bytes().count(b"\n") < 27:
-            assert evaluating.poll() is None, "eval ended before it wrote 27 records"
-            assert time.monotonic() < deadline, "eval wrote fewer than 27 records in 120 s"
-            time.sleep(0.01)
-        evaluating.kill()
-        evaluating.wait(timeout=60)
-        deadline = time.monotonic() + 1.0  # one wall time
-        while True:
-            left = runners_with(scratch), sorted(p.name for p in scratch.glob("nestflow-sandbox-*"))
-            if left == ([], []) or time.monotonic() > deadline:
-                break
-            time.sleep(0.05)
-        assert left == ([], [])
-        resumed = subprocess.run(args, env=cli_env(scratch), capture_output=True, text=True,
-                                 timeout=300)
-        assert resumed.returncode == 0, resumed.stderr
-        for name in REPORT_FILES:
-            assert (run_dir / name).read_bytes() == (grid_process[0] / name).read_bytes(), name
-        replayed = subprocess.run([sys.executable, "-m", "nestflow.cli", "replay", "--run-dir",
-                                   str(run_dir)], env=cli_env(scratch), capture_output=True,
-                                  text=True, timeout=300)
-        assert replayed.returncode == 0, replayed.stdout + replayed.stderr
-        assert replayed.stdout.splitlines()[-1] == "replay identical: 54 of 54 pairs"
+        """eval killed once its records file holds 27 of 54 lines."""
+        sigkill_then_resume(grid_process[0], tmp_path, ["-m", "nestflow.cli"], 27)
+
+
+def sigkill_then_resume(reference: Path, tmp_path: Path, command: list[str], lines: int) -> None:
+    """Run ``python <command> eval`` on the fixture grid until its records file
+    holds ``lines`` lines, then SIGKILL it if it still runs. No runner may
+    outlive it, no scratch directory may be left after one wall time, and the
+    resumed run must write ``reference``'s report files and replay all 54 pairs."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    run_dir = tmp_path / "run"
+    args = [*GRID_ARGS, "--out", str(run_dir)]
+    evaluating = subprocess.Popen([sys.executable, *command, *args], env=cli_env(scratch),
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    records = run_dir / "records.jsonl"
+    deadline = time.monotonic() + 120
+    while True:
+        ended = evaluating.poll() is not None  # before the count, which is then final
+        if records.exists() and records.read_bytes().count(b"\n") >= lines:
+            break
+        assert not ended, f"eval ended before it wrote {lines} records"
+        assert time.monotonic() < deadline, f"eval wrote fewer than {lines} records in 120 s"
+        time.sleep(0.01)
+    evaluating.kill()
+    assert evaluating.wait(timeout=60) == -signal.SIGKILL
+    deadline = time.monotonic() + 1.0  # one wall time
+    while True:
+        left = runners_with(scratch), sorted(p.name for p in scratch.glob("nestflow-sandbox-*"))
+        if left == ([], []) or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert left == ([], [])
+    nestflow = [sys.executable, "-m", "nestflow.cli"]
+    resumed = subprocess.run([*nestflow, *args], env=cli_env(scratch), capture_output=True,
+                             text=True, timeout=300)
+    assert resumed.returncode == 0, resumed.stderr
+    for name in REPORT_FILES:
+        assert (run_dir / name).read_bytes() == (reference / name).read_bytes(), name
+    replayed = subprocess.run([*nestflow, "replay", "--run-dir", str(run_dir)],
+                              env=cli_env(scratch), capture_output=True, text=True, timeout=300)
+    assert replayed.returncode == 0, replayed.stdout + replayed.stderr
+    assert replayed.stdout.splitlines()[-1] == "replay identical: 54 of 54 pairs"
 
 
 class TestCmdReport:
@@ -1311,6 +1320,13 @@ class TestCmdCache:
         assert "entries: 0" in result.output
         assert "bytes: 0" in result.output
 
+    def test_stats_counts_an_entry_that_is_a_dangling_symlink(self, runner, tmp_path):
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / "0123.resp").symlink_to(tmp_path / "nowhere")
+        result = runner.invoke(main, ["cache", "stats", "--cache-dir", str(tmp_path / "cache")])
+        assert result.exit_code == 0, result.output
+        assert "entries: 1" in result.output
+
     @pytest.mark.parametrize("command", ["stats", "clear"])
     def test_missing_directory_is_usage_error(self, runner, tmp_path, command):
         path = tmp_path / "cahce"
@@ -1328,3 +1344,104 @@ class TestCmdCache:
         assert result.exit_code == 2, result.output
         assert f"'{path}' is a file" in result.stderr
         assert path.read_text(encoding="utf-8") == "not a cache"
+
+
+# One row per (command, fault): a function of a temporary directory and the
+# module's eval run directory that makes the fault and returns the command's
+# arguments, its exit code and what its one error line must hold. Faults are
+# made with directories and dangling symlinks, not permissions, since the
+# tests may run as root.
+def _problem_file_is_a_directory(tmp_path, run_dir, out=False):
+    problem = tmp_path / "cf-echo-101.yaml"
+    problem.mkdir()
+    return (["run", "--problem", str(problem), "--variant", "Code", "--profiles", str(PROFILES),
+             *(["--out", str(tmp_path / "out")] if out else [])],
+            2, f"error: cannot read problem file {problem}: [Errno 21] Is a directory")
+
+
+def _dataset_holds_a_dangling_symlink(tmp_path, run_dir):
+    dataset = tmp_path / "problems"
+    dataset.mkdir()
+    shutil.copy(PROBLEMS / "cf-echo-101.yaml", dataset)
+    (dataset / "gone.yaml").symlink_to(tmp_path / "nowhere.yaml")
+    return (["eval", "--dataset", str(dataset), "--variants", "Code", "--profiles", str(PROFILES),
+             "--out", str(tmp_path / "out")],
+            2, f"error: cannot read problem file {dataset / 'gone.yaml'}: [Errno 2]")
+
+
+def _records_file_is_a_directory(tmp_path, run_dir, command):
+    run_dir = shutil.copytree(run_dir, tmp_path / "run")
+    (run_dir / "records.jsonl").unlink()
+    (run_dir / "records.jsonl").mkdir()
+    args = {"report": ["report", "--run-dir", str(run_dir)],
+            "replay": ["replay", "--run-dir", str(run_dir)],
+            "eval": ["eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--variants",
+                     "Code,Code_Reflection", "--profiles", str(PROFILES), "--out", str(run_dir),
+                     "--wall-time", "2.0"]}[command]
+    return (args, 2, f"error: run directory is corrupt: cannot read {run_dir / 'records.jsonl'}: "
+                     "[Errno 21] Is a directory")
+
+
+def _report_file_is_a_directory(tmp_path, run_dir):
+    run_dir = shutil.copytree(run_dir, tmp_path / "run")
+    (run_dir / "results_table.csv").unlink()
+    (run_dir / "results_table.csv").mkdir()
+    return (["report", "--run-dir", str(run_dir)],
+            3, f"error: cannot write run directory {run_dir}: [Errno 21] Is a directory")
+
+
+def _cache_entry_is_a_directory(tmp_path, run_dir):
+    (tmp_path / "cache" / "0123.resp").mkdir(parents=True)
+    return (["cache", "clear", "--cache-dir", str(tmp_path / "cache")],
+            3, f"error: cannot write cache directory {tmp_path / 'cache'}: [Errno 21] Is a directory")
+
+
+def _bad_cutoff(tmp_path, run_dir):
+    return (["eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--profiles", str(PROFILES),
+             "--out", str(tmp_path / "out"), "--cutoff", "whenever"],
+            2, "error: --cutoff must be a date as YYYY-MM-DD, got 'whenever'")
+
+
+def _garbled_chat_reply(tmp_path, run_dir):
+    """Every reply is HTTP 200 with a body that is not a chat completion."""
+    profiles = write_profiles(tmp_path, {
+        "api": {"kind": "remote", "endpoint": "https://localhost/v1",
+                "api_key_env": "STUB_API_KEY", "max_attempts": 2}})
+    return (["eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--variants", "Code",
+             "--profiles", str(profiles), "--backend-profile", "api", "--out", str(tmp_path / "out")],
+            3, "error: backend failed after 2 attempts: HTTP 200 is not a chat completion: "
+               "'unavailable'")
+
+
+@pytest.mark.parametrize("fault", [
+    _problem_file_is_a_directory,
+    functools.partial(_problem_file_is_a_directory, out=True),
+    _dataset_holds_a_dangling_symlink,
+    functools.partial(_records_file_is_a_directory, command="report"),
+    functools.partial(_records_file_is_a_directory, command="replay"),
+    functools.partial(_records_file_is_a_directory, command="eval"),
+    _report_file_is_a_directory,
+    _cache_entry_is_a_directory,
+    _bad_cutoff,
+    _garbled_chat_reply,
+], ids=["run-problem-unreadable", "run-out-problem-unreadable", "eval-problem-unreadable",
+        "report-records-unreadable", "replay-records-unreadable", "eval-resume-records-unreadable",
+        "report-file-unwritable", "cache-clear-entry-undeletable", "eval-bad-cutoff",
+        "eval-garbled-chat-reply"])
+def test_fault_exits_with_its_code_and_one_error_line(runner, eval_dir, tmp_path, monkeypatch,
+                                                      unavailable_post, fault):
+    """Read faults of inputs exit 2 naming the file or option, write faults
+    and environment errors exit 3, each with one ``error:`` line on stderr
+    and no traceback."""
+    unavailable_post.status = 200
+    monkeypatch.setattr("nestflow.cli.RemoteBackend", functools.partial(
+        RemoteBackend, post=unavailable_post, sleep=lambda _: None))
+    args, code, message = fault(tmp_path, eval_dir[0])
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == code, result.output
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(message), result.stderr
+    assert "Traceback" not in result.output
+    if code == 2:  # refused before anything was written
+        assert not (tmp_path / "out").exists()

@@ -384,7 +384,8 @@ class TestRecordsIo:
         path = tmp_path / "records.jsonl"
         path.write_text(bad + ("\n" if not bad.endswith("\n") else "")
                         + json.dumps(self.record().to_dict()) + "\n", encoding="utf-8")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(ConfigError, match="^run directory is corrupt: Expecting property "
+                                              f"name .* \\({path}, line 1\\)$"):
             read_records(path)
 
 

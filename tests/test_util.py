@@ -146,7 +146,7 @@ def test_load_yaml_parses_without_libyaml(tmp_path, monkeypatch):
     path.write_text("release_date: 2021-09-01\ntests: [{input: '1', n: 2}]\n", encoding="utf-8")
     assert load_yaml(path) == {"release_date": dt.date(2021, 9, 1),
                                "tests": [{"input": "1", "n": 2}]}
-    with pytest.raises(OSError):
+    with pytest.raises(ConfigError, match=f"^cannot read file {tmp_path / 'absent.yaml'}: "):
         load_yaml(tmp_path / "absent.yaml")
 
 
