@@ -52,6 +52,8 @@ from nestflow.trace import TraceSink, read_trace
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SNAPSHOTS = FIXTURES / "sandbox_corpus" / "snapshots"
+# The fixture grid's three report files, as `eval` writes them.
+GOLDEN_REPORT = Path(__file__).resolve().parent / "fixture_grid_report"
 # The serial fixture grid's records.jsonl as written when each pair's hidden
 # judgement ran on its flow's thread, with wall_time left out.
 SERIAL_RECORDS = Path(__file__).resolve().parent / "serial_fixture_grid_records.jsonl"
@@ -498,3 +500,9 @@ class TestEndToEndCli:
         after = {name: (out_dir / name).read_bytes() for name in names}
         assert after == before
         assert result.output == (out_dir / "results_table.txt").read_text(encoding="utf-8")
+
+    def test_report_files_equal_their_golden_copies(self, cli_grid):
+        """The report bytes of the fixture grid, pinned across versions."""
+        out_dir, _, _ = cli_grid
+        for name in ("results_table.txt", "results_table.csv", "temporal_series.csv"):
+            assert (out_dir / name).read_bytes() == (GOLDEN_REPORT / name).read_bytes(), name

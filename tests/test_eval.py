@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import datetime as dt
 import json
 import os
@@ -720,3 +721,39 @@ class TestWriteReport:
         assert set(series) == {"Code", "Code_Reflection"}
         for points in series.values():
             assert all(p.rate.n >= 1 for p in points)
+
+    def test_report_of_a_large_sample_is_pinned(self, tmp_path):
+        """A seeded run directory whose Code/codeforces-pre sample holds 300
+        records, so its interval goes through the occurrence lanes (n >= 256)
+        and the other samples through the byte columns."""
+        shuffler = random.Random(28)
+        problems, records = {}, []
+        for index in range(420):
+            source = "codeforces" if index < 360 else "leetcode"
+            # 300 codeforces problems before the cutoff, 60 after, 60 leetcode ones anywhere.
+            offset = (index * 4 // 5 if index < 300 else 250 + index - 300 if index < 360
+                      else shuffler.randrange(300))
+            day = dt.date(2021, 1, 1) + dt.timedelta(days=offset)
+            problems[f"p{index:03d}"] = {"source": source, "release_date": day.isoformat(),
+                                         "difficulty": shuffler.choice(["easy", "medium", "hard"])
+                                         if source == "leetcode" else 800 + 100 * (index % 20)}
+            for variant, share in (("Code", 0.3 + 0.4 * (day.month < 9)), ("Code_Debug", 0.55)):
+                records.append({"problem_id": f"p{index:03d}", "variant": variant,
+                                "solved": shuffler.random() < share, "rounds_used": 1,
+                                "release_date": day.isoformat(), "trace_ref": "t", "wall_time": 0.1})
+        meta = {"seed": 3, "cutoff": "2021-09-01", "resamples": 1000, "level": 0.95,
+                "variants": ["Code", "Code_Debug"], "variant_settings": {}, "problems": problems}
+        (tmp_path / "run_meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        (tmp_path / "records.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert sum(1 for r in records if r["variant"] == "Code" and r["release_date"] < "2021-09-01"
+                   and problems[r["problem_id"]]["source"] == "codeforces") == 300
+        paths = write_report(tmp_path)
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in paths.values()}
+        assert digests == {
+            "results_table.txt": "cb2b9fdb6553e6eec1ff1d008a5091a2dc91f63a838703078b0f4b3a6cba47e1",
+            "results_table.csv": "83fc7926451d8f3ee433c4193a11890a4c0efbd51b3e5dded90bbd06fbc47ddb",
+            "temporal_series.csv":
+                "2db6d3ae201f9350ed8ed012e973aa32437eb1493516571bdaf543296916f85d",
+        }
