@@ -5,7 +5,6 @@ import calendar
 import datetime as dt
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import yaml
@@ -51,9 +50,11 @@ def replace_file(path: Path, data: bytes) -> None:
     The bytes go to a temporary file in the same directory, which then
     replaces ``path``. A reader sees the old file or the new one, never a
     torn mix, and concurrent writers each replace it whole. A failed write
-    removes its temporary file.
+    removes its temporary file. The file gets the mode ``open()`` gives,
+    0666 less the umask.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from nestflow import evalharness, sandbox
 from nestflow._pcg import Draws
-from nestflow.backends import RemoteBackend, ScriptedBackend
+from nestflow.backends import RemoteBackend, ResponseCache, ScriptedBackend
 from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
 from nestflow.errors import ConfigError, RetryBudgetExhaustedError, SandboxEnvironmentError
@@ -46,6 +46,7 @@ from nestflow.evalharness import (
     solve_rates,
     stats_from_records,
     write_report,
+    write_run_meta,
     write_temporal_csv,
 )
 
@@ -757,3 +758,21 @@ class TestWriteReport:
             "temporal_series.csv":
                 "2db6d3ae201f9350ed8ed012e973aa32437eb1493516571bdaf543296916f85d",
         }
+
+
+def test_files_get_the_mode_open_gives(tmp_path):
+    """run_meta.json, a cache entry and the report files are made as
+    ``Path.write_text`` makes a file: mode 0666 less the umask."""
+    umask = os.umask(0o027)
+    try:
+        (tmp_path / "plain").write_text("", encoding="utf-8")
+        write_run_meta(tmp_path, [], ["Code"], EvalSettings(out_dir=tmp_path, backend=None))
+        ResponseCache(tmp_path / "cache").put("0123", "reply")
+        paths = write_report(tmp_path)
+    finally:
+        os.umask(umask)
+    mode = (tmp_path / "plain").stat().st_mode
+    assert mode & 0o777 == 0o640
+    made = [tmp_path / "run_meta.json", tmp_path / "cache" / "0123.resp", *paths.values()]
+    assert {path.name: path.stat().st_mode for path in made} == dict.fromkeys(
+        [path.name for path in made], mode)
