@@ -13,7 +13,9 @@ from nestflow.backends import ScriptedBackend
 from nestflow.ccflows import VariantSettings
 from nestflow.dataset import load_problems
 from nestflow.evalharness import (
+    DEFAULT_LEVEL,
     DEFAULT_RESAMPLES,
+    BootstrapDraws,
     EvalSettings,
     evaluate_grid,
     render_results_table,
@@ -53,11 +55,13 @@ print("on resume:", again.new_runs, "new runs")
 
 # Aggregation buckets problems by source, training-cutoff side, and
 # difficulty, then prints the baseline row as absolute solve rates and
-# every other variant as a delta against it.
+# every other variant as a delta against it. Every interval of a report
+# takes its resamples from one BootstrapDraws, made from the resample
+# count and the seed, which draws each sample size once.
 
 meta = {p.id: {"source": p.source, "difficulty": p.difficulty,
                "release_date": p.release_date.isoformat()} for p in problems}
-stats = stats_from_records(result.records, meta, cutoff=settings.cutoff,
-                           resamples=DEFAULT_RESAMPLES, seed=settings.seed)
+draws = BootstrapDraws(DEFAULT_RESAMPLES, settings.seed)
+stats = stats_from_records(result.records, meta, settings.cutoff, draws, DEFAULT_LEVEL)
 print()
 print(render_results_table(stats, variants=variants))

@@ -5,12 +5,17 @@
 # sliding-window series makes that visible: each window covers a span
 # of release months and carries a bootstrap confidence interval.
 
+import csv
 import datetime as dt
 import random
-import tempfile
-from pathlib import Path
 
-from nestflow.evalharness import read_temporal_csv, sliding_window, write_temporal_csv
+from nestflow.evalharness import (
+    WINDOW_SPAN_MONTHS,
+    WINDOW_STEP_MONTHS,
+    BootstrapDraws,
+    sliding_window,
+    temporal_series_csv,
+)
 
 # Synthetic outcomes: solve probability 0.8 before September 2021 and
 # 0.25 after, twenty problems per month.
@@ -24,9 +29,13 @@ for year, month in [(2021, m) for m in range(3, 13)] + [(2022, 1), (2022, 2)]:
         day = rng.randint(1, 28)
         dated.append((dt.date(year, month, day), rng.random() < p_solved))
 
-points = sliding_window(dated, span_months=2, step_months=1,
-                        resamples=1000, seed=42)
+# Each window spans WINDOW_SPAN_MONTHS release months and starts
+# WINDOW_STEP_MONTHS after the last; the intervals take 1000 resamples
+# drawn from seed 42.
 
+points = sliding_window(dated, BootstrapDraws(1000, 42), 0.95)
+
+print(f"windows of {WINDOW_SPAN_MONTHS} months, one every {WINDOW_STEP_MONTHS}")
 print("window            rate    95% CI        n")
 for wp in points:
     marker = " <- spans the cutoff" if wp.start < cutoff < wp.end else ""
@@ -36,12 +45,13 @@ for wp in points:
 # The drop is confined to windows overlapping the cutoff; fully-pre and
 # fully-post windows just estimate their own regime.
 
-# The series round-trips losslessly through CSV, so a plotting script
-# or spreadsheet can pick it up without re-running anything.
+# A report writes the series as temporal_series.csv, every float as its
+# repr, so a plotting script or spreadsheet reads back the exact values
+# without re-running anything.
 
-path = Path(tempfile.mkdtemp(prefix="nestflow-temporal-")) / "series.csv"
-write_temporal_csv({"Code": points}, path)
-back = read_temporal_csv(path)
+text = temporal_series_csv({"Code": points})
+rows = list(csv.reader(text.splitlines()))
 print()
-print("csv round-trip exact:", back == {"Code": points})
-print("series written to", path)
+print("\n".join(text.splitlines()[:3]))
+print("floats read back exact:", [tuple(map(float, row[3:6])) for row in rows[1:]]
+      == [(wp.rate.point, wp.rate.ci_low, wp.rate.ci_high) for wp in points])

@@ -320,9 +320,19 @@ class ResponseCache:
         }
 
     def clear(self) -> int:
+        """Remove every entry and return how many there were. Each is tried;
+        if any could not be removed, OSError says how many were and names
+        the first failure."""
         entries = list(self.directory.glob("*.resp"))
+        failures = []
         for path in entries:
-            path.unlink()
+            try:
+                path.unlink()
+            except OSError as exc:
+                failures.append(exc)
+        if failures:
+            raise OSError(f"removed {len(entries) - len(failures)} of {len(entries)} entries; "
+                          f"the first that failed: {failures[0]}")
         return len(entries)
 
 

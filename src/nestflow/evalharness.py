@@ -38,6 +38,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RESAMPLES = 1000
 DEFAULT_LEVEL = 0.95
+# A temporal series' windows span two release months, each a month after the last.
+WINDOW_SPAN_MONTHS = 2
+WINDOW_STEP_MONTHS = 1
 EMPTY_CELL = "--"
 
 
@@ -157,18 +160,6 @@ def pass_at_1(outcomes: list[bool]) -> float:
     return 100.0 * sum(outcomes) / len(outcomes)
 
 
-def bootstrap_ci(outcomes: list[bool], resamples: int = DEFAULT_RESAMPLES,
-                 level: float = DEFAULT_LEVEL, seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap interval for the solve rate, in percent (see ``solve_rates``)."""
-    rate = solve_rate(outcomes, resamples=resamples, level=level, seed=seed)
-    return rate.ci_low, rate.ci_high
-
-
-def solve_rate(outcomes: list[bool], resamples: int = DEFAULT_RESAMPLES,
-               level: float = DEFAULT_LEVEL, seed: int = 0) -> SolveRate:
-    return solve_rates([outcomes], resamples=resamples, level=level, seed=seed)[0]
-
-
 class BootstrapDraws:
     """The resample indices for one seed and resample count, drawn once per size.
 
@@ -179,7 +170,9 @@ class BootstrapDraws:
     """
 
     def __init__(self, resamples: int, seed: int):
-        self.resamples, self.seed = resamples, seed
+        if resamples < 1:
+            raise ValueError("resamples must be >= 1")
+        self.resamples = resamples
         self._draws = Draws(seed)
         self._index: dict[int, list] = {}  # by size: _columns or _occurrences
 
@@ -220,29 +213,22 @@ class BootstrapDraws:
         return [int.from_bytes(raw[width * j:width * (j + 1)], sys.byteorder) for j in range(n)]
 
 
-def solve_rates(samples: list[list[bool]], resamples: int = DEFAULT_RESAMPLES,
-                level: float = DEFAULT_LEVEL, seed: int = 0,
-                draws: BootstrapDraws | None = None) -> list[SolveRate]:
+def solve_rates(samples: list[list[bool]], draws: BootstrapDraws,
+                level: float) -> list[SolveRate]:
     """Each sample's solve rate, with its percentile bootstrap interval.
 
-    The interval is the (alpha, 1-alpha) quantiles of the means of the
-    resamples that ``draws`` gives (made here for ``resamples`` and
-    ``seed`` if None), widened if needed to contain the point estimate.
-    Each mean is k/n for a count k of solved problems, so the quantiles are
-    taken from the sorted counts (see ``_linear_quantile``), equal to
-    numpy's ``linear`` quantiles of the means. A sample whose outcomes are
-    all alike has that outcome in every resample, so it is not resampled.
+    The interval is the (alpha, 1-alpha) quantiles, alpha being
+    ``(1 - level) / 2``, of the means of the resamples that ``draws``
+    gives, widened if needed to contain the point estimate. Each mean is
+    k/n for a count k of solved problems, so the quantiles are taken from
+    the sorted counts (see ``_linear_quantile``), equal to numpy's
+    ``linear`` quantiles of the means. A sample whose outcomes are all
+    alike has that outcome in every resample, so it is not resampled.
     """
     if not all(samples):
         raise ValueError("a solve rate needs at least one outcome")
-    if resamples < 1:
-        raise ValueError("resamples must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    if draws is None:
-        draws = BootstrapDraws(resamples, seed)
-    elif (draws.resamples, draws.seed) != (resamples, seed):
-        raise ValueError("draws were made for another resample count or seed")
     alpha = (1.0 - level) / 2.0
     rates = []
     for outcomes in samples:
@@ -268,17 +254,14 @@ def _linear_quantile(counts: bytes | list[int], n: int, q: float) -> float:
     return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
 
 
-def sliding_window(dated_outcomes: list[tuple[dt.date, bool]], span_months: int = 2,
-                   step_months: int = 1, resamples: int = DEFAULT_RESAMPLES,
-                   level: float = DEFAULT_LEVEL, seed: int = 0,
-                   draws: BootstrapDraws | None = None) -> list[WindowPoint]:
+def sliding_window(dated_outcomes: list[tuple[dt.date, bool]], draws: BootstrapDraws,
+                   level: float) -> list[WindowPoint]:
     """Solve rate over a window sliding across release months.
 
-    Windows are [start, start + span) aligned to month starts, stepping
-    by ``step_months``; windows containing no problems are skipped.
+    Windows are [start, start + WINDOW_SPAN_MONTHS) aligned to month
+    starts, stepping by WINDOW_STEP_MONTHS; windows containing no problems
+    are skipped.
     """
-    if span_months < 1 or step_months < 1:
-        raise ValueError("span_months and step_months must be >= 1")
     if not dated_outcomes:
         return []
     ordered = sorted(dated_outcomes, key=lambda pair: pair[0])
@@ -287,41 +270,28 @@ def sliding_window(dated_outcomes: list[tuple[dt.date, bool]], span_months: int 
     windows = {}
     start = month_floor(days[0])
     while start <= days[-1]:
-        end = add_months(start, span_months)
+        end = add_months(start, WINDOW_SPAN_MONTHS)
         # The outcomes dated in [start, end), a slice of the date-sorted ones.
         outcomes = solved[bisect_left(days, start):bisect_left(days, end)]
         if outcomes:
             windows[(start, end)] = outcomes
-        start = add_months(start, step_months)
-    rates = solve_rates(list(windows.values()), resamples=resamples, level=level, seed=seed,
-                        draws=draws)
+        start = add_months(start, WINDOW_STEP_MONTHS)
+    rates = solve_rates(list(windows.values()), draws, level)
     return [WindowPoint(start=start, end=end, rate=rate)
             for (start, end), rate in zip(windows, rates)]
 
 
-def write_temporal_csv(by_variant: dict[str, list[WindowPoint]], path: str | Path) -> None:
-    """Write window series losslessly (floats via repr round-trip)."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "window_start", "window_end",
-                         "point", "ci_low", "ci_high", "n"])
-        for variant in sorted(by_variant):
-            for wp in by_variant[variant]:
-                writer.writerow([variant, wp.start.isoformat(), wp.end.isoformat(),
-                                 repr(wp.rate.point), repr(wp.rate.ci_low),
-                                 repr(wp.rate.ci_high), wp.rate.n])
-
-
-def read_temporal_csv(path: str | Path) -> dict[str, list[WindowPoint]]:
-    by_variant: dict[str, list[WindowPoint]] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            rate = SolveRate(point=float(row["point"]), ci_low=float(row["ci_low"]),
-                             ci_high=float(row["ci_high"]), n=int(row["n"]))
-            point = WindowPoint(start=dt.date.fromisoformat(row["window_start"]),
-                                end=dt.date.fromisoformat(row["window_end"]), rate=rate)
-            by_variant.setdefault(row["variant"], []).append(point)
-    return by_variant
+def temporal_series_csv(by_variant: dict[str, list[WindowPoint]]) -> str:
+    """The window series as CSV, losslessly (floats as their repr)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["variant", "window_start", "window_end", "point", "ci_low", "ci_high", "n"])
+    for variant in sorted(by_variant):
+        for wp in by_variant[variant]:
+            writer.writerow([variant, wp.start.isoformat(), wp.end.isoformat(),
+                             repr(wp.rate.point), repr(wp.rate.ci_low),
+                             repr(wp.rate.ci_high), wp.rate.n])
+    return buffer.getvalue()
 
 
 def format_cell(rate: SolveRate | None, baseline: SolveRate | None = None) -> str:
@@ -784,10 +754,8 @@ def evaluate_grid(problems: list[Problem], variants: list[str],
 
 
 def stats_from_records(records: list[RunRecord], problem_meta: dict[str, dict],
-                       cutoff: dt.date, resamples: int = DEFAULT_RESAMPLES,
-                       level: float = DEFAULT_LEVEL, seed: int = 0,
-                       draws: BootstrapDraws | None = None
-                       ) -> dict[str, dict[str, SolveRate]]:
+                       cutoff: dt.date, draws: BootstrapDraws,
+                       level: float) -> dict[str, dict[str, SolveRate]]:
     """Per-variant, per-bucket solve rates from sorted records."""
     grouped: dict[tuple[str, str], list[bool]] = {}
     for record in sorted(records, key=lambda r: (r.problem_id, r.variant)):
@@ -796,8 +764,7 @@ def stats_from_records(records: list[RunRecord], problem_meta: dict[str, dict],
             source=meta["source"], difficulty=meta["difficulty"],
             release_date=dt.date.fromisoformat(record.release_date)), cutoff)
         grouped.setdefault((record.variant, bucket), []).append(record.solved)
-    rates = solve_rates(list(grouped.values()), resamples=resamples, level=level, seed=seed,
-                        draws=draws)
+    rates = solve_rates(list(grouped.values()), draws, level)
     stats: dict[str, dict[str, SolveRate]] = {}
     for (variant, bucket), rate in zip(grouped, rates):
         stats.setdefault(variant, {})[bucket] = rate
@@ -808,9 +775,11 @@ def write_report(out_dir: str | Path) -> dict[str, Path]:
     """Regenerate the report files from records + run metadata.
 
     Output depends only on run_meta.json and records.jsonl, so repeated
-    calls produce byte-identical files. A ``run_meta.json`` without a
-    field the report needs, or without an entry (its source and difficulty)
-    for a recorded problem, is a ConfigError: the run directory is incomplete.
+    calls produce byte-identical files. All three are rendered before any
+    is written, and each replaces its old copy whole, so a failed write
+    leaves no torn file. A ``run_meta.json`` without a field the report
+    needs, or without an entry (its source and difficulty) for a recorded
+    problem, is a ConfigError: the run directory is incomplete.
     """
     out_dir = Path(out_dir)
     meta = read_run_meta(out_dir)
@@ -821,22 +790,20 @@ def write_report(out_dir: str | Path) -> dict[str, Path]:
                        if not {"source", "difficulty"} <= problems.get(r.problem_id, {}).keys()})
     if missing:
         raise ConfigError(f"run directory is incomplete: {out_dir / 'run_meta.json'} lacks {missing}")
-    cutoff = dt.date.fromisoformat(meta["cutoff"])
-    bootstrap = {"resamples": meta["resamples"], "level": meta["level"], "seed": meta["seed"],
-                 "draws": BootstrapDraws(meta["resamples"], meta["seed"])}
-    stats = stats_from_records(records, problems, cutoff, **bootstrap)
+    draws, level = BootstrapDraws(meta["resamples"], meta["seed"]), meta["level"]
+    stats = stats_from_records(records, problems, dt.date.fromisoformat(meta["cutoff"]),
+                               draws, level)
     variants = [v for v in meta["variants"] if v in stats]
     baseline = "Code" if "Code" in variants else (variants[0] if variants else "Code")
-    table_path = out_dir / "results_table.txt"
-    table_path.write_text(render_results_table(stats, variants, baseline), encoding="utf-8")
-    csv_path = out_dir / "results_table.csv"
-    csv_path.write_text(results_table_csv(stats, variants, baseline), encoding="utf-8")
     records.sort(key=lambda r: (r.problem_id, r.variant))
-    by_variant: dict[str, list[WindowPoint]] = {}
-    for variant in variants:
-        dated = [(dt.date.fromisoformat(r.release_date), r.solved)
-                 for r in records if r.variant == variant]
-        by_variant[variant] = sliding_window(dated, **bootstrap)
-    temporal_path = out_dir / "temporal_series.csv"
-    write_temporal_csv(by_variant, temporal_path)
-    return {"table": table_path, "csv": csv_path, "temporal": temporal_path}
+    series = {variant: sliding_window([(dt.date.fromisoformat(r.release_date), r.solved)
+                                       for r in records if r.variant == variant], draws, level)
+              for variant in variants}
+    texts = {"table": ("results_table.txt", render_results_table(stats, variants, baseline)),
+             "csv": ("results_table.csv", results_table_csv(stats, variants, baseline)),
+             "temporal": ("temporal_series.csv", temporal_series_csv(series))}
+    paths = {}
+    for key, (name, text) in texts.items():
+        paths[key] = out_dir / name
+        replace_file(paths[key], text.encode("utf-8"))
+    return paths

@@ -6,7 +6,9 @@ generator-critic call-count law, bootstrap statistics against a brute
 force re-implementation, report cell grammar, determinism and state
 isolation, temporal windowing, and the CLI round trip.
 """
+import csv
 import datetime as dt
+import io
 import json
 import math
 import random
@@ -34,17 +36,18 @@ from nestflow.core import (
     snapshot_states,
 )
 from nestflow.evalharness import (
+    BootstrapDraws,
     EvalSettings,
     SolveRate,
-    bootstrap_ci,
+    WindowPoint,
     evaluate_grid,
     read_records,
-    read_temporal_csv,
     render_results_table,
     replay_pair,
     results_table_csv,
     sliding_window,
-    write_temporal_csv,
+    solve_rates,
+    temporal_series_csv,
 )
 from nestflow.sandbox import ExecutionLimits, Verdict, run_tests
 from nestflow.sandbox import TestCase as IOCase
@@ -290,8 +293,14 @@ def brute_force_ci(outcomes, resamples=1000, level=0.95, seed=42):
             100.0 * max(quantile(1.0 - alpha), point))
 
 
+def bootstrap_ci(outcomes):
+    """The interval of one sample, 1000 resamples at level 0.95 from seed 42."""
+    rate = solve_rates([outcomes], BootstrapDraws(1000, 42), 0.95)[0]
+    return rate.ci_low, rate.ci_high
+
+
 class TestBootstrapOracle:
-    """bootstrap_ci against an independent brute-force bootstrap."""
+    """solve_rates against an independent brute-force bootstrap."""
 
     def committed_vectors(self):
         shuffler = random.Random(1106)
@@ -304,19 +313,18 @@ class TestBootstrapOracle:
 
     def test_matches_brute_force_within_five_hundredths(self):
         for vector in self.committed_vectors():
-            got_low, got_high = bootstrap_ci(vector, resamples=1000,
-                                             level=0.95, seed=42)
+            got_low, got_high = bootstrap_ci(vector)
             want_low, want_high = brute_force_ci(vector)
             assert abs(got_low - want_low) <= 0.05
             assert abs(got_high - want_high) <= 0.05
 
     def test_degenerate_vectors_have_zero_width(self):
-        assert bootstrap_ci([True] * 30, resamples=1000, seed=42) == (100.0, 100.0)
-        assert bootstrap_ci([False] * 30, resamples=1000, seed=42) == (0.0, 0.0)
+        assert bootstrap_ci([True] * 30) == (100.0, 100.0)
+        assert bootstrap_ci([False] * 30) == (0.0, 0.0)
 
     def test_width_shrinks_with_sample_size(self):
-        low50, high50 = bootstrap_ci([True, False] * 25, resamples=1000, seed=42)
-        low200, high200 = bootstrap_ci([True, False] * 100, resamples=1000, seed=42)
+        low50, high50 = bootstrap_ci([True, False] * 25)
+        low200, high200 = bootstrap_ci([True, False] * 100)
         ratio = (high50 - low50) / (high200 - low200)
         assert 1.6 <= ratio <= 2.4
 
@@ -451,9 +459,11 @@ class TestTemporalWindows:
                 dated.append((dt.date(year, month, 1 + (i % 27)), i < solved_count))
         return dated
 
+    def windows(self):
+        return sliding_window(self.synthetic_series(), BootstrapDraws(1000, 42), 0.95)
+
     def test_transition_confined_to_boundary_windows(self):
-        points = sliding_window(self.synthetic_series(), span_months=2,
-                                step_months=1, resamples=1000, seed=42)
+        points = self.windows()
         assert [p.start for p in points] == [
             dt.date(2021, m, 1) for m in range(3, 13)] + [
             dt.date(2022, 1, 1), dt.date(2022, 2, 1)]
@@ -471,12 +481,14 @@ class TestTemporalWindows:
         rates = [p.rate.point for p in points]
         assert all(earlier >= later for earlier, later in zip(rates, rates[1:]))
 
-    def test_series_round_trips_through_csv(self, tmp_path):
-        points = sliding_window(self.synthetic_series(), span_months=2,
-                                step_months=1, resamples=1000, seed=42)
-        path = tmp_path / "series.csv"
-        write_temporal_csv({"Code": points}, path)
-        assert read_temporal_csv(path) == {"Code": points}
+    def test_series_round_trips_through_csv(self):
+        points = self.windows()
+        rows = list(csv.reader(io.StringIO(temporal_series_csv({"Code": points}), newline="")))
+        assert rows[0] == ["variant", "window_start", "window_end", "point", "ci_low", "ci_high", "n"]
+        back = [WindowPoint(dt.date.fromisoformat(start), dt.date.fromisoformat(end),
+                            SolveRate(float(point), float(low), float(high), int(n)))
+                for variant, start, end, point, low, high, n in rows[1:] if variant == "Code"]
+        assert back == points and len(rows) == len(points) + 1
 
 
 class TestEndToEndCli:

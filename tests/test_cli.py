@@ -1320,6 +1320,17 @@ class TestCmdCache:
         assert "entries: 0" in result.output
         assert "bytes: 0" in result.output
 
+    def test_clear_tries_every_entry(self, runner, tmp_path):
+        cache_dir = tmp_path / "cache"
+        (cache_dir / "0000.resp").mkdir(parents=True)  # a directory: unlink fails
+        ResponseCache(cache_dir).put("ffff", "reply")
+        result = runner.invoke(main, ["cache", "clear", "--cache-dir", str(cache_dir)])
+        assert result.exit_code == 3, result.output
+        assert (f"error: cannot write cache directory {cache_dir}: removed 1 of 2 entries; "
+                f"the first that failed: [Errno 21] Is a directory: '{cache_dir / '0000.resp'}'"
+                ) in result.stderr
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["0000.resp"]
+
     def test_stats_counts_an_entry_that_is_a_dangling_symlink(self, runner, tmp_path):
         (tmp_path / "cache").mkdir()
         (tmp_path / "cache" / "0123.resp").symlink_to(tmp_path / "nowhere")
@@ -1393,7 +1404,8 @@ def _report_file_is_a_directory(tmp_path, run_dir):
 def _cache_entry_is_a_directory(tmp_path, run_dir):
     (tmp_path / "cache" / "0123.resp").mkdir(parents=True)
     return (["cache", "clear", "--cache-dir", str(tmp_path / "cache")],
-            3, f"error: cannot write cache directory {tmp_path / 'cache'}: [Errno 21] Is a directory")
+            3, f"error: cannot write cache directory {tmp_path / 'cache'}: removed 0 of 1 entries; "
+               "the first that failed: [Errno 21] Is a directory")
 
 
 def _bad_cutoff(tmp_path, run_dir):

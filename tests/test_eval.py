@@ -1,6 +1,7 @@
 import csv
-import hashlib
 import datetime as dt
+import hashlib
+import io
 import json
 import os
 import random
@@ -32,22 +33,19 @@ from nestflow.evalharness import (
     SolveRate,
     WindowPoint,
     append_record,
-    bootstrap_ci,
     evaluate_grid,
     format_cell,
     pass_at_1,
     read_records,
     read_run_meta,
-    read_temporal_csv,
     render_results_table,
     results_table_csv,
     sliding_window,
-    solve_rate,
     solve_rates,
     stats_from_records,
+    temporal_series_csv,
     write_report,
     write_run_meta,
-    write_temporal_csv,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -71,6 +69,24 @@ class TestPassAt1:
     @given(st.lists(st.booleans(), min_size=1, max_size=40))
     def test_bounded(self, outcomes):
         assert 0.0 <= pass_at_1(outcomes) <= 100.0
+
+
+def interval(outcomes, resamples=DEFAULT_RESAMPLES, level=DEFAULT_LEVEL, seed=0):
+    """One sample's (low, high) interval, from draws of its own."""
+    rate = solve_rates([outcomes], BootstrapDraws(resamples, seed), level)[0]
+    return rate.ci_low, rate.ci_high
+
+
+def parse_temporal_csv(text):
+    """The window series that ``temporal_series_csv`` wrote as ``text``."""
+    by_variant = {}
+    for row in csv.DictReader(io.StringIO(text, newline="")):
+        rate = SolveRate(point=float(row["point"]), ci_low=float(row["ci_low"]),
+                         ci_high=float(row["ci_high"]), n=int(row["n"]))
+        by_variant.setdefault(row["variant"], []).append(WindowPoint(
+            dt.date.fromisoformat(row["window_start"]), dt.date.fromisoformat(row["window_end"]),
+            rate))
+    return by_variant
 
 
 def per_resample_ci(outcomes, resamples, level, seed):
@@ -108,23 +124,23 @@ class TestBootstrapCi:
             for seed in (n % 5, 17):
                 resamples = resample_counts[(n + seed) % 5]
                 level = levels[(n // 5 + seed) % 5]
-                assert bootstrap_ci(outcomes, resamples, level, seed) == \
+                assert interval(outcomes, resamples, level, seed) == \
                     single_draw_ci(outcomes, resamples, level, seed), (n, resamples, level, seed)
         for n in (1, 2, 30, 300):
             for outcomes in ([True] * n, [False] * n):
                 for resamples, level in ((1, 0.8), (1000, 0.99)):
-                    assert bootstrap_ci(outcomes, resamples, level, 3) == \
+                    assert interval(outcomes, resamples, level, 3) == \
                         single_draw_ci(outcomes, resamples, level, 3), (n, outcomes[0], resamples)
 
     def test_intervals_of_many_samples_equal_each_alone(self):
         shuffler = random.Random(6)
         samples = [[shuffler.random() < 0.5 for _ in range(shuffler.randint(1, 12))]
                    for _ in range(60)]
-        assert solve_rates(samples, 500, 0.9, 4) == \
-            [solve_rate(outcomes, 500, 0.9, 4) for outcomes in samples]
-        assert solve_rates([]) == []
+        assert solve_rates(samples, BootstrapDraws(500, 4), 0.9) == \
+            [solve_rates([outcomes], BootstrapDraws(500, 4), 0.9)[0] for outcomes in samples]
+        assert solve_rates([], BootstrapDraws(1, 0), 0.9) == []
         with pytest.raises(ValueError):
-            solve_rates([[True], []])
+            solve_rates([[True], []], BootstrapDraws(1, 0), 0.9)
 
     def test_single_draw_equals_per_resample_loop(self):
         shuffler = random.Random(5)
@@ -132,46 +148,40 @@ class TestBootstrapCi:
             for seed in range(4):
                 outcomes = [shuffler.random() < 0.4 for _ in range(n)]
                 for resamples in (1, 7, 1000):
-                    assert bootstrap_ci(outcomes, resamples, 0.95, seed) == \
+                    assert interval(outcomes, resamples, 0.95, seed) == \
                         per_resample_ci(outcomes, resamples, 0.95, seed), (n, seed, resamples)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bootstrap_ci([])
+            interval([])
+        with pytest.raises(ValueError, match="resamples must be >= 1"):
+            BootstrapDraws(0, 0)
         with pytest.raises(ValueError):
-            bootstrap_ci([True], resamples=0)
+            interval([True], level=1.0)
         with pytest.raises(ValueError):
-            bootstrap_ci([True], level=1.0)
-        with pytest.raises(ValueError):
-            bootstrap_ci([True], level=0.0)
+            interval([True], level=0.0)
 
     def test_degenerate_vectors_have_zero_width(self):
-        assert bootstrap_ci([True] * 8, seed=42) == (100.0, 100.0)
-        assert bootstrap_ci([False] * 8, seed=42) == (0.0, 0.0)
+        assert interval([True] * 8, seed=42) == (100.0, 100.0)
+        assert interval([False] * 8, seed=42) == (0.0, 0.0)
 
     def test_deterministic_per_seed(self):
         # Reproducibility is the law; seed-sensitivity is demonstrated on
         # a vector large enough that the resample quantiles do not
         # coincide by accident.
         outcomes = [True] * 13 + [False] * 27
-        first = bootstrap_ci(outcomes, resamples=200, seed=7)
-        second = bootstrap_ci(outcomes, resamples=200, seed=7)
-        third = bootstrap_ci(outcomes, resamples=200, seed=8)
+        first = interval(outcomes, resamples=200, seed=7)
+        second = interval(outcomes, resamples=200, seed=7)
+        third = interval(outcomes, resamples=200, seed=8)
         assert first == second
         assert first != third
 
     def test_interval_contains_point(self):
         outcomes = [True] * 3 + [False] * 9
-        low, high = bootstrap_ci(outcomes, resamples=300, seed=1)
+        low, high = interval(outcomes, resamples=300, seed=1)
         point = pass_at_1(outcomes)
         assert low <= point <= high
         assert 0.0 <= low and high <= 100.0
-
-    def test_solve_rate_wraps_everything(self):
-        result = solve_rate([True, False], resamples=100, seed=3)
-        assert result.point == 50.0
-        assert result.n == 2
-        assert result.ci_low <= 50.0 <= result.ci_high
 
 
 class TestDraws:
@@ -206,69 +216,66 @@ class TestDraws:
         with pytest.raises(ValueError, match="non-negative"):
             Draws(-1)
         with pytest.raises(ValueError, match="non-negative"):
-            bootstrap_ci([True, False], seed=-1)
+            BootstrapDraws(100, -1)
 
-    def test_shared_draws_must_match_the_call(self):
-        draws = BootstrapDraws(100, 3)
-        assert solve_rates([[True, False, True]], 100, 0.9, 3, draws=draws) == \
-            [solve_rate([True, False, True], 100, 0.9, 3)]
-        for resamples, seed in ((100, 4), (99, 3)):
-            with pytest.raises(ValueError, match="another resample count or seed"):
-                solve_rates([[True, False]], resamples, 0.9, seed, draws=draws)
+    def test_shared_draws_equal_fresh_draws_for_every_size(self):
+        """A report's one BootstrapDraws serves samples of any size in any
+        order, the byte-column sizes and the occurrence-lane ones alike."""
+        shuffler = random.Random(3)
+        samples = [[shuffler.random() < 0.6 for _ in range(n)] for n in (3, 300, 2, 3, 257, 40)]
+        shared = BootstrapDraws(100, 3)
+        assert [solve_rates([outcomes], shared, 0.9)[0] for outcomes in samples] == \
+            [solve_rates([outcomes], BootstrapDraws(100, 3), 0.9)[0] for outcomes in samples]
 
 
 class TestSlidingWindow:
     def dated(self, *pairs):
         return [(dt.date.fromisoformat(day), solved) for day, solved in pairs]
 
+    def windows(self, *pairs):
+        return sliding_window(self.dated(*pairs), BootstrapDraws(50, 0), DEFAULT_LEVEL)
+
     def test_validation_and_empty(self):
-        with pytest.raises(ValueError):
-            sliding_window([("x", True)], span_months=0)
-        with pytest.raises(ValueError):
-            sliding_window([("x", True)], step_months=0)
-        assert sliding_window([]) == []
+        with pytest.raises(ValueError, match="level"):
+            sliding_window(self.dated(("2021-01-10", True)), BootstrapDraws(50, 0), 1.0)
+        assert sliding_window([], BootstrapDraws(50, 0), DEFAULT_LEVEL) == []
 
     def test_empty_windows_skipped(self):
-        data = self.dated(("2021-01-10", True), ("2021-01-20", True),
-                          ("2021-03-05", False))
-        points = sliding_window(data, span_months=1, step_months=1, resamples=50)
+        points = self.windows(("2021-01-10", True), ("2021-01-20", True), ("2021-04-05", False))
+        # [Feb, Apr) holds no problem.
         assert [(p.start, p.end) for p in points] == [
-            (dt.date(2021, 1, 1), dt.date(2021, 2, 1)),
-            (dt.date(2021, 3, 1), dt.date(2021, 4, 1)),
+            (dt.date(2021, 1, 1), dt.date(2021, 3, 1)),
+            (dt.date(2021, 3, 1), dt.date(2021, 5, 1)),
+            (dt.date(2021, 4, 1), dt.date(2021, 6, 1)),
         ]
         assert points[0].rate.point == 100.0 and points[0].rate.n == 2
         assert points[1].rate.point == 0.0 and points[1].rate.n == 1
 
     def test_span_two_mixes_adjacent_months(self):
-        data = self.dated(("2021-01-10", True), ("2021-02-10", False))
-        points = sliding_window(data, span_months=2, step_months=1, resamples=50)
+        points = self.windows(("2021-01-10", True), ("2021-02-10", False))
         assert points[0].rate.n == 2 and points[0].rate.point == 50.0
         assert points[1].rate.n == 1 and points[1].rate.point == 0.0
 
     def test_window_end_is_exclusive(self):
-        data = self.dated(("2021-01-15", True), ("2021-02-01", False))
-        points = sliding_window(data, span_months=1, step_months=1, resamples=50)
+        points = self.windows(("2021-01-15", True), ("2021-03-01", False))
+        assert (points[0].start, points[0].end) == (dt.date(2021, 1, 1), dt.date(2021, 3, 1))
         assert points[0].rate.n == 1
         assert points[0].rate.point == 100.0
 
 
 class TestTemporalCsv:
-    def test_lossless_round_trip(self, tmp_path):
+    def test_lossless_round_trip(self):
+        mixed, unsolved = solve_rates([[True, False, True], [False] * 4],
+                                      BootstrapDraws(100, 5), DEFAULT_LEVEL)
         series = {
-            "Code": [WindowPoint(dt.date(2021, 1, 1), dt.date(2021, 3, 1),
-                                 solve_rate([True, False, True], resamples=100, seed=5))],
-            "Code_Reflection": [WindowPoint(dt.date(2021, 2, 1), dt.date(2021, 4, 1),
-                                            solve_rate([False] * 4, resamples=100, seed=5))],
+            "Code": [WindowPoint(dt.date(2021, 1, 1), dt.date(2021, 3, 1), mixed)],
+            "Code_Reflection": [WindowPoint(dt.date(2021, 2, 1), dt.date(2021, 4, 1), unsolved)],
         }
-        path = tmp_path / "series.csv"
-        write_temporal_csv(series, path)
-        assert read_temporal_csv(path) == series
+        assert parse_temporal_csv(temporal_series_csv(series)) == series
 
-    def test_header(self, tmp_path):
-        path = tmp_path / "series.csv"
-        write_temporal_csv({}, path)
-        assert path.read_text(encoding="utf-8").strip() == \
-            "variant,window_start,window_end,point,ci_low,ci_high,n"
+    def test_header(self):
+        assert temporal_series_csv({}) == \
+            "variant,window_start,window_end,point,ci_low,ci_high,n\r\n"
 
 
 class TestFormatCell:
@@ -403,8 +410,8 @@ class TestStatsFromRecords:
             RunRecord("cf1", "Code", True, 1, "2021-05-10", "t", 0.1),
             RunRecord("lc1", "Code", False, 1, "2021-10-01", "t", 0.1),
         ]
-        stats = stats_from_records(records, meta, cutoff=dt.date(2021, 9, 1),
-                                   resamples=50)
+        stats = stats_from_records(records, meta, dt.date(2021, 9, 1), BootstrapDraws(50, 0),
+                                   DEFAULT_LEVEL)
         assert stats["Code"]["codeforces-pre"].point == 100.0
         assert stats["Code"]["leetcode-post-easy"].point == 0.0
         assert stats["Code"]["codeforces-pre"].n == 1
@@ -718,10 +725,45 @@ class TestWriteReport:
     def test_temporal_series_written(self, small_grid):
         out_dir, _, _, _ = small_grid
         write_report(out_dir)
-        series = read_temporal_csv(out_dir / "temporal_series.csv")
+        series = parse_temporal_csv(
+            (out_dir / "temporal_series.csv").read_bytes().decode("utf-8"))
         assert set(series) == {"Code", "Code_Reflection"}
         for points in series.values():
             assert all(p.rate.n >= 1 for p in points)
+
+    REPORT_FILES = ("results_table.txt", "results_table.csv", "temporal_series.csv")
+
+    def report_copy(self, small_grid, tmp_path):
+        """A copy of the small grid's run directory, its report files written."""
+        out_dir = shutil.copytree(small_grid[0], tmp_path / "run")
+        write_report(out_dir)
+        return out_dir, {name: (out_dir / name).read_bytes() for name in self.REPORT_FILES}
+
+    def test_a_report_file_that_cannot_be_replaced_leaves_no_temporary_file(self, small_grid,
+                                                                            tmp_path):
+        out_dir, before = self.report_copy(small_grid, tmp_path)
+        (out_dir / "results_table.csv").unlink()
+        (out_dir / "results_table.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_report(out_dir)
+        assert not list(out_dir.glob("*.tmp"))
+        # Each report file is whole: the one before the failure replaced, the one after kept.
+        assert (out_dir / "results_table.txt").read_bytes() == before["results_table.txt"]
+        assert (out_dir / "temporal_series.csv").read_bytes() == before["temporal_series.csv"]
+
+    def test_a_rendering_error_touches_no_report_file(self, small_grid, tmp_path, monkeypatch):
+        out_dir, before = self.report_copy(small_grid, tmp_path)
+        inodes = {name: (out_dir / name).stat().st_ino for name in self.REPORT_FILES}
+
+        def broken(by_variant):
+            raise RuntimeError("stub")
+
+        monkeypatch.setattr(evalharness, "temporal_series_csv", broken)
+        with pytest.raises(RuntimeError, match="stub"):
+            write_report(out_dir)
+        assert {name: (out_dir / name).read_bytes() for name in self.REPORT_FILES} == before
+        assert {name: (out_dir / name).stat().st_ino for name in self.REPORT_FILES} == inodes
+        assert not list(out_dir.glob("*.tmp"))
 
     def test_report_of_a_large_sample_is_pinned(self, tmp_path):
         """A seeded run directory whose Code/codeforces-pre sample holds 300
