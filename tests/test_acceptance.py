@@ -293,7 +293,7 @@ def brute_force_ci(outcomes, resamples=1000, level=0.95, seed=42):
             100.0 * max(quantile(1.0 - alpha), point))
 
 
-def bootstrap_ci(outcomes):
+def interval(outcomes):
     """The interval of one sample, 1000 resamples at level 0.95 from seed 42."""
     rate = solve_rates([outcomes], BootstrapDraws(1000, 42), 0.95)[0]
     return rate.ci_low, rate.ci_high
@@ -313,18 +313,18 @@ class TestBootstrapOracle:
 
     def test_matches_brute_force_within_five_hundredths(self):
         for vector in self.committed_vectors():
-            got_low, got_high = bootstrap_ci(vector)
+            got_low, got_high = interval(vector)
             want_low, want_high = brute_force_ci(vector)
             assert abs(got_low - want_low) <= 0.05
             assert abs(got_high - want_high) <= 0.05
 
     def test_degenerate_vectors_have_zero_width(self):
-        assert bootstrap_ci([True] * 30) == (100.0, 100.0)
-        assert bootstrap_ci([False] * 30) == (0.0, 0.0)
+        assert interval([True] * 30) == (100.0, 100.0)
+        assert interval([False] * 30) == (0.0, 0.0)
 
     def test_width_shrinks_with_sample_size(self):
-        low50, high50 = bootstrap_ci([True, False] * 25)
-        low200, high200 = bootstrap_ci([True, False] * 100)
+        low50, high50 = interval([True, False] * 25)
+        low200, high200 = interval([True, False] * 100)
         ratio = (high50 - low50) / (high200 - low200)
         assert 1.6 <= ratio <= 2.4
 
