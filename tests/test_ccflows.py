@@ -2,6 +2,7 @@ import datetime as dt
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,8 @@ from nestflow.ccflows import (
     parse_variant,
     problem_payload,
 )
-from nestflow._util import canonical_json
+from nestflow import cli
+from nestflow._util import canonical_bytes, canonical_json, sha256_hex
 from nestflow.core import FlowConfig, create_flow, package_input, run
 from nestflow.dataset import Problem
 from nestflow.errors import ConfigError, DatasetError, FlowError
@@ -79,6 +81,36 @@ class TestParseVariant:
         variant = parse_variant("Plan_Reflection-Code_Debug")
         assert variant.plan_part == "Plan_Reflection"
         assert variant.code_part == "Code_Debug"
+
+
+ALL_VARIANTS = list(CODE_PARTS) + [f"{plan}-{code}" for plan in PLAN_PARTS for code in CODE_PARTS]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def cli_default_settings():
+    """What ``nestflow eval`` builds with every option at its default and the
+    bundled profiles file's default profile."""
+    defaults = {param.name: param.default for param in cli.cmd_eval.params}
+    _, _, model = cli.load_backend_profile(ROOT / "fixtures" / "profiles.yaml",
+                                           defaults["backend_profile"])
+    return cli._variant_settings(model, defaults["wall_time"], defaults["memory_mb"],
+                                 defaults["max_rounds"])
+
+
+class TestVariantConfigDigests:
+    """The sha256 of each of the 25 variants' canonical config is pinned, so a
+    change to a prompt, a param or a default shows here first."""
+
+    GOLDEN = json.loads((ROOT / "tests" / "variant_config_digests.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("label, settings", [("VariantSettings()", VariantSettings()),
+                                                 ("cli defaults", None)])
+    def test_configs_equal_their_pinned_digests(self, label, settings):
+        settings = settings or cli_default_settings()
+        digests = {name: sha256_hex(canonical_bytes(build_variant(name, settings).to_dict()))
+                   for name in ALL_VARIANTS}
+        assert len(digests) == 25
+        assert digests == self.GOLDEN[label]
 
 
 class TestBuildVariant:
