@@ -125,8 +125,13 @@ def _copy_value(value, where: str):
 # and the check of a value.
 TEXT = ("text", lambda v: isinstance(v, str))
 TEXT_LIST = ("a list of text", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+MAP = ("a map", lambda v: isinstance(v, dict))
+TEXT_MAP = ("a map of text to text", lambda v: isinstance(v, dict) and all(
+    isinstance(k, str) and isinstance(x, str) for k, x in v.items()))
 INTEGER = ("an integer", lambda v: type(v) is int)
+POSITIVE_INTEGER = ("an integer of at least 1", lambda v: type(v) is int and v >= 1)
 NUMBER = ("a number", lambda v: type(v) in (int, float))
+POSITIVE_NUMBER = ("a positive number", lambda v: type(v) in (int, float) and v > 0)
 BOOLEAN = ("a boolean", lambda v: type(v) is bool)
 
 
@@ -140,10 +145,18 @@ def _is_date(value) -> bool:
 DATE = ("a date as YYYY-MM-DD", _is_date)
 
 
-def check_fields(doc: dict, rules: dict, where: str, *,
-                 error: type[Exception] = ConfigError) -> None:
-    """Raise ``error``, prefixed with ``where``, naming the first field of
-    ``doc`` that breaks its rule in ``rules``. An absent field breaks none."""
+def check_fields(doc: dict, rules: dict, where: str, *, required=(), closed: bool = False,
+                 what: str = "fields", error: type[Exception] = ConfigError) -> None:
+    """Raise ``error``, prefixed with ``where``, if ``doc`` holds fields with
+    no rule when ``closed``, lacks ``required`` ones, or holds one that breaks
+    its rule in ``rules``, naming them (``what`` they are). An absent field
+    breaks no rule, and null breaks every rule that does not allow it."""
+    unknown = sorted(set(doc) - set(rules), key=str) if closed else []
+    if unknown:
+        raise error(f"{where} has unknown {what}: {unknown}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise error(f"{where} lacks required {what}: {missing}")
     for key, (kind, valid) in rules.items():
         if key in doc and not valid(doc[key]):
             raise error(f"{where}: {key!r} must be {kind}, got {json.dumps(doc[key], default=str)}")

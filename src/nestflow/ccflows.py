@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import templates as T
+from ._util import BOOLEAN
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
 from .dataset import Problem
 from .errors import ConfigError, DatasetError, FlowError
@@ -312,14 +313,10 @@ class HumanPlanFlow(FlowInstance):
     """Plan source that bypasses the model: dataset plan or interactive entry."""
 
     kind = "human_plan"
-    accepted_params = ("interactive",)
-
-    def __init__(self, config: FlowConfig):
-        super().__init__(config)
-        self.interactive = bool(config.params.get("interactive", False))
+    accepted_params = {"interactive": BOOLEAN}
 
     def _step(self, message: Message, ctx: RunContext) -> dict:
-        if self.interactive:
+        if self.config.params.get("interactive", False):
             plan = oracle_plan(message.payload)
         else:
             plan = message.payload.get("human_plan")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from ._util import TEXT, TEXT_LIST, check_fields, load_yaml
+from ._util import POSITIVE_INTEGER, POSITIVE_NUMBER, TEXT, TEXT_LIST, check_fields, load_yaml
 from .backends import RemoteBackend, ResponseCache, ScriptedBackend
 from .ccflows import DEFAULT_VARIANTS, VariantSettings, parse_variant
 from .dataset import DEFAULT_CUTOFF, load_problem_file, load_problems
@@ -36,9 +36,8 @@ from .sandbox import DEFAULT_MEMORY_BYTES, DEFAULT_WALL_TIME
 PROFILE_FIELDS = {
     **dict.fromkeys(("model", "cache_dir", "rules_file", "endpoint", "api_key_env"), TEXT),
     "responses": TEXT_LIST,
-    "max_attempts": ("an integer of at least 1", lambda v: type(v) is int and v >= 1),
-    **dict.fromkeys(("backoff_base", "request_timeout"),
-                    ("a positive number", lambda v: type(v) in (int, float) and v > 0)),
+    "max_attempts": POSITIVE_INTEGER,
+    **dict.fromkeys(("backoff_base", "request_timeout"), POSITIVE_NUMBER),
 }
 # Numeric option types. A sandbox limit of zero or less would lift a cap or
 # time out every test; click rejects such a value before any file is written.
@@ -178,7 +177,8 @@ def cmd_run(problem_path: str, variant: str, profiles_path: str, backend_profile
         variant_settings=_variant_settings(model, wall_time, memory_mb, max_rounds,
                                            interactive_plan))
     if settings.out_dir is not None:
-        write_run_meta(settings.out_dir, [problem], [variant], settings)
+        write_run_meta(settings.out_dir, [problem], [variant], settings,
+                       restart_hint="run with another --out starts over")
     record, code = run_pair(problem, variant, settings).judge()
     click.echo(f"problem: {problem.id}")
     click.echo(f"variant: {variant}")

@@ -8,15 +8,13 @@ generator input with a key mapping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._util import POSITIVE_INTEGER, TEXT_MAP
 from .core import (
     FlowConfig,
     FlowInstance,
     Message,
     ROUNDS_USED_KEY,
     RunContext,
-    create_flow,
     register_flow_kind,
     run,
 )
@@ -32,62 +30,12 @@ def is_final_answer(completion) -> bool:
     return isinstance(completion, str) and FINAL_ANSWER_NEEDLE in completion
 
 
-@dataclass(frozen=True)
-class KeyMapping:
-    """Ordered (source, target) key pairs; targets must be unique."""
-
-    entries: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        targets = [t for _, t in self.entries]
-        if len(set(targets)) != len(targets):
-            raise ConfigError(f"key mapping has duplicate targets: {targets}")
-
-    @classmethod
-    def from_dict(cls, doc: dict | None) -> "KeyMapping":
-        if not doc:
-            return cls()
-        if not isinstance(doc, dict):
-            raise ConfigError(f"key mapping must be a map, got {type(doc).__name__}")
-        return cls(tuple((str(s), str(t)) for s, t in doc.items()))
-
-    def apply(self, payload: dict) -> dict:
-        """Project mapped keys out of a payload; absent sources are skipped."""
-        return {target: payload[source] for source, target in self.entries if source in payload}
-
-
-def _child_configs(config: FlowConfig, *, exactly: int | None = None) -> list[FlowConfig]:
-    raw = config.params.get("children")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"composite flow {config.name!r} needs params.children")
-    if exactly is not None and len(raw) != exactly:
-        raise ConfigError(f"flow {config.name!r} needs exactly {exactly} children, got {len(raw)}")
-    return [FlowConfig.from_dict(c) for c in raw]
-
-
-def _max_rounds(config: FlowConfig) -> int:
-    value = config.params.get("max_rounds", DEFAULT_MAX_ROUNDS)
-    if not isinstance(value, int) or value < 1:
-        raise ConfigError(f"flow {config.name!r} needs integer max_rounds >= 1, got {value!r}")
-    return value
-
-
-def _critic_stop_on(config: FlowConfig, critic: FlowConfig) -> dict:
-    value = config.params.get("critic_stop_on", {})
-    if not isinstance(value, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in value.items()):
-        raise ConfigError(f"flow {config.name!r} needs critic_stop_on to map payload keys "
-                          f"to text, got {value!r}")
-    if {"key", "needle"} <= set(value) <= {"key", "mode", "needle"}:
-        raise ConfigError(f"flow {config.name!r} has critic_stop_on in the retired "
-                          f"key/mode/needle form, {value!r}; it maps each critic output key to "
-                          f'the text that ends the loop, as in {{"verdict": "AllPassed"}}')
-    undeclared = sorted(set(value) - set(critic.output_keys)) if critic.output_keys else []
-    if undeclared:
-        raise ConfigError(f"flow {config.name!r} has critic_stop_on keys {undeclared} that its "
-                          f"critic {critic.name!r} does not output (its output_keys are "
-                          f"{list(critic.output_keys)})")
-    return value
+# A composite's child configs, built by FlowInstance.__init__.
+CHILDREN = ("a non-empty list of flow config maps",
+            lambda v: isinstance(v, list) and v != [] and all(isinstance(c, dict) for c in v))
+# Critic output keys projected onto the next generator input's keys.
+FEEDBACK_MAPPING = ("a map of text to text, no two keys to the same text",
+                    lambda v: TEXT_MAP[1](v) and len(set(v.values())) == len(v))
 
 
 def _deliver(owner: FlowInstance, child: FlowInstance, payload: dict, parents: tuple[str, ...],
@@ -107,10 +55,8 @@ class SequentialFlow(FlowInstance):
     """Run children once each, in order, threading the running payload."""
 
     kind = "sequential"
-    accepted_params = ("children",)
-
-    def __init__(self, config: FlowConfig):
-        super().__init__(config, [create_flow(c) for c in _child_configs(config)])
+    accepted_params = {"children": CHILDREN}
+    required_params = ("children",)
 
     def _step(self, message: Message, ctx: RunContext):
         """Returns the running payload and, as an extra parent, the id of the
@@ -143,15 +89,28 @@ class GeneratorCriticFlow(FlowInstance):
     """
 
     kind = "generator_critic"
-    accepted_params = ("children", "max_rounds", "critic_stop_on", "feedback_mapping")
+    accepted_params = {"children": CHILDREN, "max_rounds": POSITIVE_INTEGER,
+                       "critic_stop_on": TEXT_MAP, "feedback_mapping": FEEDBACK_MAPPING}
+    required_params = ("children",)
 
     def __init__(self, config: FlowConfig):
-        generator_cfg, critic_cfg = _child_configs(config, exactly=2)
-        children = [create_flow(generator_cfg), create_flow(critic_cfg)]
-        super().__init__(config, children)
-        self.max_rounds = _max_rounds(config)
-        self.critic_stop_on = _critic_stop_on(config, critic_cfg)
-        self.feedback_mapping = KeyMapping.from_dict(config.params.get("feedback_mapping"))
+        super().__init__(config)
+        self.max_rounds = config.params.get("max_rounds", DEFAULT_MAX_ROUNDS)
+        self.critic_stop_on = config.params.get("critic_stop_on", {})
+        self.feedback_mapping = config.params.get("feedback_mapping", {})
+        where = f"{self.kind} flow {config.name!r}"
+        if len(self.children) != 2:
+            raise ConfigError(f"{where} needs exactly 2 children, got {len(self.children)}")
+        stop_keys, critic = set(self.critic_stop_on), self.critic.config
+        if {"key", "needle"} <= stop_keys <= {"key", "mode", "needle"}:
+            raise ConfigError(f"{where} has critic_stop_on in the retired key/mode/needle form, "
+                              f"{self.critic_stop_on!r}; it maps each critic output key to the "
+                              f'text that ends the loop, as in {{"verdict": "AllPassed"}}')
+        undeclared = sorted(stop_keys - set(critic.output_keys)) if critic.output_keys else []
+        if undeclared:
+            raise ConfigError(f"{where} has critic_stop_on keys {undeclared} that its critic "
+                              f"{critic.name!r} does not output (its output_keys are "
+                              f"{list(critic.output_keys)})")
 
     @property
     def generator(self) -> FlowInstance:
@@ -173,6 +132,8 @@ class GeneratorCriticFlow(FlowInstance):
                                   round=round_no, role="critic")
             if any(critic_out.payload.get(k) == v for k, v in self.critic_stop_on.items()):
                 break
-            feedback = self.feedback_mapping.apply(critic_out.payload)
+            feedback = {target: critic_out.payload[source]
+                        for source, target in self.feedback_mapping.items()
+                        if source in critic_out.payload}
             parents = (critic_out.id,)
         return {**gen_out.payload, ROUNDS_USED_KEY: round_no}, (gen_out.id,)

@@ -19,7 +19,7 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 
-from ._util import canonical_bytes, utc_now_iso, validate_payload
+from ._util import MAP, TEXT, TEXT_LIST, check_fields, utc_now_iso, validate_payload
 from .backends import BackendRequest, cached_complete
 from .errors import ENVIRONMENT_ERRORS, ConfigError, FlowError, MissingInputKeysError, NestflowError
 from .trace import TraceSink
@@ -33,28 +33,14 @@ _instance_counter = itertools.count(1)
 
 @dataclass(frozen=True, eq=False)
 class Message:
-    """Immutable unit of communication between flows.
-
-    Equality covers id, creator, payload and parents; the creation
-    timestamp is deliberately excluded so that replayed runs compare
-    equal to the original.
-    """
+    """Immutable unit of communication between flows. Messages compare by
+    identity; replay compares normalized traces, not messages."""
 
     id: str
     created_at: str
     created_by: str
     payload: dict
     parents: tuple[str, ...] = ()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Message):
-            return NotImplemented
-        return (self.id == other.id and self.created_by == other.created_by
-                and self.parents == other.parents
-                and canonical_bytes(self.payload) == canonical_bytes(other.payload))
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.created_by, self.parents, canonical_bytes(self.payload)))
 
     def to_dict(self) -> dict:
         return {
@@ -93,7 +79,9 @@ class FlowConfig:
     output_keys: tuple[str, ...] = ()
     params: dict = field(default_factory=dict)
 
-    _FIELDS = ("name", "kind", "input_keys", "output_keys", "params")
+    # What each field of a config map must hold, where it is given.
+    _FIELDS = {"name": TEXT, "kind": TEXT, "input_keys": TEXT_LIST, "output_keys": TEXT_LIST,
+               "params": MAP}
 
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
@@ -116,9 +104,10 @@ class FlowConfig:
     def from_dict(cls, doc: dict) -> "FlowConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"flow config must be a map, got {type(doc).__name__}")
-        unknown = set(doc) - set(cls._FIELDS)
-        if unknown:
-            raise ConfigError(f"flow config has unknown fields: {sorted(unknown)}")
+        name, kind = doc.get("name"), doc.get("kind")
+        named = isinstance(name, str) and isinstance(kind, str)
+        check_fields(doc, cls._FIELDS, f"{kind} flow {name!r}" if named else "flow config",
+                     closed=True)
         return cls(
             name=doc.get("name", ""),
             kind=doc.get("kind", ""),
@@ -149,9 +138,6 @@ class FlowState:
 
     def set(self, key: str, value) -> None:
         self._store[key] = value
-
-    def clear(self) -> None:
-        self._store.clear()
 
     def snapshot(self) -> dict:
         return copy.deepcopy(self._store)
@@ -203,21 +189,28 @@ class RunContext:
 class FlowInstance:
     """Base class for runnable flows. Subclasses implement ``_step``.
 
+    A kind declares each param it accepts once, as ``{param: rule}`` in
+    ``accepted_params`` (rules as in ``_util.check_fields``), and those it
+    needs in ``required_params``. Building an instance refuses a config with
+    an unknown, missing or mistyped param, null included, in one ConfigError
+    that begins ``<kind> flow '<name>'``; a kind reads a param it was given
+    as it is. A composite's ``children`` param holds its child configs, which
+    are built before the composite itself.
+
     ``_step`` returns either an updates map or ``(updates, extra_parents)``;
     the run loop overlays updates onto the input payload and wraps the
-    result as the output message. A config holding a param that is not in
-    ``accepted_params`` is refused.
+    result as the output message.
     """
 
     kind: str = ""
-    accepted_params: tuple[str, ...] = ()
+    accepted_params: dict = {}
+    required_params: tuple[str, ...] = ()
 
-    def __init__(self, config: FlowConfig, children: list["FlowInstance"] | None = None):
-        unknown = sorted(set(config.params) - set(self.accepted_params))
-        if unknown:
-            raise ConfigError(f"{self.kind} flow {config.name!r} has unknown params: {unknown}")
+    def __init__(self, config: FlowConfig):
+        check_fields(config.params, self.accepted_params, f"{self.kind} flow {config.name!r}",
+                     required=self.required_params, closed=True, what="params")
         self.config = config
-        self.children = list(children or [])
+        self.children = [create_flow(child) for child in config.params.get("children", ())]
         self.instance_id = f"{config.name}#{next(_instance_counter)}"
         self.state = FlowState(owner=self.instance_id)
         self._lock = threading.Lock()
@@ -312,25 +305,13 @@ def snapshot_states(flow: FlowInstance) -> dict[str, dict]:
     return {inst.instance_id: inst.state.snapshot() for inst in walk_instances(flow)}
 
 
-def reset_state(flow: FlowInstance) -> None:
-    """Clear local state across the whole instance tree."""
-    for inst in walk_instances(flow):
-        inst.state.clear()
-
-
 @register_flow_kind
 class FixedReplyFlow(FlowInstance):
     """Atomic flow that replies with configured text, ignoring the input."""
 
     kind = "fixed_reply"
-    accepted_params = ("reply", "output_key")
-
-    def __init__(self, config: FlowConfig):
-        super().__init__(config)
-        self.reply = config.params.get("reply")
-        self.output_key = config.params.get("output_key", "reply")
-        if not isinstance(self.reply, str):
-            raise ConfigError(f"fixed_reply flow {config.name!r} needs a text 'reply' param")
+    accepted_params = {"reply": TEXT, "output_key": TEXT}
+    required_params = ("reply",)
 
     def _step(self, message: Message, ctx: RunContext) -> dict:
-        return {self.output_key: self.reply}
+        return {self.config.params.get("output_key", "reply"): self.config.params["reply"]}

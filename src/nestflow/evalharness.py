@@ -25,8 +25,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from ._pcg import Draws
-from ._util import (BOOLEAN, DATE, INTEGER, NUMBER, TEXT, TEXT_LIST, add_months, check_fields,
-                    month_floor, replace_file)
+from ._util import (BOOLEAN, DATE, INTEGER, MAP, NUMBER, POSITIVE_INTEGER, TEXT, TEXT_LIST,
+                    add_months, check_fields, month_floor, replace_file)
 from .ccflows import VariantSettings, build_variant, parse_variant, problem_payload
 from .core import ROUNDS_USED_KEY, Message, RunContext, create_flow, package_input, run
 from .dataset import BUCKET_LABELS, BUCKET_ORDER, DEFAULT_CUTOFF, Problem, bucket_key
@@ -83,10 +83,8 @@ class RunRecord:
         required field, each of its type."""
         if not isinstance(doc, dict):
             raise ConfigError(f"a record must be a JSON object, got {type(doc).__name__}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
-        if missing:
-            raise ConfigError(f"a record lacks required fields: {missing}")
-        check_fields(doc, _RECORD_FIELDS, "a record")
+        check_fields(doc, _RECORD_FIELDS, "a record",
+                     required=[f.name for f in fields(cls) if f.default is MISSING])
         return cls(**{f.name: doc.get(f.name) for f in fields(cls)})
 
 
@@ -559,15 +557,16 @@ def replay_pair(run_dir: str | Path, problem_id: str, variant_name: str) -> Repl
 
 
 def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
-                   settings: EvalSettings) -> None:
+                   settings: EvalSettings,
+                   restart_hint: str = "eval --no-resume starts over") -> None:
     """Write the run directory's ``run_meta.json``, which reports and replay read.
 
     With ``settings.resume``, an existing file is checked and extended: if
-    it holds other settings this raises ConfigError naming each of them and
-    touches no file, and otherwise every ``problems`` entry it holds is kept,
-    since its records may be in the directory. Without it, the file is
-    written afresh. The file is replaced whole, so a write cut short leaves
-    the old one.
+    it holds other settings this raises ConfigError naming each of them and,
+    in parentheses, ``restart_hint``, and touches no file; otherwise every
+    ``problems`` entry it holds is kept, since its records may be in the
+    directory. Without it, the file is written afresh. The file is replaced
+    whole, so a write cut short leaves the old one.
     """
     meta = {
         "seed": settings.seed,
@@ -592,7 +591,7 @@ def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
         changes = _settings_changes(old, meta)
         if changes:
             raise ConfigError(f"cannot resume {out_dir} with other settings "
-                              f"(eval --no-resume starts over): {'; '.join(changes)}")
+                              f"({restart_hint}): {'; '.join(changes)}")
         meta["problems"] = {**old.get("problems", {}), **meta["problems"]}
     out_dir.mkdir(parents=True, exist_ok=True)
     replace_file(path, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
@@ -600,10 +599,10 @@ def write_run_meta(out_dir: Path, problems: list[Problem], variants: list[str],
 
 # What each field of run_meta.json must hold, where it is present.
 _META_FIELDS = {"seed": ("an integer of at least 0", lambda v: type(v) is int and v >= 0),
-                "resamples": ("an integer of at least 1", lambda v: type(v) is int and v >= 1),
+                "resamples": POSITIVE_INTEGER,
                 "level": ("a number between 0 and 1", lambda v: type(v) in (int, float) and 0 < v < 1),
                 "cutoff": DATE, "variants": TEXT_LIST,
-                "variant_settings": ("a map", lambda v: isinstance(v, dict)),
+                "variant_settings": MAP,
                 "problems": ("a map of maps", lambda v: isinstance(v, dict)
                              and all(isinstance(x, dict) for x in v.values()))}
 # What each variant setting in run_meta.json must hold, where it is present.

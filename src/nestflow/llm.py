@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import re
 
+from ._util import BOOLEAN, TEXT
 from .backends import BackendRequest, ChatTurn, render_template
 from .compose import is_final_answer
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
-from .errors import ConfigError, FlowError, MalformedCompletionError
+from .errors import FlowError, MalformedCompletionError
 
 # Reply-format placeholders that must reach the model verbatim. When the
 # input payload does not bind them, they render as their own literal text.
@@ -63,28 +64,29 @@ class LlmFlow(FlowInstance):
     """
 
     kind = "llm"
-    accepted_params = ("system_message", "query_message", "human_message", "backend", "model",
-                       "postprocess", "stateless")
+    accepted_params = {
+        **dict.fromkeys(("system_message", "query_message", "human_message", "backend", "model"),
+                        TEXT),
+        "postprocess": ('"code" or "plan"', lambda v: v in ("code", "plan")),
+        "stateless": BOOLEAN,
+    }
+    required_params = ("system_message", "query_message")
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
         params = config.params
-        self.system_message = params.get("system_message")
-        self.query_message = params.get("query_message")
+        self.system_message = params["system_message"]
+        self.query_message = params["query_message"]
         self.human_message = params.get("human_message")
         self.backend_name = params.get("backend", "default")
         self.model = params.get("model", "default")
         self.postprocess = params.get("postprocess")
-        self.stateless = bool(params.get("stateless", False))
-        if not isinstance(self.system_message, str) or not isinstance(self.query_message, str):
-            raise ConfigError(f"llm flow {config.name!r} needs system_message and query_message")
-        if self.postprocess not in (None, "code", "plan"):
-            raise ConfigError(f"llm flow {config.name!r} has unknown postprocess {self.postprocess!r}")
+        self.stateless = params.get("stateless", False)
 
     def _render_turns(self, variables: dict) -> list[ChatTurn]:
         stored = None if self.stateless else self.state.get("turns")
         if stored:
-            if not isinstance(self.human_message, str):
+            if self.human_message is None:
                 raise FlowError("flow received a follow-up message but has no human_message template",
                                 instance_id=self.instance_id)
             turns = [ChatTurn(t["role"], t["content"]) for t in stored]

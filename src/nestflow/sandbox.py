@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from ._util import fingerprint
+from ._util import POSITIVE_INTEGER, POSITIVE_NUMBER, fingerprint
 from .backends import render_template
 from .core import FlowConfig, FlowInstance, Message, RunContext, register_flow_kind
 from .errors import ConfigError, FlowError, SandboxEnvironmentError
@@ -393,14 +393,14 @@ class CodeTestingFlow(FlowInstance):
     """
 
     kind = "code_testing"
-    accepted_params = ("wall_time", "memory_bytes")
+    accepted_params = {"wall_time": POSITIVE_NUMBER, "memory_bytes": POSITIVE_INTEGER}
 
     def __init__(self, config: FlowConfig):
         super().__init__(config)
         params = config.params
-        self.limits = ExecutionLimits(
-            wall_time=float(params.get("wall_time", DEFAULT_WALL_TIME)),
-            memory_bytes=int(params.get("memory_bytes", DEFAULT_MEMORY_BYTES)))
+        # A float, so that a Timeout's text reads "1.0s" for a wall time of 1.
+        self.limits = ExecutionLimits(wall_time=float(params.get("wall_time", DEFAULT_WALL_TIME)),
+                                      memory_bytes=params.get("memory_bytes", DEFAULT_MEMORY_BYTES))
 
     def _step(self, message: Message, ctx: RunContext) -> dict:
         raw_tests = message.payload["public_tests"]

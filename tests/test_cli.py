@@ -1408,6 +1408,16 @@ def _cache_entry_is_a_directory(tmp_path, run_dir):
                "the first that failed: [Errno 21] Is a directory")
 
 
+def _run_out_holds_other_settings(tmp_path, run_dir):
+    """``run --out`` into a run directory recorded with other variants: the
+    hint names what ``run`` can do, since it has no --no-resume."""
+    run_dir = shutil.copytree(run_dir, tmp_path / "run")
+    return (["run", "--problem", str(PROBLEMS / "cf-echo-101.yaml"), "--variant", "Code_Debug",
+             "--profiles", str(PROFILES), "--out", str(run_dir), "--wall-time", "2.0"],
+            2, f"error: cannot resume {run_dir} with other settings (run with another --out "
+               'starts over): variants: ["Code", "Code_Reflection"] -> ["Code_Debug"]')
+
+
 def _bad_cutoff(tmp_path, run_dir):
     return (["eval", "--dataset", str(PROBLEMS / "cf-echo-101.yaml"), "--profiles", str(PROFILES),
              "--out", str(tmp_path / "out"), "--cutoff", "whenever"],
@@ -1434,12 +1444,13 @@ def _garbled_chat_reply(tmp_path, run_dir):
     functools.partial(_records_file_is_a_directory, command="eval"),
     _report_file_is_a_directory,
     _cache_entry_is_a_directory,
+    _run_out_holds_other_settings,
     _bad_cutoff,
     _garbled_chat_reply,
 ], ids=["run-problem-unreadable", "run-out-problem-unreadable", "eval-problem-unreadable",
         "report-records-unreadable", "replay-records-unreadable", "eval-resume-records-unreadable",
-        "report-file-unwritable", "cache-clear-entry-undeletable", "eval-bad-cutoff",
-        "eval-garbled-chat-reply"])
+        "report-file-unwritable", "cache-clear-entry-undeletable", "run-out-other-settings",
+        "eval-bad-cutoff", "eval-garbled-chat-reply"])
 def test_fault_exits_with_its_code_and_one_error_line(runner, eval_dir, tmp_path, monkeypatch,
                                                       unavailable_post, fault):
     """Read faults of inputs exit 2 naming the file or option, write faults

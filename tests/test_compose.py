@@ -3,7 +3,7 @@ import re
 import pytest
 
 from nestflow.backends import ScriptedBackend
-from nestflow.compose import KeyMapping, is_final_answer
+from nestflow.compose import is_final_answer
 from nestflow.core import (
     FlowConfig,
     FlowInstance,
@@ -59,19 +59,30 @@ def start_counts(sink):
 
 
 class TestKeyMapping:
-    def test_duplicate_targets_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate targets"):
-            KeyMapping((("a", "x"), ("b", "x")))
+    """``feedback_mapping`` projects critic output keys onto the next generator
+    input's keys."""
 
-    def test_from_dict_handles_empty(self):
-        assert KeyMapping.from_dict(None).entries == ()
-        assert KeyMapping.from_dict({}).entries == ()
-        with pytest.raises(ConfigError):
-            KeyMapping.from_dict(["a", "b"])
+    def test_duplicate_targets_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "generator_critic flow 'refine': 'feedback_mapping' must be a map of text "
+                'to text, no two keys to the same text, got {"a": "x", "b": "x"}')):
+            generator_critic(["a"], feedback_mapping={"a": "x", "b": "x"})
+
+    def test_empty_mapping_carries_nothing(self):
+        for params in ({}, {"feedback_mapping": {}}):
+            flow = create_flow({"name": "refine", "kind": "generator_critic", "params": {
+                "children": [llm_config(human="again"), fixed("critic", "try again")],
+                "max_rounds": 2, **params}})
+            out = run(flow, package_input({"topic": "t"}),
+                      RunContext(backends=ScriptedBackend(responses=["a", "b"])))
+            assert out.payload == {"topic": "t", "completion": "b", ROUNDS_USED_KEY: 2}
+        with pytest.raises(ConfigError, match="'feedback_mapping' must be a map"):
+            generator_critic(["a"], feedback_mapping=["a", "b"])
 
     def test_apply_skips_absent_sources(self):
-        mapping = KeyMapping.from_dict({"reply": "feedback", "ghost": "x"})
-        assert mapping.apply({"reply": "fix", "other": 1}) == {"feedback": "fix"}
+        out, _, _ = generator_critic(["a", "b"], max_rounds=2,
+                                     feedback_mapping={"reply": "feedback", "ghost": "x"})
+        assert out.payload["feedback"] == "try again" and "x" not in out.payload
 
 
 class TestTerminationPredicate:
@@ -119,7 +130,8 @@ class TestTerminationPredicate:
 
     def test_validation(self):
         for stop_on in (["verdict"], "AllPassed", None, {"verdict": 1}, {1: "AllPassed"}):
-            with pytest.raises(ConfigError, match="needs critic_stop_on to map payload keys"):
+            with pytest.raises(ConfigError, match=re.escape(
+                    "generator_critic flow 'gc': 'critic_stop_on' must be a map of text to text")):
                 create_flow({"name": "gc", "kind": "generator_critic",
                              "params": {"children": [llm_config(), fixed("critic", "r")],
                                         "critic_stop_on": stop_on}})
@@ -244,7 +256,8 @@ class TestGeneratorCritic:
 
     def test_invalid_max_rounds(self):
         for max_rounds in (0, -1, 2.0, "4"):
-            with pytest.raises(ConfigError, match="needs integer max_rounds >= 1"):
+            with pytest.raises(ConfigError, match=re.escape(
+                    "generator_critic flow 'gc': 'max_rounds' must be an integer of at least 1")):
                 create_flow({"name": "gc", "kind": "generator_critic",
                              "params": {"children": [llm_config(), fixed("critic", "r")],
                                         "max_rounds": max_rounds}})

@@ -77,7 +77,11 @@ def llm_flow(**params):
         "human_message": "follow-up: {{note}}",
     }
     merged.update(params)
-    return create_flow({"name": "speaker", "kind": "llm", "params": merged})
+    return create_flow({"name": "speaker", "kind": "llm",
+                        "params": {k: v for k, v in merged.items() if v is not OMIT}})
+
+
+OMIT = object()  # an llm_flow param left out of the config
 
 
 def context(responses):
@@ -141,7 +145,7 @@ class TestLlmFlowConversation:
 
     def test_follow_up_without_human_template_fails(self):
         ctx, _, _ = context(["draft", "revised"])
-        flow = llm_flow(human_message=None)
+        flow = llm_flow(human_message=OMIT)
         run(flow, package_input({"task": "sort"}), ctx)
         with pytest.raises(FlowError, match="human_message"):
             run(flow, package_input({"task": "sort"}), ctx)

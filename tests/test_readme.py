@@ -34,10 +34,16 @@ def test_event_kinds_match():
 
 
 def test_flow_params_match():
-    table = re.search(r"^\| Kind \| Params \|\n\| --- \| --- \|\n((?:\|.*\n)+)", README, re.M)
-    listed = {row[0]: tuple(re.findall(r"`(\w+)`", row[1]))
-              for row in re.findall(r"^\| `(\w+)` \| (.*) \|$", table.group(1), re.M)}
-    registered = {kind: cls.accepted_params for kind, cls in core._REGISTRY.items()
+    """The table lists each kind's params with the text of its rule, and marks
+    the required ones."""
+    table = re.search(r"^\| Kind \| Param \| Must hold \|\n\| --- \| --- \| --- \|\n((?:\|.*\n)+)",
+                      README, re.M)
+    listed = {}
+    for kind, param, rule in re.findall(r"^\| `(\w+)` \| `(\w+)` \| (.*) \|$", table.group(1), re.M):
+        listed.setdefault(kind, {})[param] = rule
+    registered = {kind: {param: rule + (", required" if param in cls.required_params else "")
+                         for param, (rule, _) in cls.accepted_params.items()}
+                  for kind, cls in core._REGISTRY.items()
                   if cls.__module__.startswith(nestflow.__name__ + ".")}
     assert listed == registered
 

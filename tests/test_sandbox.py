@@ -153,7 +153,9 @@ class TestRunTests:
     def test_limits_that_are_not_positive_are_refused(self, limits):
         with pytest.raises(ConfigError, match="execution limits must be positive"):
             ExecutionLimits(**limits)
-        with pytest.raises(ConfigError, match="execution limits must be positive"):
+        (param,) = limits
+        with pytest.raises(ConfigError, match=re.escape(
+                f"code_testing flow 'judge': {param!r} must be ")):
             create_flow({"name": "judge", "kind": "code_testing", "params": limits})
 
     def test_missing_interpreter_is_environment_error(self, monkeypatch, tmp_path):
