@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ._util import POSITIVE_INTEGER, TEXT_MAP
 from .core import (
+    CHILDREN,
     FlowConfig,
     FlowInstance,
     Message,
@@ -30,9 +31,6 @@ def is_final_answer(completion) -> bool:
     return isinstance(completion, str) and FINAL_ANSWER_NEEDLE in completion
 
 
-# A composite's child configs, built by FlowInstance.__init__.
-CHILDREN = ("a non-empty list of flow config maps",
-            lambda v: isinstance(v, list) and v != [] and all(isinstance(c, dict) for c in v))
 # Critic output keys projected onto the next generator input's keys.
 FEEDBACK_MAPPING = ("a map of text to text, no two keys to the same text",
                     lambda v: TEXT_MAP[1](v) and len(set(v.values())) == len(v))

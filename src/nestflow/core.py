@@ -186,6 +186,12 @@ class RunContext:
         return response
 
 
+# The rule of a composite's ``children`` param: its child configs, which
+# FlowInstance.__init__ builds.
+CHILDREN = ("a non-empty list of flow config maps",
+            lambda v: isinstance(v, list) and v != [] and all(isinstance(c, dict) for c in v))
+
+
 class FlowInstance:
     """Base class for runnable flows. Subclasses implement ``_step``.
 
